@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .cspace import classify_all, published_positive
+from .cspace import AuditEntry, classify_all, published_positive
 from .curvature import (
     EinsteinFramePoint,
     KahlerCurvatureTensor,
@@ -40,6 +40,7 @@ from .errors import HsckitError, NodeOutOfRange, RegimeViolation
 from .extremize import ExtremizeConfig, extremize_hsc
 from .geography import (
     GeographyVerdict,
+    SurfaceRecord,
     blowup_transform,
     builtin_surface_table,
     check_inequality,
@@ -150,9 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     plotdata = geography_cmds.add_parser(
         "plotdata", help="points plus the c2 = 3 c1^2 line as columns"
     )
-    plot_source = plotdata.add_mutually_exclusive_group()
-    plot_source.add_argument("--builtin", action="store_true", default=True)
-    plot_source.add_argument("--input", type=Path)
+    plotdata.add_argument("--input", type=Path, help="surface JSON file (default: the catalog)")
     _add_output_options(plotdata)
 
     return parser
@@ -182,22 +181,19 @@ def _run_cspace_classify(args) -> tuple[dict, list[str]]:
     warnings: list[str] = []
     items = []
     for verdict in verdicts:
-        item = verdict.to_payload()
-        if args.audit:
-            published = published_positive(verdict.descriptor)
-            item["published_positive"] = published
-            if verdict.itoh_positive == published:
-                item["category"] = "agree-positive" if published else "agree-negative"
-            else:
-                item["category"] = "disagree"
-                witnesses = ", ".join(str(tuple(r)) for r in verdict.evidence)
-                warnings.append(
-                    f"audit disagreement at ({lie_type}, node {verdict.descriptor.node}): "
-                    f"computed {'positive' if verdict.itoh_positive else 'negative'}, "
-                    f"published {'positive' if published else 'negative'}; "
-                    f"witness roots {witnesses}"
-                )
-        items.append(item)
+        if not args.audit:
+            items.append(verdict.to_payload())
+            continue
+        entry = AuditEntry(verdict, published_positive(verdict.descriptor))
+        items.append(entry.to_payload())
+        if entry.category == "disagree":
+            witnesses = ", ".join(str(tuple(r)) for r in verdict.evidence)
+            warnings.append(
+                f"audit disagreement at ({lie_type}, node {verdict.descriptor.node}): "
+                f"computed {'positive' if verdict.itoh_positive else 'negative'}, "
+                f"published {'positive' if entry.published_positive else 'negative'}; "
+                f"witness roots {witnesses}"
+            )
     payload = {"family": lie_type.family, "rank": lie_type.rank, "verdicts": items}
     return payload, warnings
 
@@ -243,14 +239,8 @@ def _load_tensor(path: Path, tolerance: float) -> tuple[KahlerCurvatureTensor, l
 
 
 def _run_tensor_validate(args) -> tuple[dict, list[str]]:
-    data = json.loads(args.input.read_text())
-    tensor = tensor_from_dict(data)
+    tensor, warnings = _load_tensor(args.input, args.tolerance)
     report = validate(tensor, args.tolerance)
-    warnings = []
-    if tensor.asymmetry > args.tolerance:
-        warnings.append(
-            f"canonicalization adjusted stated entries by {tensor.asymmetry:.3g}"
-        )
     payload = {"n": tensor.n, "asymmetry": tensor.asymmetry}
     payload.update(report.to_payload())
     return payload, warnings
@@ -280,12 +270,15 @@ def _geography_verdict_payloads(verdicts: list[GeographyVerdict]) -> tuple[list[
     return payloads, warnings
 
 
+def _surface_records(args) -> list[SurfaceRecord]:
+    """Records from ``--input``, or the builtin catalog when it is absent."""
+    if args.input is None:
+        return list(builtin_surface_table())
+    return records_from_json(args.input.read_text())
+
+
 def _run_geography_check(args) -> tuple[dict, list[str]]:
-    if args.builtin:
-        records = list(builtin_surface_table())
-    else:
-        records = records_from_json(args.input.read_text())
-    verdicts = [check_inequality(r) for r in records]
+    verdicts = [check_inequality(r) for r in _surface_records(args)]
     items, warnings = _geography_verdict_payloads(verdicts)
     return {"verdicts": items}, warnings
 
@@ -321,11 +314,7 @@ def _run_geography_scan(args) -> tuple[dict, list[str]]:
 
 
 def _run_geography_plotdata(args) -> tuple[dict, list[str]]:
-    if args.input is not None:
-        records = records_from_json(args.input.read_text())
-    else:
-        records = list(builtin_surface_table())
-    return {"rows": plot_columns(records)}, []
+    return {"rows": plot_columns(_surface_records(args))}, []
 
 
 _RUNNERS = {
@@ -424,3 +413,7 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

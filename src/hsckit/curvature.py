@@ -215,6 +215,13 @@ def validate(
     return ValidationReport(ok=not violations, tolerance=tol, violations=violations)
 
 
+def _values_batch(R: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The quartic ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` per row v
+    of V, complex so that ``hsc`` can check the imaginary part."""
+    W = np.einsum("ijkl,mj,ml->mik", R, V.conj(), V.conj())
+    return np.einsum("mik,mi,mk->m", W, V, V)
+
+
 def hsc(tensor: KahlerCurvatureTensor, v, *, tol: float = SYMMETRY_TOL) -> float:
     """Holomorphic sectional curvature along a direction.
 
@@ -226,8 +233,7 @@ def hsc(tensor: KahlerCurvatureTensor, v, *, tol: float = SYMMETRY_TOL) -> float
     norm_sq = float(np.vdot(vec, vec).real)
     if norm_sq == 0.0:
         raise ValueError("direction must be nonzero")
-    val = np.einsum("ijkl,i,j,k,l->", tensor.array, vec, vec.conj(), vec, vec.conj())
-    val = complex(val) / (norm_sq * norm_sq)
+    val = complex(_values_batch(tensor.array, vec[None, :])[0]) / (norm_sq * norm_sq)
     if abs(val.imag) > tol * max(1.0, abs(val)):
         raise ValueError(
             f"contraction is not real within tolerance (imag={val.imag:.3g}); "
@@ -270,7 +276,8 @@ class EinsteinFramePoint:
 
     ``H`` is the HSC minimum ``R_{1 1bar 1 1bar}``, ``A = R_{1 1bar 2 2bar}``
     and ``B = R_{1 2bar 1 2bar}``.  Minimality of ``e_1`` forces
-    ``2A >= H + |B|``; the Einstein constant is ``H + A``.
+    ``2A >= H + |B|``; the Einstein constant is ``H + A``.  Non-finite
+    values raise ValueError.
     """
 
     H: float
@@ -281,6 +288,10 @@ class EinsteinFramePoint:
         object.__setattr__(self, "H", float(self.H))
         object.__setattr__(self, "A", float(self.A))
         object.__setattr__(self, "B", complex(self.B))
+        if not np.isfinite([self.H, self.A, self.B]).all():
+            raise ValueError(
+                f"frame data must be finite: H={self.H}, A={self.A}, B={self.B}"
+            )
         slack = 1e-12 * max(1.0, abs(self.H), abs(self.A), abs(self.B))
         if 2 * self.A + slack < self.H + abs(self.B):
             raise FrameConstraintViolated(
@@ -429,6 +440,8 @@ def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
             val = complex(float(entry["re"]), float(entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise TensorFormatError(f"malformed tensor entry {entry!r}") from exc
+        if not np.isfinite(val):
+            raise TensorFormatError(f"non-finite value in tensor entry {entry!r}")
         if not all(0 <= x < n for x in idx):
             raise TensorFormatError(f"index {idx} out of range for n={n}")
         rep = _orbit_representative(idx)

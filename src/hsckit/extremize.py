@@ -5,9 +5,10 @@ v_k conj(v_l)`` restricted to ``|v| = 1``.  Multistart gradient ascent is
 enough at these sizes: the Riemannian gradient is the cubic contraction of R
 with (v, v, conj(v)) projected onto the sphere's tangent space, and each
 step moves along the great circle it spans.  Restricted to a great circle
-the objective is exactly a degree-4 trigonometric polynomial, so the line
-search recovers its coefficients by a 9-point DFT and lands on the circle's
-global optimum, avoiding the noise floor of value-comparison searches.
+the objective is exactly a degree-4 trigonometric polynomial, recovered by a
+9-point DFT.  The line search is exact: every stationary angle is the
+argument of a root of a degree-8 polynomial, and the best of those angles
+is the circle's global optimum, with no grid and no noise floor.
 
 Determinism: start directions are derived from ``(seed, start index)``, the
 ascent itself is deterministic, and the best-of-starts merge is an
@@ -29,9 +30,11 @@ from .curvature import (
     Direction,
     EinsteinFramePoint,
     KahlerCurvatureTensor,
+    _values_batch,
     ricci,
+    transform_frame,
 )
-from .errors import DimensionMismatch, NotEinstein, NotSurface
+from .errors import NotEinstein, NotSurface
 
 __all__ = [
     "DistinguishedFrame",
@@ -109,20 +112,13 @@ class SampleResult:
 
 
 def _value(R: np.ndarray, v: np.ndarray) -> float:
-    return float(
-        np.einsum("ijkl,i,j,k,l->", R, v, v.conj(), v, v.conj()).real
-    )
+    return float(_values_batch(R, v[None, :])[0].real)
 
 
 def _gradient(R: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Euclidean gradient of f in R^{2n} coordinates, as a complex vector:
     # 2 d f / d conj(v), doubled again by the two barred slots.
     return 4.0 * np.einsum("imkl,i,k,l->m", R, v, v, v.conj())
-
-
-def _values_batch(R: np.ndarray, V: np.ndarray) -> np.ndarray:
-    W = np.einsum("ijkl,mj,ml->mik", R, V.conj(), V.conj())
-    return np.einsum("mik,mi,mk->m", W, V, V).real
 
 
 def sample_unit_sphere(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,7 +146,7 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
     while done < m:
         count = min(_CHUNK, m - done)
         V = sample_unit_sphere(n, count, rng)
-        vals = _values_batch(R, V)
+        vals = _values_batch(R, V).real
         i_min = int(np.argmin(vals))
         i_max = int(np.argmax(vals))
         if vals[i_min] < best_min:
@@ -196,7 +192,7 @@ def _circle_coefficients(
     """
     thetas = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     W = np.outer(np.cos(thetas), v) + np.outer(np.sin(thetas), u)
-    vals = _values_batch(R, W)
+    vals = _values_batch(R, W).real
     X = np.fft.rfft(vals)
     a = np.zeros(5)
     b = np.zeros(5)
@@ -213,26 +209,18 @@ def _trig_eval(a: np.ndarray, b: np.ndarray, theta) -> np.ndarray:
 
 
 def _trig_argopt(a: np.ndarray, b: np.ndarray, sign: float) -> float:
-    """Angle of the global optimum of sign * (trig polynomial) on the circle."""
-    grid = np.linspace(-np.pi, np.pi, 181, endpoint=False)
-    theta = float(grid[np.argmax(sign * _trig_eval(a, b, grid))])
-    k = np.arange(5)
-    # Newton on the derivative; the polynomial arithmetic is exact, so the
-    # stationary point is located without a value-comparison noise floor.
-    t = theta
-    for _ in range(12):
-        kt = k * t
-        d1 = float(-(k * a) @ np.sin(kt) + (k * b) @ np.cos(kt))
-        d2 = float(-(k * k * a) @ np.cos(kt) - (k * k * b) @ np.sin(kt))
-        if abs(d2) < 1e-30:
-            break
-        t_new = t - d1 / d2
-        if abs(t_new - t) > 0.1:
-            break
-        t = t_new
-    candidates = [theta, t]
-    values = sign * _trig_eval(a, b, np.array(candidates))
-    return float(candidates[int(np.argmax(values))])
+    """Angle of the global optimum of sign * (trig polynomial) on the circle.
+
+    The polynomial is sum c_k z^k over |k| <= 4 with z = e^{i theta}, so
+    stationary angles are root arguments of z^4 f'(z) = sum i k c_k z^{k+4};
+    theta = 0 stands in when there are none.
+    """
+    c = 0.5 * (a - 1j * b)
+    c[0] = a[0]
+    k = np.arange(-4, 5)
+    coeffs = 1j * k * np.concatenate((c[:0:-1].conj(), c))
+    candidates = np.append(np.angle(np.roots(coeffs[::-1])), 0.0)
+    return float(candidates[np.argmax(sign * _trig_eval(a, b, candidates))])
 
 
 def _ascend(
@@ -296,18 +284,27 @@ def _start_directions(n: int, cfg: ExtremizeConfig) -> list[np.ndarray]:
 
 
 def _merge(
-    results: list[tuple[float, np.ndarray, bool]], pick_min: bool, tol: float
+    results: list[tuple[float, np.ndarray, int, bool]], pick_min: bool, tol: float
 ) -> tuple[float, Direction, bool]:
     values = [r[0] for r in results]
     best = min(values) if pick_min else max(values)
     candidates = [
-        (r[1], r[2]) for r in results if abs(r[0] - best) <= tol * max(1.0, abs(best))
+        (r[1], r[3]) for r in results if abs(r[0] - best) <= tol * max(1.0, abs(best))
     ]
     normalized = [(_normalize_phase(v), conv) for v, conv in candidates]
     normalized.sort(key=lambda item: _lex_key(item[0]))
     direction = Direction(normalized[0][0])
     converged = any(conv for _, conv in normalized)
     return best, direction, converged
+
+
+def _best_of_starts(
+    R: np.ndarray, starts: list[np.ndarray], sign: float, cfg: ExtremizeConfig
+) -> tuple[float, Direction, bool, int]:
+    """Merged best of the ascents of sign*f from every start, plus the
+    total iteration count."""
+    runs = [_ascend(R, v0, sign, cfg) for v0 in starts]
+    return (*_merge(runs, sign < 0, cfg.value_tolerance), sum(r[2] for r in runs))
 
 
 def extremize_hsc(
@@ -322,21 +319,9 @@ def extremize_hsc(
     phase-normalized (first nonzero component real positive) and ties within
     value_tolerance break lexicographically.
     """
-    R = tensor.array
-    n = tensor.n
-    starts = _start_directions(n, cfg)
-    min_runs: list[tuple[float, np.ndarray, bool]] = []
-    max_runs: list[tuple[float, np.ndarray, bool]] = []
-    iterations = 0
-    for v0 in starts:
-        f, v, iters, conv = _ascend(R, v0, -1.0, cfg)
-        min_runs.append((f, v, conv))
-        iterations += iters
-        f, v, iters, conv = _ascend(R, v0, +1.0, cfg)
-        max_runs.append((f, v, conv))
-        iterations += iters
-    min_value, argmin, min_conv = _merge(min_runs, True, cfg.value_tolerance)
-    max_value, argmax, max_conv = _merge(max_runs, False, cfg.value_tolerance)
+    starts = _start_directions(tensor.n, cfg)
+    min_value, argmin, min_conv, min_iters = _best_of_starts(tensor.array, starts, -1.0, cfg)
+    max_value, argmax, max_conv, max_iters = _best_of_starts(tensor.array, starts, +1.0, cfg)
     oracle_min = oracle_max = None
     if cfg.oracle_samples > 0:
         oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
@@ -347,7 +332,7 @@ def extremize_hsc(
         max_value=max_value,
         argmin=argmin,
         argmax=argmax,
-        iterations_used=iterations,
+        iterations_used=min_iters + max_iters,
         min_converged=min_conv,
         max_converged=max_conv,
         oracle_min=oracle_min,
@@ -394,18 +379,11 @@ def distinguished_frame(
         )
     if cfg is None:
         cfg = ExtremizeConfig(starts=16)
-    R = tensor.array
-    runs = []
-    iterations = 0
-    for v0 in _start_directions(2, cfg):
-        f, v, iters, conv = _ascend(R, v0, -1.0, cfg)
-        runs.append((f, v, conv))
-        iterations += iters
-    _, argmin, _ = _merge(runs, True, cfg.value_tolerance)
+    _, argmin, _, _ = _best_of_starts(tensor.array, _start_directions(2, cfg), -1.0, cfg)
     v1 = argmin.vector
     v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
     U = np.column_stack([v1, v2])
-    Rp = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, U, U.conj(), U, U.conj())
+    Rp = transform_frame(tensor, U).array
     H = float(Rp[0, 0, 0, 0].real)
     A = float(Rp[0, 0, 1, 1].real)
     B = complex(Rp[0, 1, 0, 1])

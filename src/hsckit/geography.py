@@ -198,10 +198,13 @@ def todorov_family(k2_min: int = 2, k2_max: int = 8) -> list[SurfaceRecord]:
 def horikawa_scan(pg_min: int, pg_max: int) -> list[GeographyVerdict]:
     """Verdicts for both Horikawa lines K2 = 2(pg-2) and K2 = 2 pg - 3.
 
-    Requires pg_min >= 3 so both lines stay in the general-type range.
+    Requires pg_min >= 3 so both lines stay in the general-type range, and
+    pg_max >= pg_min.
     """
     if pg_min < 3:
         raise ValueError(f"pg_min must be >= 3, got {pg_min}")
+    if pg_max < pg_min:
+        raise ValueError(f"empty pg range {pg_min}..{pg_max}")
     verdicts = []
     for pg in range(pg_min, pg_max + 1):
         for label, k2 in (("2(pg-2)", 2 * (pg - 2)), ("2pg-3", 2 * pg - 3)):

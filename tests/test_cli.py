@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import hsckit
 from hsckit import EinsteinFramePoint, assemble_einstein_surface, tensor_to_dict
 from hsckit.cli import SCHEMAS, dispatch, schema_text
 
@@ -233,3 +238,52 @@ def test_every_subcommand_has_a_schema():
     for command in commands:
         schema = json.loads(schema_text(command))
         jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def test_tensor_validate_warning_names_tolerance(capsys, tmp_path):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps({"n": 1, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": -1.0, "im": 0.5}]}))
+    code, envelope = run_json(capsys, ["tensor", "validate", "--input", str(path)])
+    assert code == 0
+    assert envelope["warnings"] == [
+        "canonicalization adjusted stated entries by 0.5 (tolerance 1e-09)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["surface", "analyze", "--H", "nan", "--A", "0.25"], "ValueError"),
+        (["surface", "analyze", "--H", "-1", "--A", "inf"], "ValueError"),
+        (["geography", "scan-horikawa", "--pg", "5..3"], "ValueError"),
+    ],
+)
+def test_bad_numbers_exit_1(capsys, argv, error):
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{error}: ")
+    assert captured.out == ""
+
+
+def test_non_finite_tensor_entry_exit_1(capsys, tmp_path):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps({"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": float("nan")}]}))
+    for command in ("validate", "extremize"):
+        assert dispatch(["tensor", command, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("TensorFormatError: ")
+        assert captured.out == ""
+
+
+def test_python_m_runs_the_cli():
+    src = Path(hsckit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsckit.cli", "geography", "blowup", "--c1sq", "9", "--c2", "3", "--k", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    envelope = json.loads(proc.stdout)
+    validate_envelope(envelope)
+    assert envelope["command"] == "geography blowup"
+    assert envelope["payload"]["result"] == {"c1sq": 7, "c2": 5}

@@ -116,6 +116,14 @@ def test_hsc_scale_invariant():
         assert hsc(T, lam * v) == pytest.approx(base, rel=1e-12)
 
 
+def test_hsc_rejects_non_real_contraction():
+    R = np.zeros((2, 2, 2, 2), dtype=complex)
+    R[0, 0, 0, 0] = 1j
+    T = KahlerCurvatureTensor(R, canonicalize=False)
+    with pytest.raises(ValueError, match="not real"):
+        hsc(T, [1.0, 0.0])
+
+
 def test_hsc_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         hsc(constant_hsc_tensor(2, 1.0), [1, 0, 0])
@@ -228,6 +236,14 @@ def test_frame_constraint_enforced():
         EinsteinFramePoint(-1.0, -0.8, 0.0)  # 2A = -1.6 < H + |B| = -1
     with pytest.raises(FrameConstraintViolated):
         EinsteinFramePoint(0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "H, A, B", [(float("nan"), 0.0, 0.0), (-1.0, float("inf"), 0.0), (-1.0, 0.0, complex(0, float("nan")))]
+)
+def test_frame_point_rejects_non_finite(H, A, B):
+    with pytest.raises(ValueError, match="finite"):
+        EinsteinFramePoint(H, A, B)
 
 
 def test_closed_form_examples():
@@ -394,6 +410,8 @@ def test_tensor_json_self_conjugate_orbit_imag_shows_in_asymmetry():
         {"n": 0, "entries": []},
         {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 5, "re": 1.0}]},
         {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "re": 1.0}]},
+        {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": float("nan")}]},
+        {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 0.0, "im": float("inf")}]},
     ],
 )
 def test_tensor_json_malformed_rejected(payload):

@@ -21,7 +21,8 @@ from hsckit import (
     sample_hsc,
     transform_frame,
 )
-from hsckit.extremize import _gradient, _value
+from hsckit.curvature import _values_batch
+from hsckit.extremize import _gradient, _trig_argopt, _trig_eval
 from helpers import random_frame_point, random_kahler_tensor, random_unitary
 
 
@@ -48,9 +49,26 @@ def test_gradient_matches_finite_differences():
         for direction in (1.0, 1.0j):
             e = np.zeros(3, dtype=complex)
             e[idx] = direction
-            num = (_value(R, v + h * e) - _value(R, v - h * e)) / (2 * h)
+            ends = np.array([v + h * e, v - h * e])
+            plus, minus = _values_batch(R, ends).real
+            num = (plus - minus) / (2 * h)
             ana = float((g * np.conj(e)).sum().real)
             assert num == pytest.approx(ana, rel=1e-5, abs=1e-6)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_trig_argopt_reaches_dense_grid_optimum(sign):
+    rng = np.random.default_rng(10)
+    grid = np.linspace(-np.pi, np.pi, 20_001, endpoint=False)
+    for _ in range(100):
+        a, b = rng.standard_normal(5), rng.standard_normal(5)
+        theta = _trig_argopt(a, b, sign)
+        best_on_grid = np.max(sign * _trig_eval(a, b, grid))
+        assert sign * _trig_eval(a, b, theta) >= best_on_grid - 1e-12
+
+
+def test_trig_argopt_constant_polynomial_stays_put():
+    assert _trig_argopt(np.array([2.0, 0, 0, 0, 0]), np.zeros(5), 1.0) == 0.0
 
 
 def test_constant_tensor_extremes():

@@ -146,6 +146,11 @@ def test_horikawa_scan_rejects_low_pg():
         horikawa_scan(2, 5)
 
 
+def test_horikawa_scan_rejects_inverted_range():
+    with pytest.raises(ValueError, match="empty pg range"):
+        horikawa_scan(5, 3)
+
+
 def test_todorov_passes_iff_k2_at_least_six():
     for record in todorov_family():
         assert check_inequality(record).passes == (record.K2 >= 6)
