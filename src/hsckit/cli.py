@@ -48,23 +48,9 @@ from .geography import (
     plot_columns,
     records_from_json,
 )
-from .rootsys import DEFAULT_MAX_RANK, LieType, cartan_matrix, highest_root, positive_roots
+from .rootsys import DEFAULT_MAX_RANK, FAMILIES, LieType, cartan_matrix, highest_root, positive_roots
 
 __all__ = ["SCHEMAS", "build_parser", "dispatch", "main", "schema_text"]
-
-# payload schema shipped for each subcommand
-SCHEMAS = {
-    "cspace roots": "cspace_roots.json",
-    "cspace classify": "cspace_classify.json",
-    "surface analyze": "surface_analyze.json",
-    "tensor validate": "tensor_validate.json",
-    "tensor extremize": "tensor_extremize.json",
-    "geography check": "geography_check.json",
-    "geography blowup": "geography_blowup.json",
-    "geography scan-horikawa": "geography_scan_horikawa.json",
-    "geography plotdata": "geography_plotdata.json",
-    "envelope": "envelope.json",
-}
 
 
 def schema_text(command: str) -> str:
@@ -86,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     cspace_cmds = cspace.add_subparsers(dest="command", required=True)
 
     roots = cspace_cmds.add_parser("roots", help="list the positive roots of a simple type")
-    roots.add_argument("--family", required=True, choices=("A", "B", "C", "D", "E", "F", "G"))
+    roots.add_argument("--family", required=True, choices=FAMILIES)
     roots.add_argument("--rank", required=True, type=int)
     roots.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     _add_output_options(roots)
@@ -94,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify = cspace_cmds.add_parser(
         "classify", help="positivity verdict per marked node, optionally audited"
     )
-    classify.add_argument("--family", required=True, choices=("A", "B", "C", "D", "E", "F", "G"))
+    classify.add_argument("--family", required=True, choices=FAMILIES)
     classify.add_argument("--rank", required=True, type=int)
     classify.add_argument("--node", type=int, default=None, help="restrict to one node")
     classify.add_argument(
@@ -122,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     textremize = tensor_cmds.add_parser("extremize", help="HSC extremes over the unit sphere")
     textremize.add_argument("--input", required=True, type=Path, help="tensor JSON file")
-    textremize.add_argument("--starts", type=int, default=32)
-    textremize.add_argument("--max-iters", type=int, default=500)
-    textremize.add_argument("--seed", type=int, default=0)
-    textremize.add_argument("--oracle-samples", type=int, default=0)
+    textremize.add_argument("--starts", type=int, default=ExtremizeConfig.starts)
+    textremize.add_argument("--max-iters", type=int, default=ExtremizeConfig.max_iters)
+    textremize.add_argument("--seed", type=int, default=ExtremizeConfig.seed)
+    textremize.add_argument("--oracle-samples", type=int, default=ExtremizeConfig.oracle_samples)
     textremize.add_argument("--tolerance", type=float, default=SYMMETRY_TOL)
     _add_output_options(textremize)
 
@@ -284,8 +270,6 @@ def _run_geography_check(args) -> tuple[dict, list[str]]:
 
 
 def _run_geography_blowup(args) -> tuple[dict, list[str]]:
-    if args.k < 0:
-        raise ValueError("k must be >= 0")
     c1sq, c2 = blowup_transform(args.c1sq, args.c2, args.k)
     payload = {
         "input": {"c1sq": args.c1sq, "c2": args.c2},
@@ -317,64 +301,73 @@ def _run_geography_plotdata(args) -> tuple[dict, list[str]]:
     return {"rows": plot_columns(_surface_records(args))}, []
 
 
-_RUNNERS = {
-    ("cspace", "roots"): _run_cspace_roots,
-    ("cspace", "classify"): _run_cspace_classify,
-    ("surface", "analyze"): _run_surface_analyze,
-    ("tensor", "validate"): _run_tensor_validate,
-    ("tensor", "extremize"): _run_tensor_extremize,
-    ("geography", "check"): _run_geography_check,
-    ("geography", "blowup"): _run_geography_blowup,
-    ("geography", "scan-horikawa"): _run_geography_scan,
-    ("geography", "plotdata"): _run_geography_plotdata,
+# TSV layouts: each turns a payload into (column names, rows)
+
+
+def _roots_tsv(payload: dict) -> tuple[list[str], list[list]]:
+    return [f"n{i+1}" for i in range(payload["rank"])], payload["roots"]
+
+
+def _classify_tsv(payload: dict) -> tuple[list[str], list[list]]:
+    audited = any("category" in v for v in payload["verdicts"])
+    header = ["family", "rank", "node", "max_level", "positive", "census", "evidence"]
+    if audited:
+        header += ["published_positive", "category"]
+    rows = []
+    for v in payload["verdicts"]:
+        census = ",".join(f"{k}:{n}" for k, n in sorted(v["census"].items(), key=lambda kv: int(kv[0])))
+        evidence = ";".join(",".join(map(str, r)) for r in v["evidence"])
+        cells = [v["family"], v["rank"], v["node"], v["max_level"], v["positive"], census, evidence]
+        if audited:
+            cells += [v.get("published_positive"), v.get("category")]
+        rows.append(cells)
+    return header, rows
+
+
+def _verdicts_tsv(payload: dict) -> tuple[list[str], list[list]]:
+    header = ["name", "c1sq", "c2", "passes", "margin"]
+    return header, [[v[c] for c in header] for v in payload["verdicts"]]
+
+
+def _plotdata_tsv(payload: dict) -> tuple[list[str], list[list]]:
+    header = ["name", "c1sq", "c2", "line_c2"]
+    return header, [[r[c] for c in header] for r in payload["rows"]]
+
+
+# every subcommand: its runner and its TSV layout (None: key/value flattening)
+_COMMANDS = {
+    "cspace roots": (_run_cspace_roots, _roots_tsv),
+    "cspace classify": (_run_cspace_classify, _classify_tsv),
+    "surface analyze": (_run_surface_analyze, None),
+    "tensor validate": (_run_tensor_validate, None),
+    "tensor extremize": (_run_tensor_extremize, None),
+    "geography check": (_run_geography_check, _verdicts_tsv),
+    "geography blowup": (_run_geography_blowup, None),
+    "geography scan-horikawa": (_run_geography_scan, _verdicts_tsv),
+    "geography plotdata": (_run_geography_plotdata, _plotdata_tsv),
 }
 
+# payload schema shipped for each subcommand, plus the envelope's
+SCHEMAS = {name: name.replace(" ", "_").replace("-", "_") + ".json" for name in [*_COMMANDS, "envelope"]}
 
-def _render_tsv(command: str, payload: dict, warnings: list[str], version: str) -> str:
-    lines = [f"# command: {command}", f"# version: {version}"]
+
+def _flattened(value, prefix: str = "") -> list[list]:
+    """Key/value rows of a scalar-shaped payload: nested keys joined by dots,
+    lists as JSON."""
+    if isinstance(value, dict):
+        return [row for key in sorted(value) for row in _flattened(value[key], f"{prefix}{key}.")]
+    return [[prefix[:-1], json.dumps(value) if isinstance(value, list) else value]]
+
+
+def _render_tsv(command: str, layout, payload: dict, warnings: list[str]) -> str:
+    lines = [f"# command: {command}", f"# version: {__version__}"]
     lines += [f"# warning: {w}" for w in warnings]
-
-    def row(*cells) -> str:
-        return "\t".join(str(c) for c in cells)
-
-    if command == "cspace roots":
-        lines.append("# columns: " + "\t".join(f"n{i+1}" for i in range(payload["rank"])))
-        lines += [row(*r) for r in payload["roots"]]
-    elif command == "cspace classify":
-        audited = any("category" in v for v in payload["verdicts"])
-        header = ["family", "rank", "node", "max_level", "positive", "census", "evidence"]
-        if audited:
-            header += ["published_positive", "category"]
-        lines.append("# columns: " + "\t".join(header))
-        for v in payload["verdicts"]:
-            census = ",".join(f"{k}:{n}" for k, n in sorted(v["census"].items(), key=lambda kv: int(kv[0])))
-            evidence = ";".join(",".join(map(str, r)) for r in v["evidence"])
-            cells = [v["family"], v["rank"], v["node"], v["max_level"], v["positive"], census, evidence]
-            if audited:
-                cells += [v.get("published_positive"), v.get("category")]
-            lines.append(row(*cells))
-    elif command in ("geography check", "geography scan-horikawa"):
-        header = ["name", "c1sq", "c2", "passes", "margin"]
-        lines.append("# columns: " + "\t".join(header))
-        for v in payload["verdicts"]:
-            lines.append(row(v["name"], v["c1sq"], v["c2"], v["passes"], v["margin"]))
-    elif command == "geography plotdata":
-        lines.append("# columns: name\tc1sq\tc2\tline_c2")
-        for r in payload["rows"]:
-            lines.append(row(r["name"], r["c1sq"], r["c2"], r["line_c2"]))
+    if layout is None:
+        rows = _flattened(payload)
     else:
-        # generic key/value flattening for scalar-shaped payloads
-        def flatten(prefix: str, value):
-            if isinstance(value, dict):
-                for key in sorted(value):
-                    flatten(f"{prefix}.{key}", value[key])
-            elif isinstance(value, list):
-                lines.append(row(prefix, json.dumps(value)))
-            else:
-                lines.append(row(prefix, value))
-
-        for key in sorted(payload):
-            flatten(key, payload[key])
+        header, rows = layout(payload)
+        lines.append("# columns: " + "\t".join(header))
+    lines += ["\t".join(str(c) for c in cells) for cells in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -386,28 +379,26 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     command = f"{args.group} {args.command}"
+    run, layout = _COMMANDS[command]
     try:
-        payload, warnings = _RUNNERS[(args.group, args.command)](args)
-    except HsckitError as exc:
+        payload, warnings = run(args)
+        envelope = {
+            "command": command,
+            "version": __version__,
+            "payload": payload,
+            "warnings": warnings,
+        }
+        # serialized in both formats, so an inf or NaN fails TSV output too
+        text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        if args.format == "tsv":
+            text = _render_tsv(command, layout, payload, warnings)
+        if args.output is not None:
+            args.output.write_text(text)
+        else:
+            sys.stdout.write(text)
+    except (HsckitError, ValueError, ArithmeticError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    envelope = {
-        "command": command,
-        "version": __version__,
-        "payload": payload,
-        "warnings": warnings,
-    }
-    if args.format == "json":
-        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-    else:
-        text = _render_tsv(command, payload, warnings, __version__)
-    if args.output is not None:
-        args.output.write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -81,7 +81,11 @@ def _symmetrize(R: np.ndarray) -> np.ndarray:
 
 
 class KahlerCurvatureTensor:
-    """Curvature array at a point, canonicalized and frozen on construction."""
+    """Curvature array at a point, canonicalized and frozen on construction.
+
+    Raises ValueError when the canonicalized array is not finite, e.g. when
+    entries near the float limit overflow in the orbit average.
+    """
 
     __slots__ = ("_R", "_asymmetry")
 
@@ -91,12 +95,12 @@ class KahlerCurvatureTensor:
             raise DimensionMismatch(
                 f"expected an n x n x n x n array, got shape {R.shape}"
             )
-        if canonicalize:
-            canon = _symmetrize(R)
+        with np.errstate(over="ignore", invalid="ignore"):
+            canon = _symmetrize(R) if canonicalize else R
             self._asymmetry = float(np.max(np.abs(R - canon))) if R.size else 0.0
-            R = canon
-        else:
-            self._asymmetry = 0.0
+        if not np.isfinite(canon).all():
+            raise ValueError("curvature array is not finite after canonicalization")
+        R = canon
         R.setflags(write=False)
         self._R = R
 
@@ -222,19 +226,20 @@ def _values_batch(R: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.einsum("mik,mi,mk->m", W, V, V)
 
 
-def hsc(tensor: KahlerCurvatureTensor, v, *, tol: float = SYMMETRY_TOL) -> float:
+def hsc(tensor: KahlerCurvatureTensor, v) -> float:
     """Holomorphic sectional curvature along a direction.
 
     Evaluates ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` with the input
     normalized internally (the contraction is divided by |v|^4), so the
-    result is scale-invariant.  The imaginary part must vanish within tol.
+    result is scale-invariant.  The imaginary part must vanish within
+    SYMMETRY_TOL (relative to the value's size when that exceeds 1).
     """
     vec = _as_vector(v, tensor.n)
     norm_sq = float(np.vdot(vec, vec).real)
     if norm_sq == 0.0:
         raise ValueError("direction must be nonzero")
     val = complex(_values_batch(tensor.array, vec[None, :])[0]) / (norm_sq * norm_sq)
-    if abs(val.imag) > tol * max(1.0, abs(val)):
+    if abs(val.imag) > SYMMETRY_TOL * max(1.0, abs(val)):
         raise ValueError(
             f"contraction is not real within tolerance (imag={val.imag:.3g}); "
             "tensor symmetries are suspect"
@@ -402,7 +407,7 @@ def product_tensor(
 # images are generated on load and unlisted orbits default to zero.
 
 
-def tensor_to_dict(tensor: KahlerCurvatureTensor, *, zero_tol: float = 0.0) -> dict:
+def tensor_to_dict(tensor: KahlerCurvatureTensor) -> dict:
     """Serialize canonical orbit representatives (nonzero ones only)."""
     R = tensor.array
     entries = []
@@ -410,7 +415,7 @@ def tensor_to_dict(tensor: KahlerCurvatureTensor, *, zero_tol: float = 0.0) -> d
         if idx != _orbit_representative(idx):
             continue
         val = complex(R[idx])
-        if abs(val) <= zero_tol:
+        if val == 0:
             continue
         i, j, k, l = idx
         entries.append({"i": i, "j": j, "k": k, "l": l, "re": val.real, "im": val.imag})

@@ -48,14 +48,15 @@ __all__ = [
 ]
 
 _CHUNK = 65536  # fixed batch size keeps sampling bitwise-deterministic
+_STEP_TOLERANCE = 1e-9  # relative tangent-gradient norm at which an ascent stops
+_VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
+_EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor
 
 
 @dataclass(frozen=True)
 class ExtremizeConfig:
     starts: int = 32
     max_iters: int = 500
-    step_tolerance: float = 1e-9
-    value_tolerance: float = 1e-12
     seed: int = 0
     oracle_samples: int = 0
 
@@ -64,8 +65,6 @@ class ExtremizeConfig:
             raise ValueError("starts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_tolerance <= 0 or self.value_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
         if self.oracle_samples < 0:
             raise ValueError("oracle_samples must be >= 0")
 
@@ -239,37 +238,27 @@ def _ascend(
         gt = g - np.vdot(v, g).real * v
         gn = float(np.linalg.norm(gt))
         scale = max(1.0, abs(f))
-        if gn <= cfg.step_tolerance * scale:
+        if gn <= _STEP_TOLERANCE * scale:
             converged = True
             break
         u = gt / gn
         a, b = _circle_coefficients(R, v, u)
         theta = _trig_argopt(a, b, sign)
-        if abs(theta) < 1e-13:
-            converged = gn <= 1e3 * cfg.step_tolerance * scale
-            break
         w = np.cos(theta) * v + np.sin(theta) * u
         w = w / np.linalg.norm(w)
         fw = sign * _value(R, w)
-        if fw < f:
-            # the polynomial promised an improvement the floating-point
-            # evaluation cannot deliver; we are at the numerical optimum
-            converged = gn <= 1e3 * cfg.step_tolerance * scale
+        if fw <= f:
+            # the best step on the circle (theta = 0 included) gives no
+            # floating-point improvement; we are at the numerical optimum
+            converged = gn <= 1e3 * _STEP_TOLERANCE * scale
             break
         v, f = w, fw
     return sign * f, v, iters, converged
 
 
 def _start_directions(n: int, cfg: ExtremizeConfig) -> list[np.ndarray]:
-    starts: list[np.ndarray] = []
-    for j in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[j] = 1.0
-        starts.append(e)
-    for j in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[j] = 1.0j
-        starts.append(e)
+    # the 2n coordinate axes, real then imaginary
+    starts = [*np.eye(n, dtype=complex), *(1j * np.eye(n))]
     pair = 0
     while len(starts) < cfg.starts:
         rng = np.random.default_rng([cfg.seed, pair])
@@ -284,13 +273,12 @@ def _start_directions(n: int, cfg: ExtremizeConfig) -> list[np.ndarray]:
 
 
 def _merge(
-    results: list[tuple[float, np.ndarray, int, bool]], pick_min: bool, tol: float
+    results: list[tuple[float, np.ndarray, int, bool]], pick_min: bool
 ) -> tuple[float, Direction, bool]:
     values = [r[0] for r in results]
     best = min(values) if pick_min else max(values)
-    candidates = [
-        (r[1], r[3]) for r in results if abs(r[0] - best) <= tol * max(1.0, abs(best))
-    ]
+    tol = _VALUE_TOLERANCE * max(1.0, abs(best))
+    candidates = [(r[1], r[3]) for r in results if abs(r[0] - best) <= tol]
     normalized = [(_normalize_phase(v), conv) for v, conv in candidates]
     normalized.sort(key=lambda item: _lex_key(item[0]))
     direction = Direction(normalized[0][0])
@@ -304,7 +292,7 @@ def _best_of_starts(
     """Merged best of the ascents of sign*f from every start, plus the
     total iteration count."""
     runs = [_ascend(R, v0, sign, cfg) for v0 in starts]
-    return (*_merge(runs, sign < 0, cfg.value_tolerance), sum(r[2] for r in runs))
+    return (*_merge(runs, sign < 0), sum(r[2] for r in runs))
 
 
 def extremize_hsc(
@@ -317,7 +305,7 @@ def extremize_hsc(
     gradient descent and ascent.  Non-convergence is flagged on the result,
     not raised, so batch runs keep going.  Reported argmin/argmax are
     phase-normalized (first nonzero component real positive) and ties within
-    value_tolerance break lexicographically.
+    a relative 1e-12 break lexicographically.
     """
     starts = _start_directions(tensor.n, cfg)
     min_value, argmin, min_conv, min_iters = _best_of_starts(tensor.array, starts, -1.0, cfg)
@@ -350,10 +338,7 @@ class DistinguishedFrame:
 
 
 def distinguished_frame(
-    tensor: KahlerCurvatureTensor,
-    cfg: ExtremizeConfig | None = None,
-    *,
-    einstein_tol: float = 1e-8,
+    tensor: KahlerCurvatureTensor, cfg: ExtremizeConfig | None = None
 ) -> DistinguishedFrame:
     """Recover the distinguished frame of a Kähler-Einstein surface tensor.
 
@@ -364,16 +349,16 @@ def distinguished_frame(
     Einstein inputs.
 
     Raises NotSurface unless n = 2 and NotEinstein (with the measured Ricci
-    anisotropy) when the Ricci eigenvalue spread exceeds einstein_tol.
+    anisotropy) when the Ricci eigenvalue spread exceeds 1e-8.
     """
     if tensor.n != 2:
         raise NotSurface(f"distinguished frame requires n=2, got n={tensor.n}")
     ric = ricci(tensor)
     eigs = np.linalg.eigvalsh(ric)
     anisotropy = float(eigs[-1] - eigs[0])
-    if anisotropy > einstein_tol:
+    if anisotropy > _EINSTEIN_TOLERANCE:
         raise NotEinstein(
-            f"tensor is not Einstein within {einstein_tol:g} "
+            f"tensor is not Einstein within {_EINSTEIN_TOLERANCE:g} "
             f"(Ricci anisotropy {anisotropy:.3g})",
             anisotropy=anisotropy,
         )

@@ -91,16 +91,29 @@ class SurfaceRecord:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SurfaceRecord":
-        return cls(
-            name=payload["name"],
-            c1sq=payload.get("c1sq"),
-            c2=payload.get("c2"),
-            pg=payload.get("pg"),
-            q=payload.get("q"),
-            K2=payload.get("K2"),
-            source=payload.get("source", ""),
-            flags=tuple(payload.get("flags", ())),
-        )
+        """The record a JSON object describes; ValueError names the first
+        field of the wrong type (Chern numbers and invariants are integers or
+        null, name and source strings, flags a list of strings)."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"surface record must be an object, got {payload!r}")
+        fields = {"source": "", "flags": [], **payload}
+
+        def require(key: str, ok: bool, kind: str) -> None:
+            if not ok:
+                raise ValueError(
+                    f"surface record field {key!r} must be {kind}, got {fields.get(key)!r}"
+                )
+
+        numbers = {key: fields.get(key) for key in ("c1sq", "c2", "pg", "q", "K2")}
+        for key, value in numbers.items():
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            require(key, value is None or is_int, "an integer or null")
+        for key in ("name", "source"):
+            require(key, isinstance(fields.get(key), str), "a string")
+        flags = fields["flags"]
+        is_str_list = isinstance(flags, list) and all(isinstance(f, str) for f in flags)
+        require("flags", is_str_list, "a list of strings")
+        return cls(name=fields["name"], source=fields["source"], flags=tuple(flags), **numbers)
 
 
 @dataclass(frozen=True)
@@ -131,8 +144,10 @@ def check_inequality(record: SurfaceRecord) -> GeographyVerdict:
 
 
 def blowup_transform(c1sq: int, c2: int, k: int) -> tuple[int, int]:
-    """Chern numbers after k point blow-ups: c1^2 drops by one per point and
-    the Euler number c2 grows by one per point."""
+    """Chern numbers after k >= 0 point blow-ups: c1^2 drops by one per point
+    and the Euler number c2 grows by one per point."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     return c1sq - k, c2 + k
 
 

@@ -220,6 +220,61 @@ def test_tsv_format_roots(capsys):
     assert "0\t1" in lines and "1\t1" in lines
 
 
+def run_tsv(capsys, argv):
+    assert dispatch([*argv, "--format", "tsv"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, header, first_row",
+    [
+        (
+            ["cspace", "classify", "--family", "G", "--rank", "2"],
+            "family\trank\tnode\tmax_level\tpositive\tcensus\tevidence",
+            "G\t2\t1\t3\tFalse\t1:2,2:1,3:2\t3,1;3,2",
+        ),
+        (
+            ["cspace", "classify", "--family", "G", "--rank", "2", "--audit"],
+            "family\trank\tnode\tmax_level\tpositive\tcensus\tevidence\tpublished_positive\tcategory",
+            "G\t2\t1\t3\tFalse\t1:2,2:1,3:2\t3,1;3,2\tFalse\tagree-negative",
+        ),
+        (
+            ["geography", "scan-horikawa", "--pg", "3"],
+            "name\tc1sq\tc2\tpasses\tmargin",
+            "Horikawa (pg=3, K2=2(pg-2))\t2\t46\tFalse\t-40",
+        ),
+        (["geography", "plotdata"], "name\tc1sq\tc2\tline_c2", "Barlow\t1\t11\t3"),
+    ],
+)
+def test_tsv_columns(capsys, argv, header, first_row):
+    lines = run_tsv(capsys, argv)
+    assert lines[:4] == [
+        f"# command: {argv[0]} {argv[1]}",
+        f"# version: {hsckit.__version__}",
+        f"# columns: {header}",
+        first_row,
+    ]
+
+
+def test_tsv_flattens_scalar_payloads(capsys):
+    lines = run_tsv(capsys, ["surface", "analyze", "--H", "-1", "--A", "0.25", "--B-re", "0.5"])
+    assert lines == [
+        "# command: surface analyze",
+        f"# version: {hsckit.__version__}",
+        "A\t0.25",
+        "B.im\t0.0",
+        "B.re\t0.5",
+        "H\t-1.0",
+        "einstein_constant\t-0.75",
+        "gamma1\t-0.75",
+        "gamma2\t0.6875",
+        "max_hsc\t0.0",
+        "min_hsc\t-1.0",
+        "negative\tFalse",
+        "sufficient_negative\tFalse",
+    ]
+
+
 def test_tsv_format_geography(capsys):
     code = dispatch(["geography", "check", "--builtin", "--format", "tsv"])
     assert code == 0
@@ -287,3 +342,62 @@ def test_python_m_runs_the_cli():
     validate_envelope(envelope)
     assert envelope["command"] == "geography blowup"
     assert envelope["payload"]["result"] == {"c1sq": 7, "c2": 5}
+
+
+HUGE_TENSOR = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1e308}]}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would precede the error line
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["surface", "analyze", "--H=-1e200", "--A=1e200"], "OverflowError"),
+        (["surface", "analyze", "--H", "0", "--A", "1.1e154"], "ValueError"),  # gamma2 = inf
+        (["tensor", "validate", "--input", "{huge}"], "ValueError"),
+        (["tensor", "extremize", "--input", "{huge}"], "ValueError"),
+    ],
+)
+def test_overflow_exits_1_with_named_error(capsys, tmp_path, argv, error, fmt):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(HUGE_TENSOR))
+    argv = [part.format(huge=huge) for part in argv]
+    assert dispatch([*argv, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{error}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "plotdata"])
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([{"name": "a", "c1sq": "7", "c2": 3}], "field 'c1sq' must be an integer or null, got '7'"),
+        ([{"name": "a", "c1sq": 7.5, "c2": 3}], "field 'c1sq' must be an integer or null, got 7.5"),
+        ([{"name": "a", "c1sq": 7, "c2": True}], "field 'c2' must be an integer or null"),
+        ([{"name": "a", "c1sq": 7, "c2": 3, "K2": 1.0}], "field 'K2' must be an integer or null"),
+        ([{"c1sq": 7, "c2": 3}], "field 'name' must be a string, got None"),
+        ([{"name": "a", "c1sq": 7, "c2": 3, "source": 1}], "field 'source' must be a string"),
+        ([{"name": "a", "c1sq": 7, "c2": 3, "flags": "x"}], "field 'flags' must be a list of strings"),
+        ([{"name": "a", "c1sq": 7, "c2": 3, "flags": [1]}], "field 'flags' must be a list of strings"),
+        ([1, 2], "surface record must be an object, got 1"),
+    ],
+)
+def test_bad_surface_record_exit_1(capsys, tmp_path, command, records, message):
+    path = tmp_path / "surfaces.json"
+    path.write_text(json.dumps(records))
+    assert dispatch(["geography", command, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ValueError: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_output_write_failure_exit_1(capsys, tmp_path):
+    out = tmp_path / "missing" / "result.json"
+    argv = ["geography", "blowup", "--c1sq", "1", "--c2", "11", "--k", "1", "--output", str(out)]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("FileNotFoundError: ")
+    assert captured.out == ""
+    assert not out.exists()

@@ -72,6 +72,18 @@ def test_tensor_is_readonly():
         T.array[0, 0, 0, 0] = 5.0
 
 
+@pytest.mark.filterwarnings("error")  # the overflow must not surface as a RuntimeWarning
+@pytest.mark.parametrize(
+    "value, canonicalize",
+    [(1e308, True), (np.inf, True), (np.inf, False), (np.nan, True), (np.nan, False)],
+)
+def test_non_finite_tensor_rejected(value, canonicalize):
+    R = np.zeros((2, 2, 2, 2), dtype=complex)
+    R[0, 0, 0, 0] = value  # the orbit average of 1e308 overflows
+    with pytest.raises(ValueError, match="not finite"):
+        KahlerCurvatureTensor(R, canonicalize=canonicalize)
+
+
 def test_bad_shape_rejected():
     with pytest.raises(DimensionMismatch):
         KahlerCurvatureTensor(np.zeros((2, 2, 2)))

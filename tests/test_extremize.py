@@ -22,7 +22,7 @@ from hsckit import (
     transform_frame,
 )
 from hsckit.curvature import _values_batch
-from hsckit.extremize import _gradient, _trig_argopt, _trig_eval
+from hsckit.extremize import _ascend, _gradient, _start_directions, _trig_argopt, _trig_eval
 from helpers import random_frame_point, random_kahler_tensor, random_unitary
 
 
@@ -31,8 +31,6 @@ def test_config_validation():
         ExtremizeConfig(starts=0)
     with pytest.raises(ValueError):
         ExtremizeConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        ExtremizeConfig(step_tolerance=0.0)
     with pytest.raises(ValueError):
         ExtremizeConfig(oracle_samples=-1)
 
@@ -69,6 +67,20 @@ def test_trig_argopt_reaches_dense_grid_optimum(sign):
 
 def test_trig_argopt_constant_polynomial_stays_put():
     assert _trig_argopt(np.array([2.0, 0, 0, 0, 0]), np.zeros(5), 1.0) == 0.0
+
+
+def test_ascent_stops_at_the_value_noise_floor():
+    # this descent reaches H to within 3e-16 early on; a stall test that let
+    # tied steps through kept it stepping until max_iters, unconverged
+    p = EinsteinFramePoint(
+        H=-0.5581463227956642, A=0.5714659935519548, B=-0.3876308181887844 - 1.0304108040358098j
+    )
+    cfg = ExtremizeConfig(starts=8, seed=88)
+    start = _start_directions(2, cfg)[4]
+    value, _, iters, converged = _ascend(assemble_einstein_surface(p).array, start, -1.0, cfg)
+    assert converged
+    assert iters < cfg.max_iters
+    assert value == pytest.approx(p.H, abs=1e-12)
 
 
 def test_constant_tensor_extremes():

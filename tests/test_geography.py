@@ -53,6 +53,11 @@ def test_blowup_examples():
     assert blowup_transform(1, 11, 1) == (0, 12)
 
 
+def test_blowup_rejects_negative_k():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        blowup_transform(9, 3, -1)
+
+
 @given(
     c1sq=st.integers(min_value=-50, max_value=50),
     c2=st.integers(min_value=-50, max_value=200),
