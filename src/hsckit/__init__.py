@@ -51,7 +51,6 @@ from .cspace import (
     published_positive,
 )
 from .curvature import (
-    CLOSED_FORM_TOL,
     Direction,
     EinsteinFramePoint,
     KahlerCurvatureTensor,

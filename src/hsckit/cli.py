@@ -213,6 +213,8 @@ def _run_surface_analyze(args) -> tuple[dict, list[str]]:
 
 
 def _load_tensor(path: Path, tolerance: float) -> tuple[KahlerCurvatureTensor, list[str]]:
+    if not 0.0 <= tolerance < float("inf"):  # also rejects nan
+        raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance}")
     data = json.loads(path.read_text())
     tensor = tensor_from_dict(data)
     warnings = []

@@ -41,7 +41,6 @@ from .errors import (
 )
 
 __all__ = [
-    "CLOSED_FORM_TOL",
     "Direction",
     "EinsteinFramePoint",
     "KahlerCurvatureTensor",
@@ -66,7 +65,6 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-9
-CLOSED_FORM_TOL = 1e-10
 
 
 def _symmetrize(R: np.ndarray) -> np.ndarray:
@@ -422,6 +420,15 @@ def tensor_to_dict(tensor: KahlerCurvatureTensor) -> dict:
     return {"n": tensor.n, "entries": entries}
 
 
+def _wire_field(fields: dict, key: str, kinds: type | tuple = int):
+    """fields[key] if it is one of kinds and not a bool, else TensorFormatError."""
+    value = fields[key]
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        kind = "an integer" if kinds is int else "a number"
+        raise TensorFormatError(f"tensor field {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
     """Load a tensor from the wire format, generating symmetry images.
 
@@ -429,9 +436,11 @@ def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
     conjugate value).  Two entries in the same orbit are rejected.  The
     result is canonicalized as usual, so a non-real value at a self-conjugate
     orbit shows up in the tensor's asymmetry rather than passing silently.
+    ``n`` and the indices must be ints and ``re``/``im`` finite ints or
+    floats (bools excluded); anything else raises TensorFormatError.
     """
     try:
-        n = int(data["n"])
+        n = _wire_field(data, "n")
         raw_entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise TensorFormatError(f"malformed tensor payload: {exc}") from exc
@@ -441,9 +450,10 @@ def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
     seen: set[tuple[int, int, int, int]] = set()
     for entry in raw_entries:
         try:
-            idx = tuple(int(entry[key]) for key in ("i", "j", "k", "l"))
-            val = complex(float(entry["re"]), float(entry.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+            idx = tuple(_wire_field(entry, key) for key in ("i", "j", "k", "l"))
+            parts = {"im": 0.0, **entry}
+            val = complex(*(_wire_field(parts, key, (int, float)) for key in ("re", "im")))
+        except (KeyError, TypeError, OverflowError) as exc:  # an int beyond float range
             raise TensorFormatError(f"malformed tensor entry {entry!r}") from exc
         if not np.isfinite(val):
             raise TensorFormatError(f"non-finite value in tensor entry {entry!r}")

@@ -15,9 +15,13 @@ ascent itself is deterministic, and the best-of-starts merge is an
 index-ordered reduction, so identical configs give bitwise-identical
 results.  A brute-force sphere-sampling oracle is provided for cross-checks.
 
-For Kähler-Einstein surface tensors, ``distinguished_frame`` rotates the
-HSC minimizer to ``e_1`` and reads off the (H, A, B) data, with the frame
-phase fixed so B is real and non-negative.
+``distinguished_frame`` needs no optimizer: for a unit v in C^2, ``v v^H =
+(I + s.sigma) / 2`` with s on the Bloch sphere, so HSC is ``c + b.s + s^T Q
+s``, where b = 0 for Einstein tensors, and Q's bottom eigenvector gives the
+minimizer exactly.  The frame rotates it to ``e_1`` and reads off (H, A, B),
+with the phase fixed so B is real and non-negative.  Within the 1e-8 Einstein
+tolerance H may miss the true minimum by about the Ricci anisotropy, which
+the frame's residual reports.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ _CHUNK = 65536  # fixed batch size keeps sampling bitwise-deterministic
 _STEP_TOLERANCE = 1e-9  # relative tangent-gradient norm at which an ascent stops
 _VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
 _EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
@@ -166,9 +171,9 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
     )
 
 
-def _normalize_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _normalize_phase(v: np.ndarray) -> np.ndarray:
     for x in v:
-        if abs(x) > tol:
+        if abs(x) > 1e-12:
             return v * (np.conj(x) / abs(x))
     return v
 
@@ -337,24 +342,23 @@ class DistinguishedFrame:
     residual: float
 
 
-def distinguished_frame(
-    tensor: KahlerCurvatureTensor, cfg: ExtremizeConfig | None = None
-) -> DistinguishedFrame:
+def distinguished_frame(tensor: KahlerCurvatureTensor) -> DistinguishedFrame:
     """Recover the distinguished frame of a Kähler-Einstein surface tensor.
 
-    Finds the HSC minimizer, completes it to a unitary frame with the phase
-    of the second vector fixed so B is real and non-negative, and reads off
-    (H, A, B) from the rotated tensor.  The residual is the largest magnitude
-    over components with three equal indices, which vanish for genuinely
-    Einstein inputs.
+    No optimizer: on the Bloch sphere HSC is c + s^T Q s, so the minimizer is
+    the top eigenvector of ``s.sigma`` for Q's bottom eigenvector s, phase-
+    normalized.  It is completed to a unitary frame with the second vector's
+    phase fixed so B is real and non-negative, and (H, A, B) are read off the
+    rotated tensor.  Exact for Einstein tensors; within the 1e-8 Einstein
+    tolerance H may differ from the true minimum by about the anisotropy,
+    which the residual (largest component with three equal indices) reports.
 
     Raises NotSurface unless n = 2 and NotEinstein (with the measured Ricci
     anisotropy) when the Ricci eigenvalue spread exceeds 1e-8.
     """
     if tensor.n != 2:
         raise NotSurface(f"distinguished frame requires n=2, got n={tensor.n}")
-    ric = ricci(tensor)
-    eigs = np.linalg.eigvalsh(ric)
+    eigs = np.linalg.eigvalsh(ricci(tensor))
     anisotropy = float(eigs[-1] - eigs[0])
     if anisotropy > _EINSTEIN_TOLERANCE:
         raise NotEinstein(
@@ -362,10 +366,11 @@ def distinguished_frame(
             f"(Ricci anisotropy {anisotropy:.3g})",
             anisotropy=anisotropy,
         )
-    if cfg is None:
-        cfg = ExtremizeConfig(starts=16)
-    _, argmin, _, _ = _best_of_starts(tensor.array, _start_directions(2, cfg), -1.0, cfg)
-    v1 = argmin.vector
+    # HSC = S^T T S for S = (1, Bloch vector s); T[0, 1:] is the traceless Ricci
+    # part, zero here, so the minimizing s is the bottom eigenvector of T[1:, 1:]
+    T = 0.25 * np.einsum("ijkl,aij,bkl->ab", tensor.array, _PAULI, _PAULI).real
+    s = np.linalg.eigh(T[1:, 1:])[1][:, 0]
+    v1 = _normalize_phase(np.linalg.eigh(np.einsum("a,aij->ij", s, _PAULI[1:]))[1][:, 1])
     v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
     U = np.column_stack([v1, v2])
     Rp = transform_frame(tensor, U).array
@@ -380,8 +385,4 @@ def distinguished_frame(
     odd_mask = (np.indices(Rp.shape).sum(axis=0) % 2).astype(bool)
     residual = float(np.max(np.abs(Rp[odd_mask])))
     U.setflags(write=False)
-    return DistinguishedFrame(
-        unitary=U,
-        point=EinsteinFramePoint(H=H, A=A, B=B),
-        residual=residual,
-    )
+    return DistinguishedFrame(U, EinsteinFramePoint(H=H, A=A, B=B), residual)

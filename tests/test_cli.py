@@ -330,6 +330,40 @@ def test_non_finite_tensor_entry_exit_1(capsys, tmp_path):
         assert captured.out == ""
 
 
+ENTRY = {"i": 0, "j": 0, "k": 0, "l": 0, "re": -1.0}
+
+
+@pytest.mark.parametrize("command", ["validate", "extremize"])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 2.7, "entries": []}, "field 'n' must be an integer, got 2.7"),
+        ({"n": True, "entries": []}, "field 'n' must be an integer, got True"),
+        ({"n": 2, "entries": [{**ENTRY, "i": 0.5}]}, "field 'i' must be an integer, got 0.5"),
+        ({"n": 2, "entries": [{**ENTRY, "re": "-1.5"}]}, "field 're' must be a number, got '-1.5'"),
+        ({"n": 2, "entries": [{**ENTRY, "re": True}]}, "field 're' must be a number, got True"),
+    ],
+)
+def test_mistyped_tensor_field_exit_1(capsys, tmp_path, command, payload, message):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(payload))
+    assert dispatch(["tensor", command, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("TensorFormatError: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "extremize"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_bad_tolerance_exit_1(capsys, tensor_file, command, tolerance):
+    argv = ["tensor", command, "--input", str(tensor_file), f"--tolerance={tolerance}"]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ValueError: --tolerance must be finite and >= 0")
+    assert captured.out == ""
+
+
 def test_python_m_runs_the_cli():
     src = Path(hsckit.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))

@@ -424,6 +424,13 @@ def test_tensor_json_self_conjugate_orbit_imag_shows_in_asymmetry():
         {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "re": 1.0}]},
         {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": float("nan")}]},
         {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 0.0, "im": float("inf")}]},
+        {"n": 2.7, "entries": []},
+        {"n": True, "entries": []},
+        {"n": 2, "entries": [{"i": 0.5, "j": 0, "k": 0, "l": 0, "re": 1.0}]},
+        {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": "-1.5"}]},
+        {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": True}]},
+        {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1.0, "im": None}]},
+        {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 10**400}]},
     ],
 )
 def test_tensor_json_malformed_rejected(payload):

@@ -18,6 +18,7 @@ from hsckit import (
     hsc,
     max_hsc_surface,
     product_tensor,
+    ricci,
     sample_hsc,
     transform_frame,
 )
@@ -266,3 +267,55 @@ def test_frame_unitary_maps_min_to_e1():
     frame = distinguished_frame(T)
     e1 = np.array([1.0, 0.0])
     assert hsc(T, frame.unitary @ e1) == pytest.approx(p.H, abs=1e-9)
+
+
+def test_frame_round_trip_is_exact():
+    # the closed-form frame has no optimizer tolerance: the worst case over
+    # the acceptance generator sits at rounding level, not at 1e-8
+    rng = np.random.default_rng(9)
+    for trial in range(100):
+        p = random_frame_point(rng)
+        T = transform_frame(assemble_einstein_surface(p), random_unitary(2, seed=9000 + trial))
+        frame = distinguished_frame(T)
+        assert frame.point.H == pytest.approx(p.H, abs=1e-12)
+        assert frame.point.A == pytest.approx(p.A, abs=1e-12)
+        assert abs(frame.point.B) == pytest.approx(abs(p.B), abs=1e-12)
+        assert frame.residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "tensor, point",
+    [
+        # constant HSC: Q = 0, every direction is a minimizer
+        (constant_hsc_tensor(2, -2.0), EinsteinFramePoint(-2.0, -1.0, 0.0)),
+        # 2A = H + |B|: Q has a double bottom eigenvalue
+        (assemble_einstein_surface(EinsteinFramePoint(-1.0, 0.0, 1.0)), EinsteinFramePoint(-1.0, 0.0, 1.0)),
+        # B = 0: the phase fix has nothing to rotate
+        (assemble_einstein_surface(EinsteinFramePoint(-1.0, 0.25, 0.0)), EinsteinFramePoint(-1.0, 0.25, 0.0)),
+    ],
+    ids=["constant", "double-eigenvalue", "b-zero"],
+)
+def test_frame_degenerate_cases(tensor, point):
+    T = transform_frame(tensor, random_unitary(2, seed=31))
+    frame = distinguished_frame(T)
+    assert frame.point.H == pytest.approx(point.H, abs=1e-12)
+    assert frame.point.A == pytest.approx(point.A, abs=1e-12)
+    assert frame.point.B.imag == 0.0
+    assert frame.point.B.real == pytest.approx(abs(point.B), abs=1e-12)
+    assert frame.residual <= 1e-12
+    assert hsc(T, frame.unitary[:, 0]) == pytest.approx(point.H, abs=1e-12)
+    assert distinguished_frame(T).unitary.tobytes() == frame.unitary.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_frame_near_einstein_tracks_optimizer_minimum(seed):
+    rng = np.random.default_rng(400 + seed)
+    p = random_frame_point(rng)
+    T = transform_frame(assemble_einstein_surface(p), random_unitary(2, seed=410 + seed))
+    T = KahlerCurvatureTensor(T.array + 1e-9 * random_kahler_tensor(2, seed=420 + seed).array)
+    eigs = np.linalg.eigvalsh(ricci(T))
+    assert 0.0 < eigs[-1] - eigs[0] <= 1e-8
+    frame = distinguished_frame(T)
+    best = extremize_hsc(T, ExtremizeConfig(starts=16)).min_value
+    assert frame.point.H == pytest.approx(best, abs=1e-8)
+    assert frame.residual <= 1e-8
