@@ -24,16 +24,18 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .cspace import AuditEntry, classify_all, published_positive
 from .curvature import (
     EinsteinFramePoint,
     KahlerCurvatureTensor,
     SYMMETRY_TOL,
+    _stated_array,
     chern_weil,
     max_hsc_surface,
     sufficient_negativity,
-    tensor_from_dict,
     validate,
 )
 from .errors import HsckitError, NodeOutOfRange, RegimeViolation
@@ -212,30 +214,32 @@ def _run_surface_analyze(args) -> tuple[dict, list[str]]:
     return payload, warnings
 
 
-def _load_tensor(path: Path, tolerance: float) -> tuple[KahlerCurvatureTensor, list[str]]:
+def _load_tensor(path: Path, tolerance: float) -> tuple[np.ndarray, KahlerCurvatureTensor, list[str]]:
+    """The array a tensor file states, the tensor it canonicalizes to, and
+    a warning when the two differ by more than tolerance."""
     if not 0.0 <= tolerance < float("inf"):  # also rejects nan
         raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance}")
-    data = json.loads(path.read_text())
-    tensor = tensor_from_dict(data)
+    stated = _stated_array(json.loads(path.read_text()))
+    tensor = KahlerCurvatureTensor(stated)
     warnings = []
     if tensor.asymmetry > tolerance:
         warnings.append(
             f"canonicalization adjusted stated entries by {tensor.asymmetry:.3g} "
             f"(tolerance {tolerance:g})"
         )
-    return tensor, warnings
+    return stated, tensor, warnings
 
 
 def _run_tensor_validate(args) -> tuple[dict, list[str]]:
-    tensor, warnings = _load_tensor(args.input, args.tolerance)
-    report = validate(tensor, args.tolerance)
+    stated, tensor, warnings = _load_tensor(args.input, args.tolerance)
+    report = validate(stated, args.tolerance)
     payload = {"n": tensor.n, "asymmetry": tensor.asymmetry}
     payload.update(report.to_payload())
     return payload, warnings
 
 
 def _run_tensor_extremize(args) -> tuple[dict, list[str]]:
-    tensor, warnings = _load_tensor(args.input, args.tolerance)
+    _, tensor, warnings = _load_tensor(args.input, args.tolerance)
     cfg = ExtremizeConfig(
         starts=args.starts,
         max_iters=args.max_iters,

@@ -8,6 +8,7 @@ standing for ``R_{i jbar k lbar}`` (0-based).  The Kähler symmetries are
 * pair symmetry in the barred slots:    ``R[i,j,k,l] == R[i,l,k,j]``
 * Hermitian symmetry:                   ``conj(R[i,j,k,l]) == R[j,i,l,k]``
 
+The group they generate is stated once, in ``_LINEAR`` and ``_HERMITIAN``.
 Tensors are canonicalized on construction by averaging each symmetry orbit;
 the residual is recorded as the tensor's reported asymmetry.  All values are
 immutable after construction and every operation is a pure function, so
@@ -28,6 +29,7 @@ Chern-Weil functions are ``gamma1 = H + A`` and ``gamma2 = (H^2 + 2 A^2 +
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,42 +67,58 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-9
+_MAX_WIRE_N = 32  # largest n a tensor file may state: one n^4 complex array is 16 MB
+
+# The Kähler symmetry group as axis permutations of R[i,j,k,l]: the four linear
+# ones, and each of them composed with _HERMITIAN, which conjugates the value.
+_LINEAR = ((0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1))
+_HERMITIAN = (1, 0, 3, 2)
 
 
 def _symmetrize(R: np.ndarray) -> np.ndarray:
-    """Project onto the Kähler-symmetric subspace (orbit average)."""
-    S = 0.25 * (
-        R
-        + R.transpose(2, 1, 0, 3)
-        + R.transpose(0, 3, 2, 1)
-        + R.transpose(2, 3, 0, 1)
-    )
-    return 0.5 * (S + S.transpose(1, 0, 3, 2).conj())
+    """Project onto the Kähler-symmetric subspace (group average).  Images
+    are scaled before they are summed, so finite input stays finite."""
+    S = reduce(np.add, (0.25 * R.transpose(p) for p in _LINEAR))
+    return 0.5 * S + 0.5 * S.transpose(_HERMITIAN).conj()
+
+
+def _orbit_ids(n: int) -> np.ndarray:
+    """The n^4 array holding, at each index, the smallest flat index among its
+    8 images: its orbit representative, as row-major order is lexicographic."""
+    ids = np.arange(n**4).reshape((n,) * 4)
+    linear = [ids.transpose(p) for p in _LINEAR]
+    return reduce(np.minimum, [*linear, *(img.transpose(_HERMITIAN) for img in linear)])
+
+
+def _seed_orbit(R: np.ndarray, idx: tuple[int, ...], value: complex) -> None:
+    """Set the linear images of idx to value and the other images to its conjugate."""
+    linear = [tuple(map(idx.__getitem__, p)) for p in _LINEAR]
+    conj = value.conjugate()
+    for img in linear:
+        R[tuple(map(img.__getitem__, _HERMITIAN))] = conj
+    for img in linear:
+        R[img] = value
 
 
 class KahlerCurvatureTensor:
     """Curvature array at a point, canonicalized and frozen on construction.
-
-    Raises ValueError when the canonicalized array is not finite, e.g. when
-    entries near the float limit overflow in the orbit average.
-    """
+    Raises ValueError for NaN or infinite entries."""
 
     __slots__ = ("_R", "_asymmetry")
 
-    def __init__(self, entries, *, canonicalize: bool = True):
+    def __init__(self, entries):
         R = np.array(entries, dtype=complex)
         if R.ndim != 4 or len(set(R.shape)) != 1:
             raise DimensionMismatch(
                 f"expected an n x n x n x n array, got shape {R.shape}"
             )
         with np.errstate(over="ignore", invalid="ignore"):
-            canon = _symmetrize(R) if canonicalize else R
+            canon = _symmetrize(R)
             self._asymmetry = float(np.max(np.abs(R - canon))) if R.size else 0.0
         if not np.isfinite(canon).all():
             raise ValueError("curvature array is not finite after canonicalization")
-        R = canon
-        R.setflags(write=False)
-        self._R = R
+        canon.setflags(write=False)
+        self._R = canon
 
     @property
     def n(self) -> int:
@@ -175,43 +193,31 @@ class ValidationReport:
         }
 
 
-def _orbit(idx: tuple[int, int, int, int]):
-    i, j, k, l = idx
-    linear = {(i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j)}
-    conjugate = {(j, i, l, k), (j, k, l, i), (l, i, j, k), (l, k, j, i)}
-    return linear, conjugate
-
-
-def _orbit_representative(idx: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    linear, conjugate = _orbit(idx)
-    return min(linear | conjugate)
-
-
 def validate(
     tensor: KahlerCurvatureTensor | np.ndarray, tol: float = SYMMETRY_TOL
 ) -> ValidationReport:
     """Check the Kähler symmetries, reporting every violated orbit.
 
-    Accepts a tensor or a raw array (raw arrays are checked as-is, without
-    canonicalization).  Violations are aggregated per symmetry orbit with the
-    worst magnitude; an empty list means the tensor is symmetric within tol.
+    A tensor is canonical and always passes; a raw array (such as the stated
+    entries of a file) is checked as it stands.  Violations are aggregated
+    per orbit, named by its smallest index, with the worst magnitude; an
+    empty list means the array is symmetric within tol.
     """
     R = tensor.array if isinstance(tensor, KahlerCurvatureTensor) else np.asarray(tensor, dtype=complex)
-    relations = (
-        ("unbarred-pair-swap", R - R.transpose(2, 1, 0, 3)),
-        ("barred-pair-swap", R - R.transpose(0, 3, 2, 1)),
-        ("hermitian", R - R.transpose(1, 0, 3, 2).conj()),
-    )
-    worst: dict[tuple[tuple[int, int, int, int], str], float] = {}
-    for name, dev in relations:
-        mags = np.abs(dev)
-        for raw in np.argwhere(mags > tol):
-            idx = tuple(int(x) for x in raw)
-            rep = _orbit_representative(idx)
-            key = (rep, name)
-            worst[key] = max(worst.get(key, 0.0), float(mags[idx]))
+    with np.errstate(over="ignore"):  # a difference beyond the float range is inf
+        relations = (
+            ("unbarred-pair-swap", np.abs(R - R.transpose(_LINEAR[1]))),
+            ("barred-pair-swap", np.abs(R - R.transpose(_LINEAR[2]))),
+            ("hermitian", np.abs(R - R.transpose(_HERMITIAN).conj())),
+        )
+    reps = _orbit_ids(R.shape[0])
+    worst: dict[tuple[int, str], float] = {}
+    for name, mags in relations:
+        bad = mags > tol
+        for rep, mag in zip(reps[bad].tolist(), mags[bad].tolist()):
+            worst[rep, name] = max(worst.get((rep, name), 0.0), mag)
     violations = tuple(
-        SymmetryViolation(relation=name, indices=rep, magnitude=mag)
+        SymmetryViolation(name, tuple(map(int, np.unravel_index(rep, R.shape))), mag)
         for (rep, name), mag in sorted(worst.items())
     )
     return ValidationReport(ok=not violations, tolerance=tol, violations=violations)
@@ -219,9 +225,9 @@ def validate(
 
 def _values_batch(R: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The quartic ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` per row v
-    of V, complex so that ``hsc`` can check the imaginary part."""
+    of V; it is real because R is Hermitian-symmetric."""
     W = np.einsum("ijkl,mj,ml->mik", R, V.conj(), V.conj())
-    return np.einsum("mik,mi,mk->m", W, V, V)
+    return np.einsum("mik,mi,mk->m", W, V, V).real
 
 
 def hsc(tensor: KahlerCurvatureTensor, v) -> float:
@@ -229,20 +235,14 @@ def hsc(tensor: KahlerCurvatureTensor, v) -> float:
 
     Evaluates ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` with the input
     normalized internally (the contraction is divided by |v|^4), so the
-    result is scale-invariant.  The imaginary part must vanish within
-    SYMMETRY_TOL (relative to the value's size when that exceeds 1).
+    result is scale-invariant.  Every tensor is canonical, so the
+    contraction is real up to rounding and its real part is returned.
     """
     vec = _as_vector(v, tensor.n)
     norm_sq = float(np.vdot(vec, vec).real)
     if norm_sq == 0.0:
         raise ValueError("direction must be nonzero")
-    val = complex(_values_batch(tensor.array, vec[None, :])[0]) / (norm_sq * norm_sq)
-    if abs(val.imag) > SYMMETRY_TOL * max(1.0, abs(val)):
-        raise ValueError(
-            f"contraction is not real within tolerance (imag={val.imag:.3g}); "
-            "tensor symmetries are suspect"
-        )
-    return float(val.real)
+    return float(_values_batch(tensor.array, vec[None, :])[0]) / (norm_sq * norm_sq)
 
 
 def ricci(tensor: KahlerCurvatureTensor) -> np.ndarray:
@@ -315,12 +315,9 @@ def assemble_einstein_surface(point: EinsteinFramePoint) -> KahlerCurvatureTenso
     ``R_{1 2bar 1 2bar} = B``.
     """
     R = np.zeros((2, 2, 2, 2), dtype=complex)
-    R[0, 0, 0, 0] = point.H
-    R[1, 1, 1, 1] = point.H
-    for idx in ((0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)):
-        R[idx] = point.A
-    R[0, 1, 0, 1] = point.B
-    R[1, 0, 1, 0] = np.conj(point.B)
+    seeds = {(0, 0, 0, 0): point.H, (1, 1, 1, 1): point.H, (0, 0, 1, 1): point.A, (0, 1, 0, 1): point.B}
+    for idx, value in seeds.items():
+        _seed_orbit(R, idx, value)
     return KahlerCurvatureTensor(R)
 
 
@@ -408,15 +405,12 @@ def product_tensor(
 def tensor_to_dict(tensor: KahlerCurvatureTensor) -> dict:
     """Serialize canonical orbit representatives (nonzero ones only)."""
     R = tensor.array
-    entries = []
-    for idx in np.ndindex(R.shape):
-        if idx != _orbit_representative(idx):
-            continue
-        val = complex(R[idx])
-        if val == 0:
-            continue
-        i, j, k, l = idx
-        entries.append({"i": i, "j": j, "k": k, "l": l, "re": val.real, "im": val.imag})
+    ids = _orbit_ids(tensor.n)
+    keep = (ids == np.arange(ids.size).reshape(ids.shape)) & (R != 0)
+    entries = [
+        {"i": i, "j": j, "k": k, "l": l, "re": z.real, "im": z.imag}
+        for (i, j, k, l), z in zip(np.argwhere(keep).tolist(), R[keep].tolist())
+    ]
     return {"n": tensor.n, "entries": entries}
 
 
@@ -429,16 +423,9 @@ def _wire_field(fields: dict, key: str, kinds: type | tuple = int):
     return value
 
 
-def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
-    """Load a tensor from the wire format, generating symmetry images.
-
-    Each listed entry seeds its whole orbit (conjugate images get the
-    conjugate value).  Two entries in the same orbit are rejected.  The
-    result is canonicalized as usual, so a non-real value at a self-conjugate
-    orbit shows up in the tensor's asymmetry rather than passing silently.
-    ``n`` and the indices must be ints and ``re``/``im`` finite ints or
-    floats (bools excluded); anything else raises TensorFormatError.
-    """
+def _stated_array(data: dict) -> np.ndarray:
+    """The array a wire-format payload states, before canonicalization;
+    ``tensor_from_dict`` gives the rules and the errors."""
     try:
         n = _wire_field(data, "n")
         raw_entries = data["entries"]
@@ -446,8 +433,13 @@ def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
         raise TensorFormatError(f"malformed tensor payload: {exc}") from exc
     if n < 1:
         raise TensorFormatError(f"dimension must be positive, got {n}")
+    if n > _MAX_WIRE_N:
+        raise TensorFormatError(f"dimension n={n} exceeds the limit of {_MAX_WIRE_N}")
+    if not isinstance(raw_entries, list):
+        raise TensorFormatError(f"tensor field 'entries' must be a list, got {raw_entries!r}")
     R = np.zeros((n, n, n, n), dtype=complex)
-    seen: set[tuple[int, int, int, int]] = set()
+    ids = _orbit_ids(n)
+    seen: set[int] = set()
     for entry in raw_entries:
         try:
             idx = tuple(_wire_field(entry, key) for key in ("i", "j", "k", "l"))
@@ -459,13 +451,21 @@ def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
             raise TensorFormatError(f"non-finite value in tensor entry {entry!r}")
         if not all(0 <= x < n for x in idx):
             raise TensorFormatError(f"index {idx} out of range for n={n}")
-        rep = _orbit_representative(idx)
-        if rep in seen:
+        if ids[idx] in seen:
             raise TensorFormatError(f"duplicate symmetry orbit at {idx}")
-        seen.add(rep)
-        linear, conjugate = _orbit(idx)
-        for img in sorted(linear):
-            R[img] = val
-        for img in sorted(conjugate - linear):
-            R[img] = np.conj(val)
-    return KahlerCurvatureTensor(R)
+        seen.add(ids[idx])
+        _seed_orbit(R, idx, val)
+    return R
+
+
+def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
+    """Load a tensor from the wire format, generating symmetry images.
+
+    Each listed entry seeds its whole orbit (conjugate images get the
+    conjugate value).  Two entries in the same orbit are rejected.  The
+    result is canonicalized as usual, so a non-real value at a self-conjugate
+    orbit shows up in the tensor's asymmetry rather than passing silently.
+    ``n`` (at most 32) and the indices must be ints and ``re``/``im`` finite
+    ints or floats (bools excluded); anything else raises TensorFormatError.
+    """
+    return KahlerCurvatureTensor(_stated_array(data))

@@ -116,7 +116,7 @@ class SampleResult:
 
 
 def _value(R: np.ndarray, v: np.ndarray) -> float:
-    return float(_values_batch(R, v[None, :])[0].real)
+    return float(_values_batch(R, v[None, :])[0])
 
 
 def _gradient(R: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -150,7 +150,7 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
     while done < m:
         count = min(_CHUNK, m - done)
         V = sample_unit_sphere(n, count, rng)
-        vals = _values_batch(R, V).real
+        vals = _values_batch(R, V)
         i_min = int(np.argmin(vals))
         i_max = int(np.argmax(vals))
         if vals[i_min] < best_min:
@@ -196,7 +196,7 @@ def _circle_coefficients(
     """
     thetas = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     W = np.outer(np.cos(thetas), v) + np.outer(np.sin(thetas), u)
-    vals = _values_batch(R, W).real
+    vals = _values_batch(R, W)
     X = np.fft.rfft(vals)
     a = np.zeros(5)
     b = np.zeros(5)
@@ -310,16 +310,18 @@ def extremize_hsc(
     gradient descent and ascent.  Non-convergence is flagged on the result,
     not raised, so batch runs keep going.  Reported argmin/argmax are
     phase-normalized (first nonzero component real positive) and ties within
-    a relative 1e-12 break lexicographically.
+    a relative 1e-12 break lexicographically.  A value beyond the float
+    range raises FloatingPointError.
     """
     starts = _start_directions(tensor.n, cfg)
-    min_value, argmin, min_conv, min_iters = _best_of_starts(tensor.array, starts, -1.0, cfg)
-    max_value, argmax, max_conv, max_iters = _best_of_starts(tensor.array, starts, +1.0, cfg)
     oracle_min = oracle_max = None
-    if cfg.oracle_samples > 0:
-        oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
-        oracle_min = oracle.min_value
-        oracle_max = oracle.max_value
+    with np.errstate(over="raise"):
+        min_value, argmin, min_conv, min_iters = _best_of_starts(tensor.array, starts, -1.0, cfg)
+        max_value, argmax, max_conv, max_iters = _best_of_starts(tensor.array, starts, +1.0, cfg)
+        if cfg.oracle_samples > 0:
+            oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
+            oracle_min = oracle.min_value
+            oracle_max = oracle.max_value
     return ExtremizeResult(
         min_value=min_value,
         max_value=max_value,

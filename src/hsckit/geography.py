@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _NOETHER_FLAG = "noether-mismatch"
+_MAX_SCAN_VALUES = 10_000  # largest pg range horikawa_scan sweeps: 20,000 records
 
 
 def noether_fill(pg: int, q: int, K2: int) -> tuple[int, int]:
@@ -214,12 +215,14 @@ def horikawa_scan(pg_min: int, pg_max: int) -> list[GeographyVerdict]:
     """Verdicts for both Horikawa lines K2 = 2(pg-2) and K2 = 2 pg - 3.
 
     Requires pg_min >= 3 so both lines stay in the general-type range, and
-    pg_max >= pg_min.
+    pg_max >= pg_min with at most 10,000 values of pg.
     """
     if pg_min < 3:
         raise ValueError(f"pg_min must be >= 3, got {pg_min}")
     if pg_max < pg_min:
         raise ValueError(f"empty pg range {pg_min}..{pg_max}")
+    if pg_max - pg_min >= _MAX_SCAN_VALUES:
+        raise ValueError(f"pg range {pg_min}..{pg_max} exceeds the limit of {_MAX_SCAN_VALUES} values")
     verdicts = []
     for pg in range(pg_min, pg_max + 1):
         for label, k2 in (("2(pg-2)", 2 * (pg - 2)), ("2pg-3", 2 * pg - 3)):

@@ -379,6 +379,8 @@ def test_python_m_runs_the_cli():
 
 
 HUGE_TENSOR = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1e308}]}
+# the stated value breaks the Hermitian relation by 2e308, beyond the float range
+HUGE_VIOLATION = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0, "im": 1e308}]}
 
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would precede the error line
@@ -388,17 +390,60 @@ HUGE_TENSOR = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1e308}
     [
         (["surface", "analyze", "--H=-1e200", "--A=1e200"], "OverflowError"),
         (["surface", "analyze", "--H", "0", "--A", "1.1e154"], "ValueError"),  # gamma2 = inf
-        (["tensor", "validate", "--input", "{huge}"], "ValueError"),
-        (["tensor", "extremize", "--input", "{huge}"], "ValueError"),
+        (["tensor", "validate", "--input", "{violation}"], "ValueError"),  # magnitude = inf
+        (["tensor", "extremize", "--input", "{huge}"], "FloatingPointError"),
     ],
 )
 def test_overflow_exits_1_with_named_error(capsys, tmp_path, argv, error, fmt):
-    huge = tmp_path / "huge.json"
-    huge.write_text(json.dumps(HUGE_TENSOR))
-    argv = [part.format(huge=huge) for part in argv]
+    files = {"huge": HUGE_TENSOR, "violation": HUGE_VIOLATION}
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    argv = [part.format(**{name: tmp_path / f"{name}.json" for name in files}) for part in argv]
     assert dispatch([*argv, "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"{error}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_tensor_validates(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(HUGE_TENSOR))
+    code, envelope = run_json(capsys, ["tensor", "validate", "--input", str(huge)])
+    assert code == 0
+    assert envelope["payload"]["ok"] is True
+    assert envelope["payload"]["asymmetry"] == 0.0
+
+
+def test_tensor_validate_checks_stated_entries(capsys, tmp_path):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps({"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0, "im": 0.4}]}))
+    code, envelope = run_json(capsys, ["tensor", "validate", "--input", str(path)])
+    assert code == 0
+    payload = envelope["payload"]
+    validate_payload("tensor validate", payload)
+    assert payload["asymmetry"] == pytest.approx(0.4)
+    assert payload["ok"] is False
+    assert payload["violations"] == [
+        {"relation": "hermitian", "indices": [0, 0, 1, 1], "magnitude": pytest.approx(0.8)}
+    ]
+    assert envelope["warnings"] == ["canonicalization adjusted stated entries by 0.4 (tolerance 1e-09)"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["geography", "scan-horikawa", "--pg", "3..100000000"], "ValueError: pg range 3..100000000"),
+        (["tensor", "validate", "--input", "{big}"], "TensorFormatError: dimension n=1000000"),
+        (["tensor", "extremize", "--input", "{big}"], "TensorFormatError: dimension n=1000000"),
+    ],
+)
+def test_size_ceilings_exit_1(capsys, tmp_path, argv, error):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 10**6, "entries": []}))
+    assert dispatch([part.format(big=big) for part in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(error)
     assert captured.out == ""
 
 

@@ -31,6 +31,7 @@ from hsckit import (
     transform_frame,
     validate,
 )
+from hsckit.curvature import _HERMITIAN, _orbit_ids, _stated_array
 from helpers import hsc_bruteforce, random_kahler_tensor, random_unitary
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -72,16 +73,28 @@ def test_tensor_is_readonly():
         T.array[0, 0, 0, 0] = 5.0
 
 
-@pytest.mark.filterwarnings("error")  # the overflow must not surface as a RuntimeWarning
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning may surface
 @pytest.mark.parametrize(
-    "value, canonicalize",
-    [(1e308, True), (np.inf, True), (np.inf, False), (np.nan, True), (np.nan, False)],
+    "value, symmetric_input",
+    [(np.inf, True), (np.inf, False), (np.nan, True), (np.nan, False)],
 )
-def test_non_finite_tensor_rejected(value, canonicalize):
+def test_non_finite_tensor_rejected(value, symmetric_input):
     R = np.zeros((2, 2, 2, 2), dtype=complex)
-    R[0, 0, 0, 0] = value  # the orbit average of 1e308 overflows
+    if symmetric_input:
+        R[0, 0, 0, 0] = value  # an orbit of one entry: already symmetric
+    else:
+        R[0, 1, 0, 1] = value  # conjugate image left unset: asymmetric input
     with pytest.raises(ValueError, match="not finite"):
-        KahlerCurvatureTensor(R, canonicalize=canonicalize)
+        KahlerCurvatureTensor(R)
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_tensor_loads():
+    R = np.zeros((2, 2, 2, 2), dtype=complex)
+    R[0, 0, 0, 0] = 1e308  # summing the orbit images before scaling would overflow
+    T = KahlerCurvatureTensor(R)
+    assert T.array[0, 0, 0, 0] == 1e308
+    assert T.asymmetry == 0.0
 
 
 def test_bad_shape_rejected():
@@ -126,14 +139,6 @@ def test_hsc_scale_invariant():
     base = hsc(T, v)
     for lam in (2.0, -3.5, 1j, 0.1 - 0.2j):
         assert hsc(T, lam * v) == pytest.approx(base, rel=1e-12)
-
-
-def test_hsc_rejects_non_real_contraction():
-    R = np.zeros((2, 2, 2, 2), dtype=complex)
-    R[0, 0, 0, 0] = 1j
-    T = KahlerCurvatureTensor(R, canonicalize=False)
-    with pytest.raises(ValueError, match="not real"):
-        hsc(T, [1.0, 0.0])
 
 
 def test_hsc_dimension_mismatch():
@@ -415,6 +420,73 @@ def test_tensor_json_self_conjugate_orbit_imag_shows_in_asymmetry():
     assert T.array[0, 0, 1, 1] == pytest.approx(1.0)
 
 
+# --- the symmetry table ------------------------------------------------------
+
+
+def _orbit_closure(idx: tuple[int, int, int, int]) -> set[tuple[int, int, int, int]]:
+    """Reference orbit: closure of idx under the three generating swaps."""
+    swaps = (
+        lambda i, j, k, l: (k, j, i, l),  # unbarred pair
+        lambda i, j, k, l: (i, l, k, j),  # barred pair
+        lambda i, j, k, l: (j, i, l, k),  # hermitian
+    )
+    orbit, frontier = {idx}, [idx]
+    while frontier:
+        current = frontier.pop()
+        for image in (swap(*current) for swap in swaps):
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_ids_match_bruteforce_closure(n):
+    ids = _orbit_ids(n)
+    for idx in np.ndindex(ids.shape):
+        rep = min(_orbit_closure(idx))
+        assert ids[idx] == np.ravel_multi_index(rep, ids.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_self_conjugate_orbit_representative_is_hermitian_fixed(n):
+    """A self-conjugate orbit is closed under the two pair swaps alone, and
+    its representative is fixed by the Hermitian swap, so its canonical
+    value is exactly real."""
+    for idx in np.ndindex((n,) * 4):
+        orbit = _orbit_closure(idx)
+        i, j, k, l = rep = min(orbit)
+        if {(i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j)} == orbit:
+            assert tuple(rep[a] for a in _HERMITIAN) == rep
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_serialized_tensor_states_a_symmetric_array(n):
+    for seed in range(3):
+        T = random_kahler_tensor(n, seed=70 + 10 * n + seed)
+        assert validate(_stated_array(tensor_to_dict(T))).ok
+
+
+def _assemble_by_hand(point: EinsteinFramePoint) -> np.ndarray:
+    """The surface array with every orbit image listed by hand."""
+    R = np.zeros((2, 2, 2, 2), dtype=complex)
+    R[0, 0, 0, 0] = point.H
+    R[1, 1, 1, 1] = point.H
+    for idx in ((0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)):
+        R[idx] = point.A
+    R[0, 1, 0, 1] = point.B
+    R[1, 0, 1, 0] = np.conj(point.B)
+    return KahlerCurvatureTensor(R).array
+
+
+@pytest.mark.parametrize(
+    "H, A, B", [(-1.0, 0.25, 0.0), (-1.0, 0.25, 0.5), (-2.0, 0.1, 0.3 - 0.7j), (-3.0, -0.5, 1j), (0.0, 0.0, 0.0)]
+)
+def test_assemble_matches_hand_listed_images(H, A, B):
+    point = EinsteinFramePoint(H, A, B)
+    assert assemble_einstein_surface(point).array.tobytes() == _assemble_by_hand(point).tobytes()
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -431,6 +503,8 @@ def test_tensor_json_self_conjugate_orbit_imag_shows_in_asymmetry():
         {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": True}]},
         {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1.0, "im": None}]},
         {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 10**400}]},
+        {"n": 10**6, "entries": []},  # rejected before anything is allocated
+        {"n": 2, "entries": 5},
     ],
 )
 def test_tensor_json_malformed_rejected(payload):
