@@ -38,7 +38,7 @@ from .curvature import (
     sufficient_negativity,
     validate,
 )
-from .errors import HsckitError, NodeOutOfRange, RegimeViolation
+from .errors import HsckitError, NodeOutOfRange, RegimeViolation, TensorFormatError
 from .extremize import ExtremizeConfig, extremize_hsc
 from .geography import (
     GeographyVerdict,
@@ -214,12 +214,22 @@ def _run_surface_analyze(args) -> tuple[dict, list[str]]:
     return payload, warnings
 
 
+def _parse_file(path: Path, parse, error: type[Exception]):
+    """parse(text of path); JSON nested too deeply to decode raises error,
+    naming the file, instead of RecursionError."""
+    text = path.read_text()
+    try:
+        return parse(text)
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deeply to decode") from None
+
+
 def _load_tensor(path: Path, tolerance: float) -> tuple[np.ndarray, KahlerCurvatureTensor, list[str]]:
     """The array a tensor file states, the tensor it canonicalizes to, and
     a warning when the two differ by more than tolerance."""
     if not 0.0 <= tolerance < float("inf"):  # also rejects nan
         raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance}")
-    stated = _stated_array(json.loads(path.read_text()))
+    stated = _stated_array(_parse_file(path, json.loads, TensorFormatError))
     tensor = KahlerCurvatureTensor(stated)
     warnings = []
     if tensor.asymmetry > tolerance:
@@ -266,7 +276,7 @@ def _surface_records(args) -> list[SurfaceRecord]:
     """Records from ``--input``, or the builtin catalog when it is absent."""
     if args.input is None:
         return list(builtin_surface_table())
-    return records_from_json(args.input.read_text())
+    return _parse_file(args.input, records_from_json, ValueError)
 
 
 def _run_geography_check(args) -> tuple[dict, list[str]]:

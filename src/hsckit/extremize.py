@@ -10,10 +10,23 @@ the objective is exactly a degree-4 trigonometric polynomial, recovered by a
 argument of a root of a degree-8 polynomial, and the best of those angles
 is the circle's global optimum, with no grid and no noise floor.
 
+Every evaluation is a matrix product with the n^2 x n^2 matrix ``K =
+R.transpose(0, 2, 1, 3).reshape(n^2, n^2)``, so ``K[(i,k),(j,l)] =
+R[i,j,k,l]`` and ``f(v) = Re conj(x).(x K)`` for ``x = v (x) v``.  One
+product ``Y = x K``, read as an n x n matrix, also gives the gradient ``4 Y
+conj(v)`` and ``f = Re conj(v).Y conj(v)``; the accepted step's product is
+the next step's gradient.  The starts of one sign ascend in lockstep as the
+rows of one array: each step is one fused product for the rows still
+running, one product for all their circle samples and one batch of
+companion-matrix eigenvalues, and each row stops on its own rule.
+
 Determinism: start directions are derived from ``(seed, start index)``, the
-ascent itself is deterministic, and the best-of-starts merge is an
-index-ordered reduction, so identical configs give bitwise-identical
-results.  A brute-force sphere-sampling oracle is provided for cross-checks.
+ascent is deterministic, and the best-of-starts merge is an index-ordered
+reduction.  Which rows are still running at each step, and so the shape of
+every product, depends only on the inputs, and the kernel cuts large batches
+into blocks of a fixed size; so identical configs give bitwise-identical
+results on a given BLAS build.  A brute-force sphere-sampling oracle is
+provided for cross-checks.
 
 ``distinguished_frame`` needs no optimizer: for a unit v in C^2, ``v v^H =
 (I + s.sigma) / 2`` with s on the Bloch sphere, so HSC is ``c + b.s + s^T Q
@@ -34,6 +47,7 @@ from .curvature import (
     Direction,
     EinsteinFramePoint,
     KahlerCurvatureTensor,
+    _quartic_matrix,
     _values_batch,
     ricci,
     transform_frame,
@@ -115,14 +129,18 @@ class SampleResult:
     samples: int
 
 
-def _value(R: np.ndarray, v: np.ndarray) -> float:
-    return float(_values_batch(R, v[None, :])[0])
+def _value_and_gradient(K: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and its Euclidean gradient at every row v of V, from one product.
 
-
-def _gradient(R: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Euclidean gradient of f in R^{2n} coordinates, as a complex vector:
-    # 2 d f / d conj(v), doubled again by the two barred slots.
-    return 4.0 * np.einsum("imkl,i,k,l->m", R, v, v, v.conj())
+    With Y = (v (x) v) K read as an n x n matrix, ``Y conj(v)`` is the cubic
+    contraction ``sum R[i,m,k,l] v_i v_k conj(v_l)``: the gradient in R^{2n}
+    coordinates, as a complex vector, is 4 Y conj(v) (2 d f / d conj(v),
+    doubled again by the two barred slots), and ``f = Re conj(v).Y conj(v)``.
+    """
+    m, n = V.shape
+    X = (V[:, :, None] * V[:, None, :]).reshape(m, n * n)
+    Yv = ((X @ K).reshape(m, n, n) * V.conj()[:, None, :]).sum(axis=2)
+    return (V.conj() * Yv).sum(axis=1).real, 4.0 * Yv
 
 
 def sample_unit_sphere(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,7 +157,7 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
-    R = tensor.array
+    K = _quartic_matrix(tensor.array)
     n = tensor.n
     rng = np.random.default_rng(seed)
     best_min = np.inf
@@ -150,7 +168,7 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
     while done < m:
         count = min(_CHUNK, m - done)
         V = sample_unit_sphere(n, count, rng)
-        vals = _values_batch(R, V)
+        vals = _values_batch(K, V)
         i_min = int(np.argmin(vals))
         i_max = int(np.argmax(vals))
         if vals[i_min] < best_min:
@@ -183,85 +201,118 @@ def _lex_key(v: np.ndarray) -> tuple:
 
 
 _CIRCLE_SAMPLES = 9  # enough to fit a degree-4 trig polynomial exactly
+_CIRCLE_ANGLES = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
+_HARMONICS = np.arange(5)
 
 
 def _circle_coefficients(
-    R: np.ndarray, v: np.ndarray, u: np.ndarray
+    K: np.ndarray, V: np.ndarray, U: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier coefficients of f along the great circle cos(t) v + sin(t) u.
+    """Fourier coefficients (a, b), one row each, of f along the great
+    circles cos(t) v + sin(t) u through matching rows of V and U.
 
     With Re<v,u> = 0 and |v| = |u| = 1 the restriction is exactly a real
     trigonometric polynomial of degree 4, so nine equispaced samples recover
-    its coefficients via the DFT with no fitting error.
+    its coefficients via the DFT with no fitting error.  All circles are
+    sampled in one call to the kernel.
     """
-    thetas = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
-    W = np.outer(np.cos(thetas), v) + np.outer(np.sin(thetas), u)
-    vals = _values_batch(R, W)
-    X = np.fft.rfft(vals)
-    a = np.zeros(5)
-    b = np.zeros(5)
-    a[0] = X[0].real / _CIRCLE_SAMPLES
-    a[1:5] = 2.0 * X[1:5].real / _CIRCLE_SAMPLES
-    b[1:5] = -2.0 * X[1:5].imag / _CIRCLE_SAMPLES
+    m, n = V.shape
+    W = (
+        np.cos(_CIRCLE_ANGLES)[None, :, None] * V[:, None, :]
+        + np.sin(_CIRCLE_ANGLES)[None, :, None] * U[:, None, :]
+    )
+    vals = _values_batch(K, W.reshape(m * _CIRCLE_SAMPLES, n)).reshape(m, _CIRCLE_SAMPLES)
+    X = np.fft.rfft(vals, axis=1)
+    a = np.zeros((m, 5))
+    b = np.zeros((m, 5))
+    a[:, 0] = X[:, 0].real / _CIRCLE_SAMPLES
+    a[:, 1:] = 2.0 * X[:, 1:5].real / _CIRCLE_SAMPLES
+    b[:, 1:] = -2.0 * X[:, 1:5].imag / _CIRCLE_SAMPLES
     return a, b
 
 
-def _trig_eval(a: np.ndarray, b: np.ndarray, theta) -> np.ndarray:
-    k = np.arange(5)
-    kt = np.multiply.outer(np.asarray(theta), k)
-    return np.cos(kt) @ a + np.sin(kt) @ b
+def _trig_eval(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Row r of the polynomials (a, b) at the angles theta[r, :]."""
+    kt = theta[:, :, None] * _HARMONICS
+    return (np.cos(kt) @ a[:, :, None] + np.sin(kt) @ b[:, :, None])[:, :, 0]
 
 
-def _trig_argopt(a: np.ndarray, b: np.ndarray, sign: float) -> float:
-    """Angle of the global optimum of sign * (trig polynomial) on the circle.
+def _trig_argopt(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
+    """Angle of the global optimum of sign * (trig polynomial) on each circle.
 
     The polynomial is sum c_k z^k over |k| <= 4 with z = e^{i theta}, so
     stationary angles are root arguments of z^4 f'(z) = sum i k c_k z^{k+4};
-    theta = 0 stands in when there are none.
+    theta = 0 is always a candidate, and the first best candidate wins.
+    The roots are the eigenvalues of the degree-8 companion matrices, all
+    rows in one call; a row whose leading coefficient is exactly 0 has lower
+    degree and takes ``np.roots``, and its unused candidate slots hold 0.
     """
     c = 0.5 * (a - 1j * b)
-    c[0] = a[0]
+    c[:, 0] = a[:, 0]
     k = np.arange(-4, 5)
-    coeffs = 1j * k * np.concatenate((c[:0:-1].conj(), c))
-    candidates = np.append(np.angle(np.roots(coeffs[::-1])), 0.0)
-    return float(candidates[np.argmax(sign * _trig_eval(a, b, candidates))])
+    # highest power first, as np.roots takes them
+    coeffs = (1j * k * np.concatenate((c[:, :0:-1].conj(), c), axis=1))[:, ::-1]
+    m = len(coeffs)
+    candidates = np.zeros((m, 9))
+    full = coeffs[:, 0] != 0
+    companion = np.zeros((int(full.sum()), 8, 8), dtype=complex)
+    companion[:, 0, :] = -coeffs[full, 1:] / coeffs[full, :1]
+    companion[:, np.arange(1, 8), np.arange(7)] = 1.0
+    candidates[full, :8] = np.angle(np.linalg.eigvals(companion))
+    for row in np.flatnonzero(~full):
+        roots = np.roots(coeffs[row])
+        candidates[row, : len(roots)] = np.angle(roots)
+    best = np.argmax(sign * _trig_eval(a, b, candidates), axis=1)
+    return candidates[np.arange(m), best]
 
 
 def _ascend(
-    R: np.ndarray, v0: np.ndarray, sign: float, cfg: ExtremizeConfig
-) -> tuple[float, np.ndarray, int, bool]:
-    """Gradient ascent of sign*f with exact great-circle line search.
+    K: np.ndarray, V0: np.ndarray, sign: float, cfg: ExtremizeConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient ascent of sign*f with exact great-circle line search, from
+    every row of V0 in lockstep.
 
-    Returns (f, v, iters, converged) with f the plain (unsigned) value.
+    Each step takes the rows still running through one fused value and
+    gradient product, one circle-sampling product and one batch of
+    companion eigenvalues; each row stops by the rules of a lone ascent.
+    Returns per-row (f, v, iters, converged) with f the plain (unsigned)
+    value.
     """
-    v = v0 / np.linalg.norm(v0)
-    f = sign * _value(R, v)
-    converged = False
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        g = sign * _gradient(R, v)
-        gt = g - np.vdot(v, g).real * v
-        gn = float(np.linalg.norm(gt))
-        scale = max(1.0, abs(f))
-        if gn <= _STEP_TOLERANCE * scale:
-            converged = True
+    V = V0 / np.linalg.norm(V0, axis=1, keepdims=True)
+    F, G = _value_and_gradient(K, V)
+    F, G = sign * F, sign * G
+    iters = np.zeros(len(V), dtype=int)
+    converged = np.zeros(len(V), dtype=bool)
+    rows = np.arange(len(V))
+    for step in range(1, cfg.max_iters + 1):
+        iters[rows] = step
+        v, f, g = V[rows], F[rows], G[rows]
+        gt = g - (v.conj() * g).sum(axis=1).real[:, None] * v
+        gn = np.linalg.norm(gt, axis=1)
+        scale = np.maximum(1.0, np.abs(f))
+        moving = gn > _STEP_TOLERANCE * scale
+        converged[rows[~moving]] = True
+        rows = rows[moving]
+        if not rows.size:
             break
-        u = gt / gn
-        a, b = _circle_coefficients(R, v, u)
-        theta = _trig_argopt(a, b, sign)
+        v, f, gn, scale = v[moving], f[moving], gn[moving], scale[moving]
+        u = gt[moving] / gn[:, None]
+        theta = _trig_argopt(*_circle_coefficients(K, v, u), sign)[:, None]
         w = np.cos(theta) * v + np.sin(theta) * u
-        w = w / np.linalg.norm(w)
-        fw = sign * _value(R, w)
-        if fw <= f:
-            # the best step on the circle (theta = 0 included) gives no
-            # floating-point improvement; we are at the numerical optimum
-            converged = gn <= 1e3 * _STEP_TOLERANCE * scale
-            break
-        v, f = w, fw
-    return sign * f, v, iters, converged
+        w = w / np.linalg.norm(w, axis=1, keepdims=True)
+        fw, gw = _value_and_gradient(K, w)
+        fw, gw = sign * fw, sign * gw
+        # the best step on the circle (theta = 0 included) gives no
+        # floating-point improvement: that row is at the numerical optimum
+        stalled = fw <= f
+        converged[rows[stalled]] = gn[stalled] <= 1e3 * _STEP_TOLERANCE * scale[stalled]
+        up = ~stalled
+        rows = rows[up]
+        V[rows], F[rows], G[rows] = w[up], fw[up], gw[up]
+    return sign * F, V, iters, converged
 
 
-def _start_directions(n: int, cfg: ExtremizeConfig) -> list[np.ndarray]:
+def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
     # the 2n coordinate axes, real then imaginary
     starts = [*np.eye(n, dtype=complex), *(1j * np.eye(n))]
     pair = 0
@@ -274,30 +325,28 @@ def _start_directions(n: int, cfg: ExtremizeConfig) -> list[np.ndarray]:
             # HSC(-v) = HSC(v), while conj(w) generically does not
             starts.append(w.conj())
         pair += 1
-    return starts[: cfg.starts]
+    return np.array(starts[: cfg.starts])
 
 
 def _merge(
-    results: list[tuple[float, np.ndarray, int, bool]], pick_min: bool
+    values: np.ndarray, V: np.ndarray, converged: np.ndarray, pick_min: bool
 ) -> tuple[float, Direction, bool]:
-    values = [r[0] for r in results]
-    best = min(values) if pick_min else max(values)
+    best = float(values.min() if pick_min else values.max())
     tol = _VALUE_TOLERANCE * max(1.0, abs(best))
-    candidates = [(r[1], r[3]) for r in results if abs(r[0] - best) <= tol]
-    normalized = [(_normalize_phase(v), conv) for v, conv in candidates]
-    normalized.sort(key=lambda item: _lex_key(item[0]))
-    direction = Direction(normalized[0][0])
-    converged = any(conv for _, conv in normalized)
-    return best, direction, converged
+    ties = np.flatnonzero(np.abs(values - best) <= tol)
+    normalized = sorted(
+        ((_normalize_phase(V[i]), bool(converged[i])) for i in ties), key=lambda item: _lex_key(item[0])
+    )
+    return best, Direction(normalized[0][0]), any(conv for _, conv in normalized)
 
 
 def _best_of_starts(
-    R: np.ndarray, starts: list[np.ndarray], sign: float, cfg: ExtremizeConfig
+    K: np.ndarray, starts: np.ndarray, sign: float, cfg: ExtremizeConfig
 ) -> tuple[float, Direction, bool, int]:
-    """Merged best of the ascents of sign*f from every start, plus the
-    total iteration count."""
-    runs = [_ascend(R, v0, sign, cfg) for v0 in starts]
-    return (*_merge(runs, sign < 0), sum(r[2] for r in runs))
+    """Merged best of the ascents of sign*f from every start (one row each),
+    plus the total iteration count."""
+    values, V, iters, converged = _ascend(K, starts, sign, cfg)
+    return (*_merge(values, V, converged, sign < 0), int(iters.sum()))
 
 
 def extremize_hsc(
@@ -313,11 +362,12 @@ def extremize_hsc(
     a relative 1e-12 break lexicographically.  A value beyond the float
     range raises FloatingPointError.
     """
+    K = _quartic_matrix(tensor.array)
     starts = _start_directions(tensor.n, cfg)
     oracle_min = oracle_max = None
     with np.errstate(over="raise"):
-        min_value, argmin, min_conv, min_iters = _best_of_starts(tensor.array, starts, -1.0, cfg)
-        max_value, argmax, max_conv, max_iters = _best_of_starts(tensor.array, starts, +1.0, cfg)
+        min_value, argmin, min_conv, min_iters = _best_of_starts(K, starts, -1.0, cfg)
+        max_value, argmax, max_conv, max_iters = _best_of_starts(K, starts, +1.0, cfg)
         if cfg.oracle_samples > 0:
             oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
             oracle_min = oracle.min_value

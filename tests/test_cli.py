@@ -390,7 +390,11 @@ HUGE_VIOLATION = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0
     [
         (["surface", "analyze", "--H=-1e200", "--A=1e200"], "OverflowError"),
         (["surface", "analyze", "--H", "0", "--A", "1.1e154"], "ValueError"),  # gamma2 = inf
-        (["tensor", "validate", "--input", "{violation}"], "ValueError"),  # magnitude = inf
+        pytest.param(
+            ["tensor", "validate", "--input", "{violation}"],  # magnitude = inf
+            "ValueError: hermitian violation at orbit (0, 0, 1, 1) exceeds the float range",
+            id="argv2-ValueError",
+        ),
         (["tensor", "extremize", "--input", "{huge}"], "FloatingPointError"),
     ],
 )
@@ -401,7 +405,7 @@ def test_overflow_exits_1_with_named_error(capsys, tmp_path, argv, error, fmt):
     argv = [part.format(**{name: tmp_path / f"{name}.json" for name in files}) for part in argv]
     assert dispatch([*argv, "--format", fmt]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"{error}: ")
+    assert captured.err.startswith(error if ": " in error else f"{error}: ")
     assert captured.out == ""
 
 
@@ -480,3 +484,20 @@ def test_output_write_failure_exit_1(capsys, tmp_path):
     assert captured.err.startswith("FileNotFoundError: ")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["tensor", "validate", "--input", "{deep}"], "TensorFormatError"),
+        (["geography", "check", "--input", "{deep}"], "ValueError"),
+    ],
+)
+def test_deeply_nested_json_exits_1_naming_the_file(capsys, tmp_path, argv, error):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert dispatch([part.format(deep=deep) for part in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{error}: {deep}: JSON nested too deeply to decode")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

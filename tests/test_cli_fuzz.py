@@ -127,11 +127,14 @@ def argvs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 @example(("tensor validate", ["tensor", "validate", "--input", "{dir}/t.json"], {"t.json": {"n": 2, "entries": 5}}))
+@example(("tensor validate", ["tensor", "validate", "--input", "{dir}/t.json"], {"t.json": "[" * 100_000}))
+@example(("geography check", ["geography", "check", "--input", "{dir}/s.json"], {"s.json": "[" * 100_000}))
 def test_dispatch_exits_cleanly(case):
     command, argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, payload in files.items():
-            Path(tmp, name).write_text(json.dumps(payload))
+            # a str is the file's raw text, anything else is encoded as JSON
+            Path(tmp, name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
         argv = [part.format(dir=tmp) for part in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -20,11 +20,27 @@ from hsckit import (
     product_tensor,
     ricci,
     sample_hsc,
+    sample_unit_sphere,
     transform_frame,
 )
-from hsckit.curvature import _values_batch
-from hsckit.extremize import _ascend, _gradient, _start_directions, _trig_argopt, _trig_eval
-from helpers import random_frame_point, random_kahler_tensor, random_unitary
+from hsckit.curvature import _quartic_matrix, _values_batch
+from hsckit.extremize import (
+    _ascend,
+    _best_of_starts,
+    _start_directions,
+    _trig_argopt,
+    _trig_eval,
+    _value_and_gradient,
+)
+from helpers import (
+    best_of_starts_serial,
+    quartic_values_einsum,
+    random_frame_point,
+    random_kahler_tensor,
+    random_unitary,
+    trig_argopt_roots,
+    trig_eval_serial,
+)
 
 
 def test_config_validation():
@@ -39,17 +55,17 @@ def test_config_validation():
 def test_gradient_matches_finite_differences():
     # independent oracle for the cubic-contraction gradient
     T = random_kahler_tensor(3, seed=77)
-    R = T.array
+    K = _quartic_matrix(T.array)
     rng = np.random.default_rng(78)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    g = _gradient(R, v)
+    g = _value_and_gradient(K, v[None, :])[1][0]
     h = 1e-6
     for idx in range(3):
         for direction in (1.0, 1.0j):
             e = np.zeros(3, dtype=complex)
             e[idx] = direction
             ends = np.array([v + h * e, v - h * e])
-            plus, minus = _values_batch(R, ends).real
+            plus, minus = _values_batch(K, ends)
             num = (plus - minus) / (2 * h)
             ana = float((g * np.conj(e)).sum().real)
             assert num == pytest.approx(ana, rel=1e-5, abs=1e-6)
@@ -59,15 +75,37 @@ def test_gradient_matches_finite_differences():
 def test_trig_argopt_reaches_dense_grid_optimum(sign):
     rng = np.random.default_rng(10)
     grid = np.linspace(-np.pi, np.pi, 20_001, endpoint=False)
-    for _ in range(100):
-        a, b = rng.standard_normal(5), rng.standard_normal(5)
-        theta = _trig_argopt(a, b, sign)
-        best_on_grid = np.max(sign * _trig_eval(a, b, grid))
-        assert sign * _trig_eval(a, b, theta) >= best_on_grid - 1e-12
+    A, B = np.empty((100, 5)), np.empty((100, 5))
+    for row in range(100):
+        A[row], B[row] = rng.standard_normal(5), rng.standard_normal(5)
+    thetas = _trig_argopt(A, B, sign)
+    reached = sign * _trig_eval(A, B, thetas[:, None])[:, 0]
+    for a, b, value in zip(A, B, reached):
+        best_on_grid = np.max(sign * _trig_eval(a[None], b[None], grid[None])[0])
+        assert value >= best_on_grid - 1e-12
 
 
 def test_trig_argopt_constant_polynomial_stays_put():
-    assert _trig_argopt(np.array([2.0, 0, 0, 0, 0]), np.zeros(5), 1.0) == 0.0
+    assert _trig_argopt(np.array([[2.0, 0, 0, 0, 0]]), np.zeros((1, 5)), 1.0)[0] == 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_trig_argopt_mixed_degrees_reach_the_roots_optimum(sign):
+    # rows whose z^8 coefficient is exactly 0 (a constant row and
+    # lower-degree rows) sit beside generic rows; each must reach the
+    # optimum over np.roots' angles and 0
+    rng = np.random.default_rng(11)
+    A, B = rng.standard_normal((12, 5)), rng.standard_normal((12, 5))
+    B[:, 0] = 0.0
+    A[0, 1:] = B[0, 1:] = 0.0  # constant
+    A[3:6, 4] = B[3:6, 4] = 0.0  # degree 3
+    A[6, 2:] = B[6, 2:] = 0.0  # degree 1
+    A[7, 3:] = 0.0  # degree 4 in sin only: still full degree
+    thetas = _trig_argopt(A, B, sign)
+    for a, b, theta in zip(A, B, thetas):
+        best = sign * trig_eval_serial(a, b, trig_argopt_roots(a, b, sign))
+        assert sign * trig_eval_serial(a, b, theta) == pytest.approx(best, abs=1e-12)
+    assert thetas[0] == 0.0
 
 
 def test_ascent_stops_at_the_value_noise_floor():
@@ -77,11 +115,35 @@ def test_ascent_stops_at_the_value_noise_floor():
         H=-0.5581463227956642, A=0.5714659935519548, B=-0.3876308181887844 - 1.0304108040358098j
     )
     cfg = ExtremizeConfig(starts=8, seed=88)
-    start = _start_directions(2, cfg)[4]
-    value, _, iters, converged = _ascend(assemble_einstein_surface(p).array, start, -1.0, cfg)
-    assert converged
-    assert iters < cfg.max_iters
-    assert value == pytest.approx(p.H, abs=1e-12)
+    start = _start_directions(2, cfg)[4:5]
+    values, _, iters, converged = _ascend(_quartic_matrix(assemble_einstein_surface(p).array), start, -1.0, cfg)
+    assert converged[0]
+    assert iters[0] < cfg.max_iters
+    assert values[0] == pytest.approx(p.H, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_values_batch_matches_einsum_across_blocks(n):
+    T = random_kahler_tensor(n, seed=500 + n)
+    K = _quartic_matrix(T.array)
+    rng = np.random.default_rng(600 + n)
+    for m in (1, 8191, 8192, 2 * 8192 + 3):
+        V = sample_unit_sphere(n, m, rng)
+        ref = quartic_values_einsum(T.array, V)
+        got = _values_batch(K, V)
+        assert got.shape == (m,)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("n, seed", [(3, 700), (4, 701), (6, 702)])
+def test_batched_starts_match_serial_ascents(n, seed):
+    T = random_kahler_tensor(n, seed=seed)
+    cfg = ExtremizeConfig(starts=16, seed=seed)
+    starts = _start_directions(n, cfg)
+    for sign in (-1.0, 1.0):
+        best, _, _, _ = _best_of_starts(_quartic_matrix(T.array), starts, sign, cfg)
+        reference = best_of_starts_serial(T.array, starts, sign, cfg.max_iters)
+        assert best == pytest.approx(reference, rel=1e-12)
 
 
 def test_constant_tensor_extremes():
@@ -139,6 +201,17 @@ def test_sample_deterministic_per_seed():
     a = sample_hsc(T, 50_000, seed=5)
     b = sample_hsc(T, 50_000, seed=5)
     assert a.min_value == b.min_value and a.max_value == b.max_value and a.mean == b.mean
+
+
+def test_sample_bit_identical_across_kernel_blocks():
+    # 5 * 8192 + 17 rows: several kernel blocks inside one sampling chunk
+    T = random_kahler_tensor(4, seed=12)
+    a = sample_hsc(T, 5 * 8192 + 17, seed=6)
+    b = sample_hsc(T, 5 * 8192 + 17, seed=6)
+    for x, y in ((a.min_value, b.min_value), (a.max_value, b.max_value), (a.mean, b.mean)):
+        assert np.float64(x).tobytes() == np.float64(y).tobytes()
+    assert a.argmin.vector.tobytes() == b.argmin.vector.tobytes()
+    assert a.argmax.vector.tobytes() == b.argmax.vector.tobytes()
 
 
 def test_extremes_bracket_samples():
