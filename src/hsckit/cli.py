@@ -50,7 +50,7 @@ from .geography import (
     plot_columns,
     records_from_json,
 )
-from .rootsys import DEFAULT_MAX_RANK, FAMILIES, LieType, cartan_matrix, highest_root, positive_roots
+from .rootsys import FAMILIES, LieType, cartan_matrix, highest_root, positive_roots
 
 __all__ = ["SCHEMAS", "build_parser", "dispatch", "main", "schema_text"]
 
@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     roots = cspace_cmds.add_parser("roots", help="list the positive roots of a simple type")
     roots.add_argument("--family", required=True, choices=FAMILIES)
     roots.add_argument("--rank", required=True, type=int)
-    roots.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     _add_output_options(roots)
 
     classify = cspace_cmds.add_parser(
@@ -88,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument(
         "--audit", action="store_true", help="compare against the published classification"
     )
-    classify.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     _add_output_options(classify)
 
     surface = groups.add_parser("surface", help="distinguished-frame surface analysis")
@@ -147,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_cspace_roots(args) -> tuple[dict, list[str]]:
     lie_type = LieType(args.family, args.rank)
-    rs = positive_roots(lie_type, max_rank=args.max_rank)
+    rs = positive_roots(lie_type)
     payload = {
         "family": lie_type.family,
         "rank": lie_type.rank,
@@ -161,7 +159,7 @@ def _run_cspace_roots(args) -> tuple[dict, list[str]]:
 
 def _run_cspace_classify(args) -> tuple[dict, list[str]]:
     lie_type = LieType(args.family, args.rank)
-    verdicts = classify_all(lie_type, max_rank=args.max_rank)
+    verdicts = classify_all(lie_type)
     if args.node is not None:
         verdicts = [v for v in verdicts if v.descriptor.node == args.node]
         if not verdicts:

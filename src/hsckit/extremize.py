@@ -5,10 +5,11 @@ v_k conj(v_l)`` restricted to ``|v| = 1``.  Multistart gradient ascent is
 enough at these sizes: the Riemannian gradient is the cubic contraction of R
 with (v, v, conj(v)) projected onto the sphere's tangent space, and each
 step moves along the great circle it spans.  Restricted to a great circle
-the objective is exactly a degree-4 trigonometric polynomial, recovered by a
-9-point DFT.  The line search is exact: every stationary angle is the
-argument of a root of a degree-8 polynomial, and the best of those angles
-is the circle's global optimum, with no grid and no noise floor.
+the objective is a quartic form in (cos t, sin t), so it has only the even
+harmonics 0, 2 and 4, recovered by a 5-point DFT over the half circle.  The
+line search is exact: every stationary angle is half the argument of a root
+of a degree-4 polynomial, and the best of those angles is the circle's
+global optimum, with no grid and no noise floor.
 
 Every evaluation is a matrix product with the n^2 x n^2 matrix ``K =
 R.transpose(0, 2, 1, 3).reshape(n^2, n^2)``, so ``K[(i,k),(j,l)] =
@@ -69,6 +70,7 @@ _CHUNK = 65536  # fixed batch size keeps sampling bitwise-deterministic
 _STEP_TOLERANCE = 1e-9  # relative tangent-gradient norm at which an ascent stops
 _VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
 _EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor
+_MAX_STARTS = 4096  # bounds the starts x n^2 ascent product: 64 MB at n = 32
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -82,6 +84,8 @@ class ExtremizeConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.starts > _MAX_STARTS:
+            raise ValueError(f"starts must be <= {_MAX_STARTS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.oracle_samples < 0:
@@ -200,21 +204,20 @@ def _lex_key(v: np.ndarray) -> tuple:
     return tuple(np.column_stack((v.real, v.imag)).ravel())
 
 
-_CIRCLE_SAMPLES = 9  # enough to fit a degree-4 trig polynomial exactly
-_CIRCLE_ANGLES = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
-_HARMONICS = np.arange(5)
+_CIRCLE_SAMPLES = 5  # enough to fit harmonics 0, 2 and 4 exactly
+_CIRCLE_ANGLES = np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
+_HARMONICS = np.fft.fftfreq(_CIRCLE_SAMPLES, 1.0 / _CIRCLE_SAMPLES)  # 0, 1, 2, -2, -1
 
 
-def _circle_coefficients(
-    K: np.ndarray, V: np.ndarray, U: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier coefficients (a, b), one row each, of f along the great
-    circles cos(t) v + sin(t) u through matching rows of V and U.
+def _circle_coefficients(K: np.ndarray, V: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Coefficients c, one row each, of f along the great circles cos(t) v +
+    sin(t) u through matching rows of V and U.
 
-    With Re<v,u> = 0 and |v| = |u| = 1 the restriction is exactly a real
-    trigonometric polynomial of degree 4, so nine equispaced samples recover
-    its coefficients via the DFT with no fitting error.  All circles are
-    sampled in one call to the kernel.
+    With Re<v,u> = 0 and |v| = |u| = 1 the restriction is a quartic form in
+    (cos t, sin t), so it has only the even harmonics 0, 2 and 4: f(t) = sum
+    c_k e^{2ikt} over |k| <= 2, in the order of ``_HARMONICS``.  Five
+    equispaced samples on the half circle recover them via the DFT with no
+    aliasing.  All circles are sampled in one call to the kernel.
     """
     m, n = V.shape
     W = (
@@ -222,47 +225,41 @@ def _circle_coefficients(
         + np.sin(_CIRCLE_ANGLES)[None, :, None] * U[:, None, :]
     )
     vals = _values_batch(K, W.reshape(m * _CIRCLE_SAMPLES, n)).reshape(m, _CIRCLE_SAMPLES)
-    X = np.fft.rfft(vals, axis=1)
-    a = np.zeros((m, 5))
-    b = np.zeros((m, 5))
-    a[:, 0] = X[:, 0].real / _CIRCLE_SAMPLES
-    a[:, 1:] = 2.0 * X[:, 1:5].real / _CIRCLE_SAMPLES
-    b[:, 1:] = -2.0 * X[:, 1:5].imag / _CIRCLE_SAMPLES
-    return a, b
+    return np.fft.fft(vals, axis=1) / _CIRCLE_SAMPLES
 
 
-def _trig_eval(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Row r of the polynomials (a, b) at the angles theta[r, :]."""
-    kt = theta[:, :, None] * _HARMONICS
-    return (np.cos(kt) @ a[:, :, None] + np.sin(kt) @ b[:, :, None])[:, :, 0]
+def _trig_eval(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Row r of the coefficients c at the angles theta[r, :]."""
+    return (np.exp(2j * theta[:, :, None] * _HARMONICS) @ c[:, :, None])[:, :, 0].real
 
 
-def _trig_argopt(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
+def _trig_argopt(c: np.ndarray, sign: float) -> np.ndarray:
     """Angle of the global optimum of sign * (trig polynomial) on each circle.
 
-    The polynomial is sum c_k z^k over |k| <= 4 with z = e^{i theta}, so
-    stationary angles are root arguments of z^4 f'(z) = sum i k c_k z^{k+4};
-    theta = 0 is always a candidate, and the first best candidate wins.
-    The roots are the eigenvalues of the degree-8 companion matrices, all
-    rows in one call; a row whose leading coefficient is exactly 0 has lower
-    degree and takes ``np.roots``, and its unused candidate slots hold 0.
+    With w = e^{2i theta}, df/dtheta = 2i sum k c_k w^k, so the stationary
+    angles are half the root arguments of sum k c_k w^{k+2}, a degree-4
+    polynomial with coefficients (2 c_2, c_1, 0, -conj(c_1), -2 conj(c_2));
+    theta = 0 is always the last candidate, and the first best one wins.  The roots
+    are the eigenvalues of the 4 x 4 companion matrices, all rows in one
+    call; a row whose leading coefficient is exactly 0 has lower degree and
+    takes ``np.roots``, and its unused candidate slots hold 0.
     """
-    c = 0.5 * (a - 1j * b)
-    c[:, 0] = a[:, 0]
-    k = np.arange(-4, 5)
+    c1, c2 = c[:, 1], c[:, 2]
+    zero = np.zeros_like(c1)
     # highest power first, as np.roots takes them
-    coeffs = (1j * k * np.concatenate((c[:, :0:-1].conj(), c), axis=1))[:, ::-1]
+    coeffs = np.column_stack((2.0 * c2, c1, zero, -c1.conj(), -2.0 * c2.conj()))
     m = len(coeffs)
-    candidates = np.zeros((m, 9))
+    candidates = np.zeros((m, 5))
     full = coeffs[:, 0] != 0
-    companion = np.zeros((int(full.sum()), 8, 8), dtype=complex)
+    companion = np.zeros((int(full.sum()), 4, 4), dtype=complex)
     companion[:, 0, :] = -coeffs[full, 1:] / coeffs[full, :1]
-    companion[:, np.arange(1, 8), np.arange(7)] = 1.0
-    candidates[full, :8] = np.angle(np.linalg.eigvals(companion))
+    companion[:, np.arange(1, 4), np.arange(3)] = 1.0
+    candidates[full, :4] = np.angle(np.linalg.eigvals(companion))
     for row in np.flatnonzero(~full):
         roots = np.roots(coeffs[row])
         candidates[row, : len(roots)] = np.angle(roots)
-    best = np.argmax(sign * _trig_eval(a, b, candidates), axis=1)
+    candidates /= 2.0
+    best = np.argmax(sign * _trig_eval(c, candidates), axis=1)
     return candidates[np.arange(m), best]
 
 
@@ -297,7 +294,7 @@ def _ascend(
             break
         v, f, gn, scale = v[moving], f[moving], gn[moving], scale[moving]
         u = gt[moving] / gn[:, None]
-        theta = _trig_argopt(*_circle_coefficients(K, v, u), sign)[:, None]
+        theta = _trig_argopt(_circle_coefficients(K, v, u), sign)[:, None]
         w = np.cos(theta) * v + np.sin(theta) * u
         w = w / np.linalg.norm(w, axis=1, keepdims=True)
         fw, gw = _value_and_gradient(K, w)
@@ -355,12 +352,13 @@ def extremize_hsc(
     """Best-of-starts HSC extremes over the unit sphere.
 
     Starts are the 2n coordinate directions (real and imaginary axes) padded
-    with conjugate-paired random sphere points; each start runs a projected
-    gradient descent and ascent.  Non-convergence is flagged on the result,
-    not raised, so batch runs keep going.  Reported argmin/argmax are
-    phase-normalized (first nonzero component real positive) and ties within
-    a relative 1e-12 break lexicographically.  A value beyond the float
-    range raises FloatingPointError.
+    with conjugate-paired random sphere points; ``cfg.starts`` counts the n
+    phase copies ``i e_j`` too.  Each start runs a projected gradient descent
+    and ascent.  Non-convergence is flagged on the result, not raised, so
+    batch runs keep going.  Reported argmin/argmax are phase-normalized
+    (first nonzero component real positive) and ties within a relative 1e-12
+    break lexicographically.  A value beyond the float range raises
+    FloatingPointError.
     """
     K = _quartic_matrix(tensor.array)
     starts = _start_directions(tensor.n, cfg)

@@ -53,8 +53,8 @@ __all__ = [
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 # Classical families are capped by default to bound enumeration output; the
-# cap is overridable (CLI --max-rank) since criterion results are
-# rank-uniform for A, B, C, D anyway.
+# CLI always applies it, and library callers may pass another ``max_rank``
+# since criterion results are rank-uniform for A, B, C, D anyway.
 DEFAULT_MAX_RANK = 12
 
 Root = tuple[int, ...]

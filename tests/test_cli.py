@@ -194,6 +194,17 @@ def test_domain_error_exit_1(capsys):
     assert "InadmissibleRank" in err
 
 
+@pytest.mark.parametrize("command", ["roots", "classify"])
+def test_rank_ceiling_is_not_settable(capsys, command):
+    argv = ["cspace", command, "--family", "A", "--rank", "13"]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("InadmissibleRank: ")
+    assert captured.out == ""
+    assert dispatch([*argv, "--max-rank", "13"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_frame_constraint_error_exit_1(capsys):
     code = dispatch(["surface", "analyze", "--H", "0", "--A", "-1"])
     assert code == 1
@@ -440,12 +451,15 @@ def test_tensor_validate_checks_stated_entries(capsys, tmp_path):
         (["geography", "scan-horikawa", "--pg", "3..100000000"], "ValueError: pg range 3..100000000"),
         (["tensor", "validate", "--input", "{big}"], "TensorFormatError: dimension n=1000000"),
         (["tensor", "extremize", "--input", "{big}"], "TensorFormatError: dimension n=1000000"),
+        (["tensor", "extremize", "--input", "{small}", "--starts", "1000000000"], "ValueError: starts must be <= 4096"),
     ],
 )
 def test_size_ceilings_exit_1(capsys, tmp_path, argv, error):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"n": 10**6, "entries": []}))
-    assert dispatch([part.format(big=big) for part in argv]) == 1
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"n": 2, "entries": []}))
+    assert dispatch([part.format(big=big, small=small) for part in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(error)
     assert captured.out == ""

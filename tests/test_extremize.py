@@ -25,8 +25,10 @@ from hsckit import (
 )
 from hsckit.curvature import _quartic_matrix, _values_batch
 from hsckit.extremize import (
+    _MAX_STARTS,
     _ascend,
     _best_of_starts,
+    _circle_coefficients,
     _start_directions,
     _trig_argopt,
     _trig_eval,
@@ -50,6 +52,8 @@ def test_config_validation():
         ExtremizeConfig(max_iters=0)
     with pytest.raises(ValueError):
         ExtremizeConfig(oracle_samples=-1)
+    with pytest.raises(ValueError, match=f"starts must be <= {_MAX_STARTS}"):
+        ExtremizeConfig(starts=_MAX_STARTS + 1)
 
 
 def test_gradient_matches_finite_differences():
@@ -71,41 +75,77 @@ def test_gradient_matches_finite_differences():
             assert num == pytest.approx(ana, rel=1e-5, abs=1e-6)
 
 
+def _coefficient_rows(c0, c1, c2) -> np.ndarray:
+    """Rows laid out as ``_circle_coefficients`` returns them: c_k for
+    k = 0, 1, 2, -2, -1, with c_{-k} = conj(c_k) and c_0 real."""
+    c1, c2 = np.asarray(c1, dtype=complex), np.asarray(c2, dtype=complex)
+    return np.column_stack((np.asarray(c0, dtype=complex), c1, c2, c2.conj(), c1.conj()))
+
+
+def _even_ab(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The same polynomial as the cosine and sine coefficients (a, b) of
+    harmonics 0..4 that the serial reference takes; odd ones are 0."""
+    a = np.array([c[0].real, 0.0, 2.0 * c[1].real, 0.0, 2.0 * c[2].real])
+    b = np.array([0.0, 0.0, -2.0 * c[1].imag, 0.0, -2.0 * c[2].imag])
+    return a, b
+
+
+def _random_complex(rng: np.random.Generator, size: int) -> np.ndarray:
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_trig_argopt_reaches_dense_grid_optimum(sign):
     rng = np.random.default_rng(10)
     grid = np.linspace(-np.pi, np.pi, 20_001, endpoint=False)
-    A, B = np.empty((100, 5)), np.empty((100, 5))
-    for row in range(100):
-        A[row], B[row] = rng.standard_normal(5), rng.standard_normal(5)
-    thetas = _trig_argopt(A, B, sign)
-    reached = sign * _trig_eval(A, B, thetas[:, None])[:, 0]
-    for a, b, value in zip(A, B, reached):
-        best_on_grid = np.max(sign * _trig_eval(a[None], b[None], grid[None])[0])
+    C = _coefficient_rows(rng.standard_normal(100), _random_complex(rng, 100), _random_complex(rng, 100))
+    thetas = _trig_argopt(C, sign)
+    reached = sign * _trig_eval(C, thetas[:, None])[:, 0]
+    for c, value in zip(C, reached):
+        best_on_grid = np.max(sign * _trig_eval(c[None], grid[None])[0])
         assert value >= best_on_grid - 1e-12
 
 
 def test_trig_argopt_constant_polynomial_stays_put():
-    assert _trig_argopt(np.array([[2.0, 0, 0, 0, 0]]), np.zeros((1, 5)), 1.0)[0] == 0.0
+    assert _trig_argopt(_coefficient_rows([2.0], [0.0], [0.0]), 1.0)[0] == 0.0
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_trig_argopt_mixed_degrees_reach_the_roots_optimum(sign):
-    # rows whose z^8 coefficient is exactly 0 (a constant row and
+    # rows whose w^4 coefficient 2 c_2 is exactly 0 (a constant row and
     # lower-degree rows) sit beside generic rows; each must reach the
     # optimum over np.roots' angles and 0
     rng = np.random.default_rng(11)
-    A, B = rng.standard_normal((12, 5)), rng.standard_normal((12, 5))
-    B[:, 0] = 0.0
-    A[0, 1:] = B[0, 1:] = 0.0  # constant
-    A[3:6, 4] = B[3:6, 4] = 0.0  # degree 3
-    A[6, 2:] = B[6, 2:] = 0.0  # degree 1
-    A[7, 3:] = 0.0  # degree 4 in sin only: still full degree
-    thetas = _trig_argopt(A, B, sign)
-    for a, b, theta in zip(A, B, thetas):
+    c0, c1, c2 = rng.standard_normal(12), _random_complex(rng, 12), _random_complex(rng, 12)
+    c1[0] = c2[0] = 0.0  # constant
+    c2[3:6] = 0.0  # harmonic 2 only
+    c2[6], c1[6] = 0.0, c1[6].real  # harmonic 2 in cos only
+    c2[7] = 1j * c2[7].imag  # harmonic 4 in sin only: still full degree
+    C = _coefficient_rows(c0, c1, c2)
+    thetas = _trig_argopt(C, sign)
+    for c, theta in zip(C, thetas):
+        a, b = _even_ab(c)
         best = sign * trig_eval_serial(a, b, trig_argopt_roots(a, b, sign))
         assert sign * trig_eval_serial(a, b, theta) == pytest.approx(best, abs=1e-12)
     assert thetas[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_circle_coefficients_reproduce_the_circle(n):
+    # five samples on the half circle fix the whole circle, so 64 angles
+    # over the full turn match the kernel
+    T = random_kahler_tensor(n, seed=800 + n)
+    K = _quartic_matrix(T.array)
+    rng = np.random.default_rng(900 + n)
+    V = sample_unit_sphere(n, 3, rng)
+    U = sample_unit_sphere(n, 3, rng)
+    U -= (V.conj() * U).sum(axis=1).real[:, None] * V
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    angles = np.linspace(-np.pi, np.pi, 64, endpoint=False)
+    got = _trig_eval(_circle_coefficients(K, V, U), np.tile(angles, (3, 1)))
+    for v, u, row in zip(V, U, got):
+        ref = _values_batch(K, np.outer(np.cos(angles), v) + np.outer(np.sin(angles), u))
+        assert np.all(np.abs(row - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_ascent_stops_at_the_value_noise_floor():
