@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cspace import AuditEntry, classify_all, published_positive
+from .cspace import AuditEntry, CSpaceDescriptor, classify_all, itoh_positive, published_positive
 from .curvature import (
     EinsteinFramePoint,
     KahlerCurvatureTensor,
@@ -38,7 +38,7 @@ from .curvature import (
     sufficient_negativity,
     validate,
 )
-from .errors import HsckitError, NodeOutOfRange, RegimeViolation, TensorFormatError
+from .errors import HsckitError, RegimeViolation, TensorFormatError
 from .extremize import ExtremizeConfig, extremize_hsc
 from .geography import (
     GeographyVerdict,
@@ -159,11 +159,10 @@ def _run_cspace_roots(args) -> tuple[dict, list[str]]:
 
 def _run_cspace_classify(args) -> tuple[dict, list[str]]:
     lie_type = LieType(args.family, args.rank)
-    verdicts = classify_all(lie_type)
-    if args.node is not None:
-        verdicts = [v for v in verdicts if v.descriptor.node == args.node]
-        if not verdicts:
-            raise NodeOutOfRange(f"node {args.node} out of range 1..{lie_type.rank}")
+    if args.node is None:
+        verdicts = classify_all(lie_type)
+    else:
+        verdicts = [itoh_positive(CSpaceDescriptor(lie_type, args.node))]
     warnings: list[str] = []
     items = []
     for verdict in verdicts:

@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NodeOutOfRange
-from .rootsys import (
-    DEFAULT_MAX_RANK,
-    LieType,
-    Root,
-    RootSystem,
-    positive_roots,
-)
+from .rootsys import LieType, Root, RootSystem, positive_roots
 
 __all__ = [
     "AuditEntry",
@@ -32,6 +26,7 @@ __all__ = [
     "audit_against_published",
     "classify_all",
     "itoh_positive",
+    "published_positive",
 ]
 
 # Published classification of the HSC-positive cases.  The classical families
@@ -113,23 +108,18 @@ def _verdict_from_system(rs: RootSystem, descriptor: CSpaceDescriptor) -> CSpace
     )
 
 
-def itoh_positive(
-    descriptor: CSpaceDescriptor, *, max_rank: int | None = DEFAULT_MAX_RANK
-) -> CSpaceVerdict:
+def itoh_positive(descriptor: CSpaceDescriptor) -> CSpaceVerdict:
     """Decide Itoh's positivity criterion for one marked node.
 
     The verdict carries the full level census and, on failure, the witness
     roots with coefficient >= 3 at the node.
     """
-    rs = positive_roots(descriptor.lie_type, max_rank=max_rank)
-    return _verdict_from_system(rs, descriptor)
+    return _verdict_from_system(positive_roots(descriptor.lie_type), descriptor)
 
 
-def classify_all(
-    lie_type: LieType, *, max_rank: int | None = DEFAULT_MAX_RANK
-) -> list[CSpaceVerdict]:
+def classify_all(lie_type: LieType) -> list[CSpaceVerdict]:
     """One verdict per marked node, in node order."""
-    rs = positive_roots(lie_type, max_rank=max_rank)
+    rs = positive_roots(lie_type)
     return [
         _verdict_from_system(rs, CSpaceDescriptor(lie_type, node))
         for node in range(1, lie_type.rank + 1)
@@ -188,28 +178,25 @@ def published_positive(descriptor: CSpaceDescriptor) -> bool:
     return descriptor.node in nodes
 
 
-def audit_against_published(
-    classical_min_rank: int = 2, classical_max_rank: int = 8
-) -> AuditReport:
+def audit_against_published() -> AuditReport:
     """Compare computed verdicts with the published classification.
 
-    Covers every node of the classical families over the given rank window
-    and of all exceptional types.  Each entry lands in exactly one of three
-    categories: agree-positive, agree-negative, disagree (the latter carrying
-    witness roots via its verdict).  Mismatches are reported, never patched.
+    Covers every node of the classical families at ranks 2 to 8 (D from its
+    smallest rank, 3) and of all exceptional types.  Each entry lands in
+    exactly one of three categories: agree-positive, agree-negative,
+    disagree (the latter carrying witness roots via its verdict).
+    Mismatches are reported, never patched.
     """
     types: list[LieType] = []
-    min_rank = {"A": 1, "B": 2, "C": 2, "D": 3}
     for fam in PUBLISHED_CLASSICAL_FAMILIES:
-        lo = max(classical_min_rank, min_rank[fam])
-        for rank in range(lo, classical_max_rank + 1):
+        for rank in range(3 if fam == "D" else 2, 9):
             types.append(LieType(fam, rank))
     for fam, rank in sorted(PUBLISHED_EXCEPTIONAL_POSITIVE):
         types.append(LieType(fam, rank))
 
     entries: list[AuditEntry] = []
     for lie_type in types:
-        for verdict in classify_all(lie_type, max_rank=max(classical_max_rank, DEFAULT_MAX_RANK)):
+        for verdict in classify_all(lie_type):
             entries.append(
                 AuditEntry(verdict=verdict, published_positive=published_positive(verdict.descriptor))
             )

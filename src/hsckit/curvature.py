@@ -77,17 +77,31 @@ _HERMITIAN = (1, 0, 3, 2)
 
 def _symmetrize(R: np.ndarray) -> np.ndarray:
     """Project onto the Kähler-symmetric subspace (group average).  Images
-    are scaled before they are summed, so finite input stays finite."""
+    are scaled before they are summed, so finite input stays finite.
+
+    The average is read at each orbit's representative and copied to the
+    other images, conjugated where only a conjugating image reaches it and
+    real on self-conjugate orbits, so the result is exactly invariant."""
     S = reduce(np.add, (0.25 * R.transpose(p) for p in _LINEAR))
-    return 0.5 * S + 0.5 * S.transpose(_HERMITIAN).conj()
+    avg = (0.5 * S + 0.5 * S.transpose(_HERMITIAN).conj()).ravel()
+    linear, hermitian = _image_mins(R.shape[0])
+    rep = np.minimum(linear, hermitian)
+    v = avg[rep]
+    return np.where(linear == hermitian, v.real, np.where(linear == rep, v, v.conj()))
+
+
+def _image_mins(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two n^4 arrays holding, at each index, the smallest flat index among its
+    4 linear images and among its 4 conjugating images."""
+    ids = np.arange(n**4).reshape((n,) * 4)
+    linear = [ids.transpose(p) for p in _LINEAR]
+    return reduce(np.minimum, linear), reduce(np.minimum, [img.transpose(_HERMITIAN) for img in linear])
 
 
 def _orbit_ids(n: int) -> np.ndarray:
     """The n^4 array holding, at each index, the smallest flat index among its
     8 images: its orbit representative, as row-major order is lexicographic."""
-    ids = np.arange(n**4).reshape((n,) * 4)
-    linear = [ids.transpose(p) for p in _LINEAR]
-    return reduce(np.minimum, [*linear, *(img.transpose(_HERMITIAN) for img in linear)])
+    return np.minimum(*_image_mins(n))
 
 
 def _seed_orbit(R: np.ndarray, idx: tuple[int, ...], value: complex) -> None:

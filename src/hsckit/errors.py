@@ -53,3 +53,6 @@ class MissingChernNumbers(HsckitError):
 
 class TensorFormatError(HsckitError):
     """Tensor JSON payload is malformed (bad indices, duplicate orbits...)."""
+
+
+__all__ = [name for name, value in globals().items() if isinstance(value, type) and issubclass(value, HsckitError)]

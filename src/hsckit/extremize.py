@@ -16,10 +16,11 @@ R.transpose(0, 2, 1, 3).reshape(n^2, n^2)``, so ``K[(i,k),(j,l)] =
 R[i,j,k,l]`` and ``f(v) = Re conj(x).(x K)`` for ``x = v (x) v``.  One
 product ``Y = x K``, read as an n x n matrix, also gives the gradient ``4 Y
 conj(v)`` and ``f = Re conj(v).Y conj(v)``; the accepted step's product is
-the next step's gradient.  The starts of one sign ascend in lockstep as the
-rows of one array: each step is one fused product for the rows still
-running, one product for all their circle samples and one batch of
-companion-matrix eigenvalues, and each row stops on its own rule.
+the next step's gradient.  The minimum of f is minus the maximum of -f,
+whose matrix is -K, so one ascent serves both extremes.  The starts ascend
+in lockstep as the rows of one array: each step is one fused product for
+the rows still running, one product for all their circle samples and one
+batch of companion-matrix eigenvalues, and each row stops on its own rule.
 
 Determinism: start directions are derived from ``(seed, start index)``, the
 ascent is deterministic, and the best-of-starts merge is an index-ordered
@@ -71,6 +72,7 @@ _STEP_TOLERANCE = 1e-9  # relative tangent-gradient norm at which an ascent stop
 _VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
 _EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor
 _MAX_STARTS = 4096  # bounds the starts x n^2 ascent product: 64 MB at n = 32
+_MAX_ORACLE_SAMPLES = 1 << 24  # 256 sampling chunks: about 17 s at n = 6
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -90,6 +92,8 @@ class ExtremizeConfig:
             raise ValueError("max_iters must be >= 1")
         if self.oracle_samples < 0:
             raise ValueError("oracle_samples must be >= 0")
+        if self.oracle_samples > _MAX_ORACLE_SAMPLES:
+            raise ValueError(f"oracle_samples must be <= {_MAX_ORACLE_SAMPLES}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,8 +237,8 @@ def _trig_eval(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return (np.exp(2j * theta[:, :, None] * _HARMONICS) @ c[:, :, None])[:, :, 0].real
 
 
-def _trig_argopt(c: np.ndarray, sign: float) -> np.ndarray:
-    """Angle of the global optimum of sign * (trig polynomial) on each circle.
+def _trig_argopt(c: np.ndarray) -> np.ndarray:
+    """Angle of the global maximum of the trig polynomial on each circle.
 
     With w = e^{2i theta}, df/dtheta = 2i sum k c_k w^k, so the stationary
     angles are half the root arguments of sum k c_k w^{k+2}, a degree-4
@@ -259,25 +263,23 @@ def _trig_argopt(c: np.ndarray, sign: float) -> np.ndarray:
         roots = np.roots(coeffs[row])
         candidates[row, : len(roots)] = np.angle(roots)
     candidates /= 2.0
-    best = np.argmax(sign * _trig_eval(c, candidates), axis=1)
+    best = np.argmax(_trig_eval(c, candidates), axis=1)
     return candidates[np.arange(m), best]
 
 
 def _ascend(
-    K: np.ndarray, V0: np.ndarray, sign: float, cfg: ExtremizeConfig
+    K: np.ndarray, V0: np.ndarray, cfg: ExtremizeConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient ascent of sign*f with exact great-circle line search, from
-    every row of V0 in lockstep.
+    """Gradient ascent of f with exact great-circle line search, from every
+    row of V0 in lockstep.
 
     Each step takes the rows still running through one fused value and
     gradient product, one circle-sampling product and one batch of
     companion eigenvalues; each row stops by the rules of a lone ascent.
-    Returns per-row (f, v, iters, converged) with f the plain (unsigned)
-    value.
+    Returns per-row (f, v, iters, converged).
     """
     V = V0 / np.linalg.norm(V0, axis=1, keepdims=True)
     F, G = _value_and_gradient(K, V)
-    F, G = sign * F, sign * G
     iters = np.zeros(len(V), dtype=int)
     converged = np.zeros(len(V), dtype=bool)
     rows = np.arange(len(V))
@@ -294,11 +296,10 @@ def _ascend(
             break
         v, f, gn, scale = v[moving], f[moving], gn[moving], scale[moving]
         u = gt[moving] / gn[:, None]
-        theta = _trig_argopt(_circle_coefficients(K, v, u), sign)[:, None]
+        theta = _trig_argopt(_circle_coefficients(K, v, u))[:, None]
         w = np.cos(theta) * v + np.sin(theta) * u
         w = w / np.linalg.norm(w, axis=1, keepdims=True)
         fw, gw = _value_and_gradient(K, w)
-        fw, gw = sign * fw, sign * gw
         # the best step on the circle (theta = 0 included) gives no
         # floating-point improvement: that row is at the numerical optimum
         stalled = fw <= f
@@ -306,7 +307,7 @@ def _ascend(
         up = ~stalled
         rows = rows[up]
         V[rows], F[rows], G[rows] = w[up], fw[up], gw[up]
-    return sign * F, V, iters, converged
+    return F, V, iters, converged
 
 
 def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
@@ -325,25 +326,20 @@ def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
     return np.array(starts[: cfg.starts])
 
 
-def _merge(
-    values: np.ndarray, V: np.ndarray, converged: np.ndarray, pick_min: bool
-) -> tuple[float, Direction, bool]:
-    best = float(values.min() if pick_min else values.max())
-    tol = _VALUE_TOLERANCE * max(1.0, abs(best))
-    ties = np.flatnonzero(np.abs(values - best) <= tol)
+def _best_of_starts(
+    K: np.ndarray, starts: np.ndarray, cfg: ExtremizeConfig
+) -> tuple[float, Direction, bool, int]:
+    """Best value of the ascents of f from every start (one row each), its
+    direction, whether any start tied for it converged, and the total
+    iteration count.  Directions tied within ``_VALUE_TOLERANCE`` are
+    phase-normalized and the lexicographically first one is reported."""
+    values, V, iters, converged = _ascend(K, starts, cfg)
+    best = float(values.max())
+    ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
     normalized = sorted(
         ((_normalize_phase(V[i]), bool(converged[i])) for i in ties), key=lambda item: _lex_key(item[0])
     )
-    return best, Direction(normalized[0][0]), any(conv for _, conv in normalized)
-
-
-def _best_of_starts(
-    K: np.ndarray, starts: np.ndarray, sign: float, cfg: ExtremizeConfig
-) -> tuple[float, Direction, bool, int]:
-    """Merged best of the ascents of sign*f from every start (one row each),
-    plus the total iteration count."""
-    values, V, iters, converged = _ascend(K, starts, sign, cfg)
-    return (*_merge(values, V, converged, sign < 0), int(iters.sum()))
+    return best, Direction(normalized[0][0]), any(conv for _, conv in normalized), int(iters.sum())
 
 
 def extremize_hsc(
@@ -353,9 +349,10 @@ def extremize_hsc(
 
     Starts are the 2n coordinate directions (real and imaginary axes) padded
     with conjugate-paired random sphere points; ``cfg.starts`` counts the n
-    phase copies ``i e_j`` too.  Each start runs a projected gradient descent
-    and ascent.  Non-convergence is flagged on the result, not raised, so
-    batch runs keep going.  Reported argmin/argmax are phase-normalized
+    phase copies ``i e_j`` too.  Each start runs a projected gradient ascent
+    of f for the maximum and of -f (matrix -K) for the minimum, reported as
+    ``0.0 - best`` so that a zero minimum is +0.0.  Non-convergence is
+    flagged on the result, not raised, so batch runs keep going.  Reported argmin/argmax are phase-normalized
     (first nonzero component real positive) and ties within a relative 1e-12
     break lexicographically.  A value beyond the float range raises
     FloatingPointError.
@@ -364,14 +361,14 @@ def extremize_hsc(
     starts = _start_directions(tensor.n, cfg)
     oracle_min = oracle_max = None
     with np.errstate(over="raise"):
-        min_value, argmin, min_conv, min_iters = _best_of_starts(K, starts, -1.0, cfg)
-        max_value, argmax, max_conv, max_iters = _best_of_starts(K, starts, +1.0, cfg)
+        neg_min, argmin, min_conv, min_iters = _best_of_starts(-K, starts, cfg)
+        max_value, argmax, max_conv, max_iters = _best_of_starts(K, starts, cfg)
         if cfg.oracle_samples > 0:
             oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
             oracle_min = oracle.min_value
             oracle_max = oracle.max_value
     return ExtremizeResult(
-        min_value=min_value,
+        min_value=0.0 - neg_min,
         max_value=max_value,
         argmin=argmin,
         argmax=argmax,

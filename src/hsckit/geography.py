@@ -197,10 +197,10 @@ def builtin_surface_table() -> tuple[SurfaceRecord, ...]:
     )
 
 
-def todorov_family(k2_min: int = 2, k2_max: int = 8) -> list[SurfaceRecord]:
+def todorov_family() -> list[SurfaceRecord]:
     """Noether-completed records for the Todorov range pg=1, q=0, K2 in [2, 8]."""
     records = []
-    for k2 in range(k2_min, k2_max + 1):
+    for k2 in range(2, 9):
         c1sq, c2 = noether_fill(1, 0, k2)
         records.append(
             SurfaceRecord(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,9 +52,9 @@ __all__ = [
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
-# Classical families are capped by default to bound enumeration output; the
-# CLI always applies it, and library callers may pass another ``max_rank``
-# since criterion results are rank-uniform for A, B, C, D anyway.
+# Classical families are enumerated up to this rank only, which bounds the
+# output (A12 has 78 positive roots); criterion results are rank-uniform for
+# A, B, C, D, so higher ranks add no verdicts.
 DEFAULT_MAX_RANK = 12
 
 Root = tuple[int, ...]
@@ -149,10 +149,7 @@ def cartan_matrix(lie_type: LieType) -> np.ndarray:
     return A
 
 
-def closure_from_cartan(
-    cartan: np.ndarray | Sequence[Sequence[int]],
-    scan_order: Iterable[int] | None = None,
-) -> set[Root]:
+def closure_from_cartan(cartan: np.ndarray | Sequence[Sequence[int]]) -> set[Root]:
     """Enumerate positive roots by root-string closure.
 
     Starting from the simple roots, a root ``beta`` of height h extends to
@@ -161,14 +158,12 @@ def closure_from_cartan(
     descends inside the already-known set.  Processing strictly by height
     keeps every p-walk inside known roots.
 
-    ``scan_order`` permutes the simple-root scan; the resulting set must not
-    depend on it (tested property).
+    The simple roots are scanned in their given order; relabelling them
+    (permuting the Cartan matrix) relabels the result and changes nothing
+    else (tested property).
     """
     A = np.asarray(cartan, dtype=int)
     rank = A.shape[0]
-    order = tuple(scan_order) if scan_order is not None else tuple(range(rank))
-    if sorted(order) != list(range(rank)):
-        raise ValueError(f"scan_order must be a permutation of 0..{rank - 1}")
 
     simple = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
     known: set[Root] = set(simple)
@@ -176,7 +171,7 @@ def closure_from_cartan(
     while frontier:
         grown: list[Root] = []
         for beta in frontier:
-            for j in order:
+            for j in range(rank):
                 pairing = int(sum(beta[i] * A[i, j] for i in range(rank)))
                 p = 0
                 lower = list(beta)
@@ -226,20 +221,14 @@ def _build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(lie_type=lie_type, cartan=cartan, positive_roots=ordered)
 
 
-def positive_roots(lie_type: LieType, *, max_rank: int | None = DEFAULT_MAX_RANK) -> RootSystem:
+def positive_roots(lie_type: LieType) -> RootSystem:
     """Enumerate the positive root system of a simple type.
 
-    Classical families are refused above ``max_rank`` (default
-    ``DEFAULT_MAX_RANK``); pass ``max_rank=None`` to lift the ceiling.
+    Classical families are refused above ``DEFAULT_MAX_RANK``.
     """
-    if (
-        lie_type.family in ("A", "B", "C", "D")
-        and max_rank is not None
-        and lie_type.rank > max_rank
-    ):
+    if lie_type.family in ("A", "B", "C", "D") and lie_type.rank > DEFAULT_MAX_RANK:
         raise InadmissibleRank(
-            f"rank {lie_type.rank} exceeds the enumeration ceiling {max_rank}; "
-            "raise max_rank to override"
+            f"rank {lie_type.rank} exceeds the enumeration ceiling {DEFAULT_MAX_RANK}"
         )
     return _build_root_system(lie_type.family, lie_type.rank)
 

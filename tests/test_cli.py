@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import hsckit
-from hsckit import EinsteinFramePoint, assemble_einstein_surface, tensor_to_dict
+from hsckit import (
+    EinsteinFramePoint,
+    ExtremizeConfig,
+    KahlerCurvatureTensor,
+    assemble_einstein_surface,
+    extremize_hsc,
+    tensor_to_dict,
+)
 from hsckit.cli import SCHEMAS, dispatch, schema_text
 
 
@@ -77,6 +86,8 @@ def test_cspace_classify_node_filter(capsys):
     )
     assert code == 0
     assert [v["node"] for v in envelope["payload"]["verdicts"]] == [2]
+    assert dispatch(["cspace", "classify", "--family", "A", "--rank", "3", "--node", "4"]) == 1
+    assert capsys.readouterr().err.startswith("NodeOutOfRange: node 4 out of range 1..3 for A3")
 
 
 def test_surface_analyze_zero_point(capsys):
@@ -125,6 +136,18 @@ def test_tensor_extremize_with_oracle(capsys, tensor_file):
         max(-1.0 + 0.5 * (2 * 0.25 + 1.0 + 0.5), -1.0), abs=1e-6
     )
     assert payload["oracle_min"] >= payload["min_value"] - 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_zero_tensor_extremes_are_positive_zero(capsys, tmp_path, n):
+    # the minimum is reported as 0.0 - (maximum of -f), never as -0.0
+    res = extremize_hsc(KahlerCurvatureTensor(np.zeros((n,) * 4)), ExtremizeConfig(starts=4))
+    assert math.copysign(1.0, res.min_value) == math.copysign(1.0, res.max_value) == 1.0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": n, "entries": []}))
+    assert dispatch(["tensor", "extremize", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '"min_value": 0.0,' in out and '"max_value": 0.0,' in out
 
 
 def test_byte_identical_reruns(capsys, tensor_file):
@@ -452,6 +475,10 @@ def test_tensor_validate_checks_stated_entries(capsys, tmp_path):
         (["tensor", "validate", "--input", "{big}"], "TensorFormatError: dimension n=1000000"),
         (["tensor", "extremize", "--input", "{big}"], "TensorFormatError: dimension n=1000000"),
         (["tensor", "extremize", "--input", "{small}", "--starts", "1000000000"], "ValueError: starts must be <= 4096"),
+        (
+            ["tensor", "extremize", "--input", "{small}", "--oracle-samples", "1000000000000"],
+            "ValueError: oracle_samples must be <= 16777216",
+        ),
     ],
 )
 def test_size_ceilings_exit_1(capsys, tmp_path, argv, error):

@@ -49,6 +49,13 @@ def test_validate_assembled_tensor_ok():
     assert validate(T).ok
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e12])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_canonical_tensor_is_exactly_invariant(n, scale):
+    # every image holds its orbit's value bit for bit, at any magnitude
+    assert validate(random_kahler_tensor(n, seed=70 + n, scale=scale), 0.0).ok
+
+
 def test_validate_reports_injected_defect():
     T = assemble_einstein_surface(EinsteinFramePoint(-1.0, 0.25, 0.1))
     R = T.array.copy()
@@ -386,6 +393,14 @@ def test_tensor_json_round_trip():
     back = tensor_from_dict(tensor_to_dict(T))
     assert np.allclose(back.array, T.array, atol=1e-14)
     assert back.asymmetry < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_tensor_json_round_trip_is_bit_exact(n):
+    T = random_kahler_tensor(n, seed=62 + n, scale=1e8)
+    back = tensor_from_dict(tensor_to_dict(T))
+    assert back.array.tobytes() == T.array.tobytes()
+    assert back.asymmetry == 0.0
 
 
 def test_tensor_json_unlisted_orbits_default_zero():

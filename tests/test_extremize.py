@@ -25,6 +25,7 @@ from hsckit import (
 )
 from hsckit.curvature import _quartic_matrix, _values_batch
 from hsckit.extremize import (
+    _MAX_ORACLE_SAMPLES,
     _MAX_STARTS,
     _ascend,
     _best_of_starts,
@@ -54,6 +55,8 @@ def test_config_validation():
         ExtremizeConfig(oracle_samples=-1)
     with pytest.raises(ValueError, match=f"starts must be <= {_MAX_STARTS}"):
         ExtremizeConfig(starts=_MAX_STARTS + 1)
+    with pytest.raises(ValueError, match="oracle_samples must be <= 16777216"):
+        ExtremizeConfig(oracle_samples=_MAX_ORACLE_SAMPLES + 1)
 
 
 def test_gradient_matches_finite_differences():
@@ -99,7 +102,7 @@ def test_trig_argopt_reaches_dense_grid_optimum(sign):
     rng = np.random.default_rng(10)
     grid = np.linspace(-np.pi, np.pi, 20_001, endpoint=False)
     C = _coefficient_rows(rng.standard_normal(100), _random_complex(rng, 100), _random_complex(rng, 100))
-    thetas = _trig_argopt(C, sign)
+    thetas = _trig_argopt(sign * C)
     reached = sign * _trig_eval(C, thetas[:, None])[:, 0]
     for c, value in zip(C, reached):
         best_on_grid = np.max(sign * _trig_eval(c[None], grid[None])[0])
@@ -107,7 +110,7 @@ def test_trig_argopt_reaches_dense_grid_optimum(sign):
 
 
 def test_trig_argopt_constant_polynomial_stays_put():
-    assert _trig_argopt(_coefficient_rows([2.0], [0.0], [0.0]), 1.0)[0] == 0.0
+    assert _trig_argopt(_coefficient_rows([2.0], [0.0], [0.0]))[0] == 0.0
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -122,7 +125,7 @@ def test_trig_argopt_mixed_degrees_reach_the_roots_optimum(sign):
     c2[6], c1[6] = 0.0, c1[6].real  # harmonic 2 in cos only
     c2[7] = 1j * c2[7].imag  # harmonic 4 in sin only: still full degree
     C = _coefficient_rows(c0, c1, c2)
-    thetas = _trig_argopt(C, sign)
+    thetas = _trig_argopt(sign * C)
     for c, theta in zip(C, thetas):
         a, b = _even_ab(c)
         best = sign * trig_eval_serial(a, b, trig_argopt_roots(a, b, sign))
@@ -156,10 +159,10 @@ def test_ascent_stops_at_the_value_noise_floor():
     )
     cfg = ExtremizeConfig(starts=8, seed=88)
     start = _start_directions(2, cfg)[4:5]
-    values, _, iters, converged = _ascend(_quartic_matrix(assemble_einstein_surface(p).array), start, -1.0, cfg)
+    values, _, iters, converged = _ascend(-_quartic_matrix(assemble_einstein_surface(p).array), start, cfg)
     assert converged[0]
     assert iters[0] < cfg.max_iters
-    assert values[0] == pytest.approx(p.H, abs=1e-12)
+    assert -values[0] == pytest.approx(p.H, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -181,9 +184,9 @@ def test_batched_starts_match_serial_ascents(n, seed):
     cfg = ExtremizeConfig(starts=16, seed=seed)
     starts = _start_directions(n, cfg)
     for sign in (-1.0, 1.0):
-        best, _, _, _ = _best_of_starts(_quartic_matrix(T.array), starts, sign, cfg)
+        best, _, _, _ = _best_of_starts(sign * _quartic_matrix(T.array), starts, cfg)
         reference = best_of_starts_serial(T.array, starts, sign, cfg.max_iters)
-        assert best == pytest.approx(reference, rel=1e-12)
+        assert sign * best == pytest.approx(reference, rel=1e-12)
 
 
 def test_constant_tensor_extremes():

@@ -144,10 +144,11 @@ def test_level_sets_partition(family, rank):
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6)])
 def test_closure_independent_of_scan_order(family, rank):
+    # relabelling the simple roots in reverse (permuting the Cartan matrix)
+    # makes the closure scan them in reverse; mapped back, the set is the same
     cartan = cartan_matrix(LieType(family, rank))
-    forward = closure_from_cartan(cartan)
-    backward = closure_from_cartan(cartan, scan_order=range(rank - 1, -1, -1))
-    assert forward == backward
+    backward = {root[::-1] for root in closure_from_cartan(cartan[::-1, ::-1])}
+    assert backward == closure_from_cartan(cartan)
 
 
 def _permuted(roots, perm):
@@ -187,9 +188,6 @@ def test_diagram_automorphism_e6():
 
 
 def test_rank_ceiling_enforced_and_overridable():
-    with pytest.raises(InadmissibleRank):
+    assert len(positive_roots(LieType("A", 12)).positive_roots) == 78
+    with pytest.raises(InadmissibleRank, match="exceeds the enumeration ceiling 12$"):
         positive_roots(LieType("A", 13))
-    rs = positive_roots(LieType("A", 13), max_rank=None)
-    assert len(rs.positive_roots) == 13 * 14 // 2
-    rs = positive_roots(LieType("B", 14), max_rank=14)
-    assert len(rs.positive_roots) == 196
