@@ -8,7 +8,9 @@ standing for ``R_{i jbar k lbar}`` (0-based).  The Kähler symmetries are
 * pair symmetry in the barred slots:    ``R[i,j,k,l] == R[i,l,k,j]``
 * Hermitian symmetry:                   ``conj(R[i,j,k,l]) == R[j,i,l,k]``
 
-The group they generate is stated once, in ``_LINEAR`` and ``_HERMITIAN``.
+The group they generate is stated once, in ``_LINEAR`` and ``_HERMITIAN``,
+and so is the one rule that fills an orbit, in ``_fill_orbits``: the linear
+images of its representative take its value and the others the conjugate.
 Tensors are canonicalized on construction by averaging each symmetry orbit;
 the residual is recorded as the tensor's reported asymmetry.  All values are
 immutable after construction and every operation is a pure function, so
@@ -79,15 +81,14 @@ def _symmetrize(R: np.ndarray) -> np.ndarray:
     """Project onto the Kähler-symmetric subspace (group average).  Images
     are scaled before they are summed, so finite input stays finite.
 
-    The average is read at each orbit's representative and copied to the
-    other images, conjugated where only a conjugating image reaches it and
-    real on self-conjugate orbits, so the result is exactly invariant."""
+    The average is read at each orbit's representative, made real on
+    self-conjugate orbits, and filled over the orbit by ``_fill_orbits``, so
+    the result is exactly invariant."""
     S = reduce(np.add, (0.25 * R.transpose(p) for p in _LINEAR))
     avg = (0.5 * S + 0.5 * S.transpose(_HERMITIAN).conj()).ravel()
     linear, hermitian = _image_mins(R.shape[0])
-    rep = np.minimum(linear, hermitian)
-    v = avg[rep]
-    return np.where(linear == hermitian, v.real, np.where(linear == rep, v, v.conj()))
+    avg.imag[(linear == hermitian).ravel()] = 0.0
+    return _fill_orbits(avg, linear, np.minimum(linear, hermitian))
 
 
 def _image_mins(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,14 +105,12 @@ def _orbit_ids(n: int) -> np.ndarray:
     return np.minimum(*_image_mins(n))
 
 
-def _seed_orbit(R: np.ndarray, idx: tuple[int, ...], value: complex) -> None:
-    """Set the linear images of idx to value and the other images to its conjugate."""
-    linear = [tuple(map(idx.__getitem__, p)) for p in _LINEAR]
-    conj = value.conjugate()
-    for img in linear:
-        R[tuple(map(img.__getitem__, _HERMITIAN))] = conj
-    for img in linear:
-        R[img] = value
+def _fill_orbits(values: np.ndarray, linear: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """Every orbit filled from the value the flat array values holds at its
+    representative rep: linear images copy it and the others take its
+    conjugate.  Every image of a self-conjugate orbit is linear."""
+    v = values[rep]
+    return np.where(linear == rep, v, v.conj())
 
 
 class KahlerCurvatureTensor:
@@ -311,7 +310,10 @@ def transform_frame(tensor: KahlerCurvatureTensor, U: np.ndarray) -> KahlerCurva
     defect = float(np.max(np.abs(U.conj().T @ U - np.eye(n))))
     if defect > SYMMETRY_TOL:
         raise NotUnitary(f"matrix is not unitary (defect {defect:.3g})")
-    Rp = np.einsum("ijkl,ia,jb,kc,ld->abcd", tensor.array, U, U.conj(), U, U.conj())
+    # one factor at a time, O(n^5): each contracts the leading axis and appends the new one
+    Rp = tensor.array
+    for M in (U, U.conj(), U, U.conj()):
+        Rp = np.tensordot(Rp, M, axes=(0, 0))
     return KahlerCurvatureTensor(Rp)
 
 
@@ -354,13 +356,11 @@ def assemble_einstein_surface(point: EinsteinFramePoint) -> KahlerCurvatureTenso
     Only components with two indices equal to each value survive: the
     diagonal entries equal H (the Einstein condition forces ``R_{2 2bar 2
     2bar} = H`` given the vanishing pattern), the mixed orbit equals A and
-    ``R_{1 2bar 1 2bar} = B``.
+    ``R_{1 2bar 1 2bar} = B``; they seed their orbits through the wire format.
     """
-    R = np.zeros((2, 2, 2, 2), dtype=complex)
     seeds = {(0, 0, 0, 0): point.H, (1, 1, 1, 1): point.H, (0, 0, 1, 1): point.A, (0, 1, 0, 1): point.B}
-    for idx, value in seeds.items():
-        _seed_orbit(R, idx, value)
-    return KahlerCurvatureTensor(R)
+    entries = [dict(zip("ijkl", idx), re=value.real, im=value.imag) for idx, value in seeds.items()]
+    return tensor_from_dict({"n": 2, "entries": entries})
 
 
 def hsc_surface_closed_form(point: EinsteinFramePoint, v) -> float:
@@ -440,7 +440,7 @@ def product_tensor(
 # --- JSON wire format -------------------------------------------------------
 #
 # {"n": int, "entries": [{"i":..., "j":..., "k":..., "l":..., "re":..., "im":...}]}
-# Indices are 0-based.  Listed entries are orbit representatives; the symmetry
+# Indices are 0-based.  An entry may name any member of its orbit; the other
 # images are generated on load and unlisted orbits default to zero.
 
 
@@ -467,7 +467,8 @@ def _wire_field(fields: dict, key: str, kinds: type | tuple = int):
 
 def _stated_array(data: dict) -> np.ndarray:
     """The array a wire-format payload states, before canonicalization;
-    ``tensor_from_dict`` gives the rules and the errors."""
+    ``tensor_from_dict`` gives the rules and the errors.  Each value moves to
+    its orbit's representative, conjugated if it names a conjugating image."""
     try:
         n = _wire_field(data, "n")
         raw_entries = data["entries"]
@@ -479,8 +480,9 @@ def _stated_array(data: dict) -> np.ndarray:
         raise TensorFormatError(f"dimension n={n} exceeds the limit of {_MAX_WIRE_N}")
     if not isinstance(raw_entries, list):
         raise TensorFormatError(f"tensor field 'entries' must be a list, got {raw_entries!r}")
-    R = np.zeros((n, n, n, n), dtype=complex)
-    ids = _orbit_ids(n)
+    linear, hermitian = _image_mins(n)
+    ids = np.minimum(linear, hermitian)
+    values = np.zeros(n**4, dtype=complex)
     seen: set[int] = set()
     for entry in raw_entries:
         try:
@@ -493,19 +495,20 @@ def _stated_array(data: dict) -> np.ndarray:
             raise TensorFormatError(f"non-finite value in tensor entry {entry!r}")
         if not all(0 <= x < n for x in idx):
             raise TensorFormatError(f"index {idx} out of range for n={n}")
-        if ids[idx] in seen:
+        rep = ids[idx]
+        if rep in seen:
             raise TensorFormatError(f"duplicate symmetry orbit at {idx}")
-        seen.add(ids[idx])
-        _seed_orbit(R, idx, val)
-    return R
+        seen.add(rep)
+        values[rep] = val if linear[idx] == rep else val.conjugate()
+    return _fill_orbits(values, linear, ids)
 
 
 def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
     """Load a tensor from the wire format, generating symmetry images.
 
-    Each listed entry seeds its whole orbit (conjugate images get the
-    conjugate value).  Two entries in the same orbit are rejected.  The
-    result is canonicalized as usual, so a non-real value at a self-conjugate
+    An entry may name any member of its orbit and seeds the whole orbit
+    (conjugate images of that member get the conjugate value).  Two entries
+    in the same orbit are rejected.  The result is canonicalized as usual, so a non-real value at a self-conjugate
     orbit shows up in the tensor's asymmetry rather than passing silently.
     ``n`` (at most 32) and the indices must be ints and ``re``/``im`` finite
     ints or floats (bools excluded); anything else raises TensorFormatError.

@@ -245,24 +245,22 @@ def _trig_argopt(c: np.ndarray) -> np.ndarray:
     polynomial with coefficients (2 c_2, c_1, 0, -conj(c_1), -2 conj(c_2));
     theta = 0 is always the last candidate, and the first best one wins.  The roots
     are the eigenvalues of the 4 x 4 companion matrices, all rows in one
-    call; a row whose leading coefficient is exactly 0 has lower degree and
-    takes ``np.roots``, and its unused candidate slots hold 0.
+    call.  A row with 2 c_2 exactly 0 has a zero constant term too, so it is
+    multiplied by w to keep degree 4; the added root w = 0 has angle 0, a
+    candidate already.  The zero row takes lead 1, so its roots are all 0.
     """
     c1, c2 = c[:, 1], c[:, 2]
-    zero = np.zeros_like(c1)
-    # highest power first, as np.roots takes them
-    coeffs = np.column_stack((2.0 * c2, c1, zero, -c1.conj(), -2.0 * c2.conj()))
+    # highest power first
+    coeffs = np.column_stack((2.0 * c2, c1, np.zeros_like(c1), -c1.conj(), -2.0 * c2.conj()))
+    low = coeffs[:, 0] == 0
+    coeffs[low, :-1] = coeffs[low, 1:]
+    coeffs[coeffs[:, 0] == 0, 0] = 1.0
     m = len(coeffs)
-    candidates = np.zeros((m, 5))
-    full = coeffs[:, 0] != 0
-    companion = np.zeros((int(full.sum()), 4, 4), dtype=complex)
-    companion[:, 0, :] = -coeffs[full, 1:] / coeffs[full, :1]
+    companion = np.zeros((m, 4, 4), dtype=complex)
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
     companion[:, np.arange(1, 4), np.arange(3)] = 1.0
-    candidates[full, :4] = np.angle(np.linalg.eigvals(companion))
-    for row in np.flatnonzero(~full):
-        roots = np.roots(coeffs[row])
-        candidates[row, : len(roots)] = np.angle(roots)
-    candidates /= 2.0
+    candidates = np.zeros((m, 5))
+    candidates[:, :4] = 0.5 * np.angle(np.linalg.eigvals(companion))
     best = np.argmax(_trig_eval(c, candidates), axis=1)
     return candidates[np.arange(m), best]
 
@@ -336,10 +334,8 @@ def _best_of_starts(
     values, V, iters, converged = _ascend(K, starts, cfg)
     best = float(values.max())
     ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
-    normalized = sorted(
-        ((_normalize_phase(V[i]), bool(converged[i])) for i in ties), key=lambda item: _lex_key(item[0])
-    )
-    return best, Direction(normalized[0][0]), any(conv for _, conv in normalized), int(iters.sum())
+    argbest = min((_normalize_phase(V[i]) for i in ties), key=_lex_key)
+    return best, Direction(argbest), bool(converged[ties].any()), int(iters.sum())
 
 
 def extremize_hsc(

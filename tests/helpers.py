@@ -111,3 +111,9 @@ def best_of_starts_serial(R: np.ndarray, starts: np.ndarray, sign: float, max_it
             v, f = w, fw
         finals.append(sign * f)
     return min(finals) if sign < 0 else max(finals)
+
+
+def transform_frame_einsum(R: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Reference frame change: the single five-operand einsum
+    ``R'[a,b,c,d] = sum R[i,j,k,l] U[i,a] conj(U[j,b]) U[k,c] conj(U[l,d])``."""
+    return np.einsum("ijkl,ia,jb,kc,ld->abcd", R, U, U.conj(), U, U.conj())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from hsckit import (
     validate,
 )
 from hsckit.curvature import _HERMITIAN, _orbit_ids, _stated_array
-from helpers import hsc_bruteforce, random_kahler_tensor, random_unitary
+from helpers import hsc_bruteforce, random_kahler_tensor, random_unitary, transform_frame_einsum
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -225,6 +227,22 @@ def test_unitary_invariance_of_spectral_data():
         np.linalg.eigvalsh(ricci(T)), np.linalg.eigvalsh(ricci(Tp)), atol=1e-8
     )
     assert scalar(T) == pytest.approx(scalar(Tp), abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transform_matches_einsum_reference(n):
+    T = random_kahler_tensor(n, seed=40 + n)
+    U = random_unitary(n, seed=50 + n)
+    reference = KahlerCurvatureTensor(transform_frame_einsum(T.array, U)).array
+    assert np.max(np.abs(transform_frame(T, U).array - reference)) <= 1e-12
+
+
+def test_transform_at_n16_is_fast():
+    T = random_kahler_tensor(16, seed=60)
+    U = random_unitary(16, seed=61)
+    start = time.perf_counter()
+    transform_frame(T, U)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_not_unitary_rejected():
@@ -480,6 +498,28 @@ def test_serialized_tensor_states_a_symmetric_array(n):
     for seed in range(3):
         T = random_kahler_tensor(n, seed=70 + 10 * n + seed)
         assert validate(_stated_array(tensor_to_dict(T))).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stated_array_fills_each_orbit_from_any_member(n):
+    # each entry names a random member of its orbit with a complex value,
+    # non-real on self-conjugate orbits too; the member's linear images
+    # hold the value and the rest of its orbit the conjugate
+    rng = np.random.default_rng(90 + n)
+    expected = np.zeros((n,) * 4, dtype=complex)
+    entries, done = [], set()
+    for idx in np.ndindex(expected.shape):
+        orbit = _orbit_closure(idx)
+        if min(orbit) in done or rng.random() < 0.25:
+            continue
+        done.add(min(orbit))
+        i, j, k, l = sorted(orbit)[rng.integers(len(orbit))]
+        value = complex(rng.standard_normal(), rng.standard_normal())
+        entries.append({"i": i, "j": j, "k": k, "l": l, "re": value.real, "im": value.imag})
+        linear = {(i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j)}
+        for image in orbit:
+            expected[image] = value if image in linear else value.conjugate()
+    assert np.array_equal(_stated_array({"n": n, "entries": entries}), expected)
 
 
 def _assemble_by_hand(point: EinsteinFramePoint) -> np.ndarray:
