@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cspace import AuditEntry, CSpaceDescriptor, classify_all, itoh_positive, published_positive
+from .cspace import AuditEntry, CSpaceDescriptor, classify_all, itoh_positive
 from .curvature import (
     EinsteinFramePoint,
     KahlerCurvatureTensor,
@@ -50,7 +50,7 @@ from .geography import (
     plot_columns,
     records_from_json,
 )
-from .rootsys import FAMILIES, LieType, cartan_matrix, highest_root, positive_roots
+from .rootsys import FAMILIES, LieType, highest_root, positive_roots
 
 __all__ = ["SCHEMAS", "build_parser", "dispatch", "main", "schema_text"]
 
@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     textremize.add_argument("--max-iters", type=int, default=ExtremizeConfig.max_iters)
     textremize.add_argument("--seed", type=int, default=ExtremizeConfig.seed)
     textremize.add_argument("--oracle-samples", type=int, default=ExtremizeConfig.oracle_samples)
-    textremize.add_argument("--tolerance", type=float, default=SYMMETRY_TOL)
     _add_output_options(textremize)
 
     geography = groups.add_parser("geography", help="Chern-number bound bookkeeping")
@@ -150,7 +149,7 @@ def _run_cspace_roots(args) -> tuple[dict, list[str]]:
         "family": lie_type.family,
         "rank": lie_type.rank,
         "count": len(rs.positive_roots),
-        "cartan": cartan_matrix(lie_type).tolist(),
+        "cartan": rs.cartan.tolist(),
         "highest_root": list(highest_root(rs)),
         "roots": [list(r) for r in rs.positive_roots],
     }
@@ -169,7 +168,7 @@ def _run_cspace_classify(args) -> tuple[dict, list[str]]:
         if not args.audit:
             items.append(verdict.to_payload())
             continue
-        entry = AuditEntry(verdict, published_positive(verdict.descriptor))
+        entry = AuditEntry(verdict)
         items.append(entry.to_payload())
         if entry.category == "disagree":
             witnesses = ", ".join(str(tuple(r)) for r in verdict.evidence)
@@ -224,8 +223,6 @@ def _parse_file(path: Path, parse, error: type[Exception]):
 def _load_tensor(path: Path, tolerance: float) -> tuple[np.ndarray, KahlerCurvatureTensor, list[str]]:
     """The array a tensor file states, the tensor it canonicalizes to, and
     a warning when the two differ by more than tolerance."""
-    if not 0.0 <= tolerance < float("inf"):  # also rejects nan
-        raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance}")
     stated = _stated_array(_parse_file(path, json.loads, TensorFormatError))
     tensor = KahlerCurvatureTensor(stated)
     warnings = []
@@ -246,7 +243,7 @@ def _run_tensor_validate(args) -> tuple[dict, list[str]]:
 
 
 def _run_tensor_extremize(args) -> tuple[dict, list[str]]:
-    _, tensor, warnings = _load_tensor(args.input, args.tolerance)
+    _, tensor, warnings = _load_tensor(args.input, SYMMETRY_TOL)
     cfg = ExtremizeConfig(
         starts=args.starts,
         max_iters=args.max_iters,
@@ -337,14 +334,11 @@ def _classify_tsv(payload: dict) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _verdicts_tsv(payload: dict) -> tuple[list[str], list[list]]:
-    header = ["name", "c1sq", "c2", "passes", "margin"]
-    return header, [[v[c] for c in header] for v in payload["verdicts"]]
-
-
-def _plotdata_tsv(payload: dict) -> tuple[list[str], list[list]]:
-    header = ["name", "c1sq", "c2", "line_c2"]
-    return header, [[r[c] for c in header] for r in payload["rows"]]
+def _records_tsv(key: str, *extra: str):
+    """Layout listing name, c1sq, c2 and the extra fields of each record in
+    payload[key]."""
+    header = ["name", "c1sq", "c2", *extra]
+    return lambda payload: (header, [[r[c] for c in header] for r in payload[key]])
 
 
 # every subcommand: its runner and its TSV layout (None: key/value flattening)
@@ -354,10 +348,10 @@ _COMMANDS = {
     "surface analyze": (_run_surface_analyze, None),
     "tensor validate": (_run_tensor_validate, None),
     "tensor extremize": (_run_tensor_extremize, None),
-    "geography check": (_run_geography_check, _verdicts_tsv),
+    "geography check": (_run_geography_check, _records_tsv("verdicts", "passes", "margin")),
     "geography blowup": (_run_geography_blowup, None),
-    "geography scan-horikawa": (_run_geography_scan, _verdicts_tsv),
-    "geography plotdata": (_run_geography_plotdata, _plotdata_tsv),
+    "geography scan-horikawa": (_run_geography_scan, _records_tsv("verdicts", "passes", "margin")),
+    "geography plotdata": (_run_geography_plotdata, _records_tsv("rows", "line_c2")),
 }
 
 # payload schema shipped for each subcommand, plus the envelope's

@@ -18,7 +18,6 @@ from .rootsys import LieType, Root, RootSystem, positive_roots
 
 __all__ = [
     "AuditEntry",
-    "AuditReport",
     "CSpaceDescriptor",
     "CSpaceVerdict",
     "PUBLISHED_CLASSICAL_FAMILIES",
@@ -131,7 +130,10 @@ class AuditEntry:
     """One descriptor compared against the published classification."""
 
     verdict: CSpaceVerdict
-    published_positive: bool
+
+    @property
+    def published_positive(self) -> bool:
+        return published_positive(self.verdict.descriptor)
 
     @property
     def category(self) -> str:
@@ -146,29 +148,6 @@ class AuditEntry:
         return payload
 
 
-@dataclass(frozen=True, eq=False)
-class AuditReport:
-    """Computed-vs-published comparison over a deterministic descriptor sweep."""
-
-    entries: tuple[AuditEntry, ...]
-
-    def by_category(self, category: str) -> list[AuditEntry]:
-        return [e for e in self.entries if e.category == category]
-
-    @property
-    def disagreements(self) -> list[AuditEntry]:
-        return self.by_category("disagree")
-
-    def to_payload(self) -> dict:
-        return {
-            "entries": [e.to_payload() for e in self.entries],
-            "counts": {
-                cat: len(self.by_category(cat))
-                for cat in ("agree-positive", "agree-negative", "disagree")
-            },
-        }
-
-
 def published_positive(descriptor: CSpaceDescriptor) -> bool:
     """Whether the published classification lists this case as positive."""
     fam = descriptor.lie_type.family
@@ -178,14 +157,15 @@ def published_positive(descriptor: CSpaceDescriptor) -> bool:
     return descriptor.node in nodes
 
 
-def audit_against_published() -> AuditReport:
+def audit_against_published() -> tuple[AuditEntry, ...]:
     """Compare computed verdicts with the published classification.
 
-    Covers every node of the classical families at ranks 2 to 8 (D from its
-    smallest rank, 3) and of all exceptional types.  Each entry lands in
-    exactly one of three categories: agree-positive, agree-negative,
-    disagree (the latter carrying witness roots via its verdict).
-    Mismatches are reported, never patched.
+    Returns one entry per node, in type then node order, covering every node
+    of the classical families at ranks 2 to 8 (D from its smallest rank, 3)
+    and of all exceptional types.  Each entry lands in exactly one of three
+    categories: agree-positive, agree-negative, disagree (the latter
+    carrying witness roots via its verdict).  Mismatches are reported, never
+    patched.
     """
     types: list[LieType] = []
     for fam in PUBLISHED_CLASSICAL_FAMILIES:
@@ -193,11 +173,4 @@ def audit_against_published() -> AuditReport:
             types.append(LieType(fam, rank))
     for fam, rank in sorted(PUBLISHED_EXCEPTIONAL_POSITIVE):
         types.append(LieType(fam, rank))
-
-    entries: list[AuditEntry] = []
-    for lie_type in types:
-        for verdict in classify_all(lie_type):
-            entries.append(
-                AuditEntry(verdict=verdict, published_positive=published_positive(verdict.descriptor))
-            )
-    return AuditReport(entries=tuple(entries))
+    return tuple(AuditEntry(verdict) for lie_type in types for verdict in classify_all(lie_type))

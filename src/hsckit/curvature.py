@@ -151,18 +151,33 @@ class KahlerCurvatureTensor:
         return f"KahlerCurvatureTensor(n={self.n}, asymmetry={self._asymmetry:.3g})"
 
 
+def _unit(v) -> np.ndarray:
+    """The flat complex unit vector along v; ValueError if v is zero or has
+    a non-finite entry.
+
+    The norm is taken after scaling by the power of two just above the
+    largest real or imaginary part.  That scaling is exact, so no finite v
+    overflows or underflows, and a v within the float range normalizes to
+    the same bits as it would unscaled."""
+    parts = np.array(v, dtype=complex).reshape(-1).view(float)
+    if not np.isfinite(parts).all():
+        raise ValueError("direction must be finite")
+    peak = np.max(np.abs(parts), initial=0.0)
+    if peak == 0.0:
+        raise ValueError("direction must be nonzero")
+    scaled = np.ldexp(parts, -np.frexp(peak)[1]).view(complex)
+    return scaled / np.linalg.norm(scaled)
+
+
 @dataclass(frozen=True, eq=False)
 class Direction:
-    """A nonzero complex direction, normalized to unit length on creation."""
+    """A nonzero finite complex direction, normalized to unit length on
+    creation by the rule of ``_unit``."""
 
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ValueError("direction must be nonzero")
-        v = v / norm
+        v = _unit(self.vector)
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 
@@ -172,10 +187,11 @@ class Direction:
 
 
 def _as_vector(v, n: int) -> np.ndarray:
-    vec = np.asarray(getattr(v, "vector", v), dtype=complex).reshape(-1)
-    if vec.shape[0] != n:
-        raise DimensionMismatch(f"direction has length {vec.shape[0]}, tensor has n={n}")
-    return vec
+    """The unit vector along v, a Direction or an array of length n."""
+    v = getattr(v, "vector", v)
+    if np.size(v) != n:
+        raise DimensionMismatch(f"direction has length {np.size(v)}, tensor has n={n}")
+    return _unit(v)
 
 
 @dataclass(frozen=True)
@@ -219,8 +235,11 @@ def validate(
     A tensor is canonical and always passes; a raw array (such as the stated
     entries of a file) is checked as it stands.  Violations are aggregated
     per orbit, named by its smallest index, with the worst magnitude; an
-    empty list means the array is symmetric within tol.
+    empty list means the array is symmetric within tol, which must be
+    finite and non-negative (else ValueError).
     """
+    if not 0.0 <= tol < float("inf"):  # also rejects nan
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     R = tensor.array if isinstance(tensor, KahlerCurvatureTensor) else np.asarray(tensor, dtype=complex)
     with np.errstate(over="ignore"):  # a difference beyond the float range is inf
         relations = (
@@ -271,19 +290,30 @@ def _values_batch(K: np.ndarray, V: np.ndarray) -> np.ndarray:
     return out
 
 
+def _value_and_gradient(K: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and its Euclidean gradient at every row v of V, from one product.
+
+    With Y = (v (x) v) K read as an n x n matrix, ``Y conj(v)`` is the cubic
+    contraction ``sum R[i,m,k,l] v_i v_k conj(v_l)``: the gradient in R^{2n}
+    coordinates, as a complex vector, is 4 Y conj(v) (2 d f / d conj(v),
+    doubled again by the two barred slots), and ``f = Re conj(v).Y conj(v)``.
+    """
+    m, n = V.shape
+    X = (V[:, :, None] * V[:, None, :]).reshape(m, n * n)
+    Yv = ((X @ K).reshape(m, n, n) * V.conj()[:, None, :]).sum(axis=2)
+    return (V.conj() * Yv).sum(axis=1).real, 4.0 * Yv
+
+
 def hsc(tensor: KahlerCurvatureTensor, v) -> float:
     """Holomorphic sectional curvature along a direction.
 
-    Evaluates ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` with the input
-    normalized internally (the contraction is divided by |v|^4), so the
-    result is scale-invariant.  Every tensor is canonical, so the
-    contraction is real up to rounding and its real part is returned.
+    Evaluates ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` at the unit
+    vector along v, so the result is scale-invariant; v must be nonzero and
+    finite (else ValueError).  Every tensor is canonical, so the contraction
+    is real up to rounding and its real part is returned.
     """
     vec = _as_vector(v, tensor.n)
-    norm_sq = float(np.vdot(vec, vec).real)
-    if norm_sq == 0.0:
-        raise ValueError("direction must be nonzero")
-    return float(_values_batch(_quartic_matrix(tensor.array), vec[None, :])[0]) / (norm_sq * norm_sq)
+    return float(_values_batch(_quartic_matrix(tensor.array), vec[None, :])[0])
 
 
 def ricci(tensor: KahlerCurvatureTensor) -> np.ndarray:
@@ -366,10 +396,6 @@ def assemble_einstein_surface(point: EinsteinFramePoint) -> KahlerCurvatureTenso
 def hsc_surface_closed_form(point: EinsteinFramePoint, v) -> float:
     """HSC along v from the distinguished-frame closed form."""
     vec = _as_vector(v, 2)
-    norm_sq = float(np.vdot(vec, vec).real)
-    if norm_sq == 0.0:
-        raise ValueError("direction must be nonzero")
-    vec = vec / np.sqrt(norm_sq)
     cross = vec[0] * np.conj(vec[1])
     t = abs(cross) ** 2
     return float(
@@ -508,9 +534,10 @@ def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
 
     An entry may name any member of its orbit and seeds the whole orbit
     (conjugate images of that member get the conjugate value).  Two entries
-    in the same orbit are rejected.  The result is canonicalized as usual, so a non-real value at a self-conjugate
-    orbit shows up in the tensor's asymmetry rather than passing silently.
-    ``n`` (at most 32) and the indices must be ints and ``re``/``im`` finite
-    ints or floats (bools excluded); anything else raises TensorFormatError.
+    in the same orbit are rejected.  The result is canonicalized as usual,
+    so a non-real value at a self-conjugate orbit shows up in the tensor's
+    asymmetry rather than passing silently.  ``n`` (at most 32) and the
+    indices must be ints and ``re``/``im`` finite ints or floats (bools
+    excluded); anything else raises TensorFormatError.
     """
     return KahlerCurvatureTensor(_stated_array(data))

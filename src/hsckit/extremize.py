@@ -11,11 +11,9 @@ line search is exact: every stationary angle is half the argument of a root
 of a degree-4 polynomial, and the best of those angles is the circle's
 global optimum, with no grid and no noise floor.
 
-Every evaluation is a matrix product with the n^2 x n^2 matrix ``K =
-R.transpose(0, 2, 1, 3).reshape(n^2, n^2)``, so ``K[(i,k),(j,l)] =
-R[i,j,k,l]`` and ``f(v) = Re conj(x).(x K)`` for ``x = v (x) v``.  One
-product ``Y = x K``, read as an n x n matrix, also gives the gradient ``4 Y
-conj(v)`` and ``f = Re conj(v).Y conj(v)``; the accepted step's product is
+Every evaluation is one product with the n^2 x n^2 quartic matrix K of
+``curvature``, which gives f alone (``_values_batch``) or f and its
+gradient together (``_value_and_gradient``); the accepted step's product is
 the next step's gradient.  The minimum of f is minus the maximum of -f,
 whose matrix is -K, so one ascent serves both extremes.  The starts ascend
 in lockstep as the rows of one array: each step is one fused product for
@@ -50,6 +48,7 @@ from .curvature import (
     EinsteinFramePoint,
     KahlerCurvatureTensor,
     _quartic_matrix,
+    _value_and_gradient,
     _values_batch,
     ricci,
     transform_frame,
@@ -129,26 +128,12 @@ class ExtremizeResult:
 
 @dataclass(frozen=True, eq=False)
 class SampleResult:
+    """Smallest, largest and mean HSC over ``samples`` sphere points."""
+
     min_value: float
     max_value: float
-    argmin: Direction
-    argmax: Direction
     mean: float
     samples: int
-
-
-def _value_and_gradient(K: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f and its Euclidean gradient at every row v of V, from one product.
-
-    With Y = (v (x) v) K read as an n x n matrix, ``Y conj(v)`` is the cubic
-    contraction ``sum R[i,m,k,l] v_i v_k conj(v_l)``: the gradient in R^{2n}
-    coordinates, as a complex vector, is 4 Y conj(v) (2 d f / d conj(v),
-    doubled again by the two barred slots), and ``f = Re conj(v).Y conj(v)``.
-    """
-    m, n = V.shape
-    X = (V[:, :, None] * V[:, None, :]).reshape(m, n * n)
-    Yv = ((X @ K).reshape(m, n, n) * V.conj()[:, None, :]).sum(axis=2)
-    return (V.conj() * Yv).sum(axis=1).real, 4.0 * Yv
 
 
 def sample_unit_sphere(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -158,43 +143,26 @@ def sample_unit_sphere(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleResult:
-    """HSC extremes (and mean) over m uniform unit-sphere samples.
+    """HSC extremes and mean over m uniform unit-sphere samples (values
+    only, no directions).
 
     A brute-force oracle: deterministic per seed, chunked at a fixed size so
-    results do not depend on memory pressure or parallelism.
+    results do not depend on memory pressure or parallelism.  Each chunk
+    keeps only its min, max and sum.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
     K = _quartic_matrix(tensor.array)
-    n = tensor.n
     rng = np.random.default_rng(seed)
-    best_min = np.inf
-    best_max = -np.inf
-    arg_min = arg_max = None
-    total = 0.0
-    done = 0
-    while done < m:
-        count = min(_CHUNK, m - done)
-        V = sample_unit_sphere(n, count, rng)
-        vals = _values_batch(K, V)
-        i_min = int(np.argmin(vals))
-        i_max = int(np.argmax(vals))
-        if vals[i_min] < best_min:
-            best_min = float(vals[i_min])
-            arg_min = V[i_min].copy()
-        if vals[i_max] > best_max:
-            best_max = float(vals[i_max])
-            arg_max = V[i_max].copy()
+    lo, hi, total = np.inf, -np.inf, 0.0
+    for done in range(0, m, _CHUNK):
+        vals = _values_batch(K, sample_unit_sphere(tensor.n, min(_CHUNK, m - done), rng))
+        # argmin/argmax pick the first extreme entry; np.min and np.max may
+        # return either zero when 0.0 and -0.0 tie
+        lo = min(lo, float(vals[vals.argmin()]))
+        hi = max(hi, float(vals[vals.argmax()]))
         total += float(vals.sum())
-        done += count
-    return SampleResult(
-        min_value=best_min,
-        max_value=best_max,
-        argmin=Direction(_normalize_phase(arg_min)),
-        argmax=Direction(_normalize_phase(arg_max)),
-        mean=total / m,
-        samples=m,
-    )
+    return SampleResult(min_value=lo, max_value=hi, mean=total / m, samples=m)
 
 
 def _normalize_phase(v: np.ndarray) -> np.ndarray:
@@ -348,10 +316,10 @@ def extremize_hsc(
     phase copies ``i e_j`` too.  Each start runs a projected gradient ascent
     of f for the maximum and of -f (matrix -K) for the minimum, reported as
     ``0.0 - best`` so that a zero minimum is +0.0.  Non-convergence is
-    flagged on the result, not raised, so batch runs keep going.  Reported argmin/argmax are phase-normalized
-    (first nonzero component real positive) and ties within a relative 1e-12
-    break lexicographically.  A value beyond the float range raises
-    FloatingPointError.
+    flagged on the result, not raised, so batch runs keep going.  Reported
+    argmin/argmax are phase-normalized (first nonzero component real
+    positive) and ties within a relative 1e-12 break lexicographically.  A
+    value beyond the float range raises FloatingPointError.
     """
     K = _quartic_matrix(tensor.array)
     starts = _start_directions(tensor.n, cfg)

@@ -79,21 +79,22 @@ def test_itoh_classifier_audit():
             classical_ok &= all(v.itoh_positive for v in classify_all(LieType(family, rank)))
     report = audit_against_published()
     categorized = all(
-        e.category in ("agree-positive", "agree-negative", "disagree") for e in report.entries
+        e.category in ("agree-positive", "agree-negative", "disagree") for e in report
     )
-    witnesses_ok = all(e.verdict.evidence for e in report.disagreements)
+    disagreements = [e for e in report if e.category == "disagree"]
+    witnesses_ok = all(e.verdict.evidence for e in disagreements)
     e6_nodes = {
         e.verdict.descriptor.node
-        for e in report.entries
+        for e in report
         if e.verdict.descriptor.lie_type == LieType("E", 6)
     }
     e6_reported = e6_nodes == {1, 2, 3, 4, 5, 6}
     elapsed = time.perf_counter() - start
-    disagreements = [str(e.verdict.descriptor) for e in report.disagreements]
+    names = [str(e.verdict.descriptor) for e in disagreements]
     _report(
         "itoh classifier audit",
         classical_ok and categorized and witnesses_ok and e6_reported and elapsed < 1.0,
-        f"{len(report.entries)} descriptors, disagreements: {disagreements or 'none'}, "
+        f"{len(report)} descriptors, disagreements: {names or 'none'}, "
         f"{elapsed:.3f}s",
     )
 

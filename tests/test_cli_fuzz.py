@@ -95,7 +95,7 @@ def argvs(draw):
     elif command.startswith("tensor"):
         files["tensor.json"] = draw(tensor_payloads())
         argv += ["--input", "{dir}/tensor.json"]
-        if draw(st.booleans()):
+        if command == "tensor validate" and draw(st.booleans()):
             argv += [f"--tolerance={draw(mostly(st.sampled_from(['0', '1e-9', '0.5']), '-1', 'nan'))}"]
         if command == "tensor extremize":
             argv += [

@@ -106,7 +106,7 @@ def test_audit_f4_node1_agrees_positive():
     report = audit_against_published()
     entry = next(
         e
-        for e in report.entries
+        for e in report
         if e.verdict.descriptor.lie_type == LieType("F", 4) and e.verdict.descriptor.node == 1
     )
     assert entry.category == "agree-positive"
@@ -116,7 +116,7 @@ def test_audit_e7_node3_agrees_negative():
     report = audit_against_published()
     entry = next(
         e
-        for e in report.entries
+        for e in report
         if e.verdict.descriptor.lie_type == LieType("E", 7) and e.verdict.descriptor.node == 3
     )
     assert entry.category == "agree-negative"
@@ -127,7 +127,7 @@ def test_audit_covers_e6_and_flags_node4():
     report = audit_against_published()
     e6_entries = {
         e.verdict.descriptor.node: e
-        for e in report.entries
+        for e in report
         if e.verdict.descriptor.lie_type == LieType("E", 6)
     }
     assert set(e6_entries) == {1, 2, 3, 4, 5, 6}, "every marked E6 node must appear"
@@ -143,14 +143,17 @@ def test_audit_covers_e6_and_flags_node4():
 
 def test_audit_categories_partition():
     report = audit_against_published()
-    total = sum(len(report.by_category(c)) for c in ("agree-positive", "agree-negative", "disagree"))
-    assert total == len(report.entries)
-    assert len(report.disagreements) == 1  # only (E6, node 4)
+    total = sum(
+        len([e for e in report if e.category == c])
+        for c in ("agree-positive", "agree-negative", "disagree")
+    )
+    assert total == len(report)
+    assert len([e for e in report if e.category == "disagree"]) == 1  # only (E6, node 4)
 
 
 def test_audit_deterministic():
-    a = audit_against_published().to_payload()
-    b = audit_against_published().to_payload()
+    a = [e.to_payload() for e in audit_against_published()]
+    b = [e.to_payload() for e in audit_against_published()]
     assert a == b
 
 

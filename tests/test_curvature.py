@@ -67,6 +67,15 @@ def test_validate_reports_injected_defect():
     assert any(v.indices == (0, 1, 0, 1) for v in report.violations)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_validate_rejects_bad_tolerance(tol):
+    R = np.zeros((2, 2, 2, 2), dtype=complex)
+    R[0, 1, 0, 1] = 1.0  # conjugate image left unset
+    assert not validate(R, 1e-9).ok
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        validate(R, tol)
+
+
 def test_canonicalization_records_residual():
     R = np.zeros((2, 2, 2, 2), dtype=complex)
     R[0, 0, 0, 0] = 1.0
@@ -146,8 +155,11 @@ def test_hsc_scale_invariant():
     T = random_kahler_tensor(2, seed=9)
     v = np.array([0.3 + 1j, -0.7])
     base = hsc(T, v)
-    for lam in (2.0, -3.5, 1j, 0.1 - 0.2j):
+    for lam in (2.0, -3.5, 1j, 0.1 - 0.2j, 1e200, 1e-200):
         assert hsc(T, lam * v) == pytest.approx(base, rel=1e-12)
+    for bad in ([np.inf, 0.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            hsc(T, bad)
 
 
 def test_hsc_dimension_mismatch():
@@ -158,8 +170,13 @@ def test_hsc_dimension_mismatch():
 def test_direction_normalizes_and_rejects_zero():
     d = Direction([3.0, 4.0])
     assert np.linalg.norm(d.vector) == pytest.approx(1.0)
+    for scale in (1e200, 1e-200):
+        assert np.allclose(Direction([3.0 * scale, 4.0 * scale]).vector, d.vector, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         Direction([0.0, 0.0])
+    for bad in ([np.inf, 0.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            Direction(bad)
 
 
 # --- contractions -------------------------------------------------------------
