@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -60,85 +61,60 @@ def schema_text(command: str) -> str:
     return resources.files("hsckit.schemas").joinpath(SCHEMAS[command]).read_text()
 
 
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--output", type=Path, default=None, help="write to file instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hsckit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hsckit {__version__}")
     groups = parser.add_subparsers(dest="group", required=True)
+    group_cmds = {
+        group: groups.add_parser(group, help=text).add_subparsers(dest="command", required=True)
+        for group, text in _GROUPS.items()
+    }
+    sub = {}
+    for name, (text, _, _) in _COMMANDS.items():
+        group, command = name.split(" ")
+        sub[name] = group_cmds[group].add_parser(command, help=text)
 
-    cspace = groups.add_parser("cspace", help="root systems and marked-node positivity")
-    cspace_cmds = cspace.add_subparsers(dest="command", required=True)
-
-    roots = cspace_cmds.add_parser("roots", help="list the positive roots of a simple type")
-    roots.add_argument("--family", required=True, choices=FAMILIES)
-    roots.add_argument("--rank", required=True, type=int)
-    _add_output_options(roots)
-
-    classify = cspace_cmds.add_parser(
-        "classify", help="positivity verdict per marked node, optionally audited"
-    )
-    classify.add_argument("--family", required=True, choices=FAMILIES)
-    classify.add_argument("--rank", required=True, type=int)
+    for name in ("cspace roots", "cspace classify"):
+        sub[name].add_argument("--family", required=True, choices=FAMILIES)
+        sub[name].add_argument("--rank", required=True, type=int)
+    classify = sub["cspace classify"]
     classify.add_argument("--node", type=int, default=None, help="restrict to one node")
     classify.add_argument(
         "--audit", action="store_true", help="compare against the published classification"
     )
-    _add_output_options(classify)
 
-    surface = groups.add_parser("surface", help="distinguished-frame surface analysis")
-    surface_cmds = surface.add_subparsers(dest="command", required=True)
-    analyze = surface_cmds.add_parser("analyze", help="extremes, bound verdict and gamma functions")
+    analyze = sub["surface analyze"]
     analyze.add_argument("--H", required=True, type=float, help="HSC minimum R_{1 1b 1 1b}")
     analyze.add_argument("--A", required=True, type=float, help="R_{1 1b 2 2b}")
     analyze.add_argument("--B-re", dest="b_re", type=float, default=0.0, help="Re R_{1 2b 1 2b}")
     analyze.add_argument("--B-im", dest="b_im", type=float, default=0.0, help="Im R_{1 2b 1 2b}")
-    _add_output_options(analyze)
 
-    tensor = groups.add_parser("tensor", help="curvature tensor validation and extremization")
-    tensor_cmds = tensor.add_subparsers(dest="command", required=True)
+    for name in ("tensor validate", "tensor extremize"):
+        sub[name].add_argument("--input", required=True, type=Path, help="tensor JSON file")
+    sub["tensor validate"].add_argument("--tolerance", type=float, default=SYMMETRY_TOL)
+    for field in fields(ExtremizeConfig):
+        flag = "--" + field.name.replace("_", "-")
+        sub["tensor extremize"].add_argument(flag, type=type(field.default), default=field.default)
 
-    tvalidate = tensor_cmds.add_parser("validate", help="check the Kähler symmetries")
-    tvalidate.add_argument("--input", required=True, type=Path, help="tensor JSON file")
-    tvalidate.add_argument("--tolerance", type=float, default=SYMMETRY_TOL)
-    _add_output_options(tvalidate)
-
-    textremize = tensor_cmds.add_parser("extremize", help="HSC extremes over the unit sphere")
-    textremize.add_argument("--input", required=True, type=Path, help="tensor JSON file")
-    textremize.add_argument("--starts", type=int, default=ExtremizeConfig.starts)
-    textremize.add_argument("--max-iters", type=int, default=ExtremizeConfig.max_iters)
-    textremize.add_argument("--seed", type=int, default=ExtremizeConfig.seed)
-    textremize.add_argument("--oracle-samples", type=int, default=ExtremizeConfig.oracle_samples)
-    _add_output_options(textremize)
-
-    geography = groups.add_parser("geography", help="Chern-number bound bookkeeping")
-    geography_cmds = geography.add_subparsers(dest="command", required=True)
-
-    check = geography_cmds.add_parser("check", help="decide c2 <= 3 c1^2 per record")
-    source = check.add_mutually_exclusive_group(required=True)
+    source = sub["geography check"].add_mutually_exclusive_group(required=True)
     source.add_argument("--builtin", action="store_true", help="use the published family catalog")
     source.add_argument("--input", type=Path, help="surface JSON file")
-    _add_output_options(check)
 
-    blowup = geography_cmds.add_parser("blowup", help="Chern numbers after k point blow-ups")
+    blowup = sub["geography blowup"]
     blowup.add_argument("--c1sq", required=True, type=int)
     blowup.add_argument("--c2", required=True, type=int)
     blowup.add_argument("--k", required=True, type=int)
-    _add_output_options(blowup)
 
-    scan = geography_cmds.add_parser("scan-horikawa", help="sweep both Horikawa lines")
+    scan = sub["geography scan-horikawa"]
     scan.add_argument("--pg", required=True, help="inclusive range, e.g. 3..20")
-    _add_output_options(scan)
-
-    plotdata = geography_cmds.add_parser(
-        "plotdata", help="points plus the c2 = 3 c1^2 line as columns"
-    )
+    plotdata = sub["geography plotdata"]
     plotdata.add_argument("--input", type=Path, help="surface JSON file (default: the catalog)")
-    _add_output_options(plotdata)
 
+    for subparser in sub.values():
+        subparser.add_argument("--format", choices=("json", "tsv"), default="json")
+        subparser.add_argument(
+            "--output", type=Path, default=None, help="write to file instead of stdout"
+        )
     return parser
 
 
@@ -244,12 +220,7 @@ def _run_tensor_validate(args) -> tuple[dict, list[str]]:
 
 def _run_tensor_extremize(args) -> tuple[dict, list[str]]:
     _, tensor, warnings = _load_tensor(args.input, SYMMETRY_TOL)
-    cfg = ExtremizeConfig(
-        starts=args.starts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        oracle_samples=args.oracle_samples,
-    )
+    cfg = ExtremizeConfig(**{f.name: getattr(args, f.name) for f in fields(ExtremizeConfig)})
     result = extremize_hsc(tensor, cfg)
     if not result.converged:
         warnings.append("optimizer did not converge; values are best-so-far")
@@ -325,7 +296,7 @@ def _classify_tsv(payload: dict) -> tuple[list[str], list[list]]:
         header += ["published_positive", "category"]
     rows = []
     for v in payload["verdicts"]:
-        census = ",".join(f"{k}:{n}" for k, n in sorted(v["census"].items(), key=lambda kv: int(kv[0])))
+        census = ",".join(f"{k}:{n}" for k, n in v["census"].items())
         evidence = ";".join(",".join(map(str, r)) for r in v["evidence"])
         cells = [v["family"], v["rank"], v["node"], v["max_level"], v["positive"], census, evidence]
         if audited:
@@ -341,17 +312,35 @@ def _records_tsv(key: str, *extra: str):
     return lambda payload: (header, [[r[c] for c in header] for r in payload[key]])
 
 
-# every subcommand: its runner and its TSV layout (None: key/value flattening)
+_GROUPS = {
+    "cspace": "root systems and marked-node positivity",
+    "surface": "distinguished-frame surface analysis",
+    "tensor": "curvature tensor validation and extremization",
+    "geography": "Chern-number bound bookkeeping",
+}
+
+_VERDICTS_TSV = _records_tsv("verdicts", "passes", "margin")
+
+# every subcommand: its help, its runner and its TSV layout (None: key/value
+# flattening).  build_parser, dispatch and SCHEMAS all read this table.
 _COMMANDS = {
-    "cspace roots": (_run_cspace_roots, _roots_tsv),
-    "cspace classify": (_run_cspace_classify, _classify_tsv),
-    "surface analyze": (_run_surface_analyze, None),
-    "tensor validate": (_run_tensor_validate, None),
-    "tensor extremize": (_run_tensor_extremize, None),
-    "geography check": (_run_geography_check, _records_tsv("verdicts", "passes", "margin")),
-    "geography blowup": (_run_geography_blowup, None),
-    "geography scan-horikawa": (_run_geography_scan, _records_tsv("verdicts", "passes", "margin")),
-    "geography plotdata": (_run_geography_plotdata, _records_tsv("rows", "line_c2")),
+    "cspace roots": ("list the positive roots of a simple type", _run_cspace_roots, _roots_tsv),
+    "cspace classify": (
+        "positivity verdict per marked node, optionally audited",
+        _run_cspace_classify,
+        _classify_tsv,
+    ),
+    "surface analyze": ("extremes, bound verdict and gamma functions", _run_surface_analyze, None),
+    "tensor validate": ("check the Kähler symmetries", _run_tensor_validate, None),
+    "tensor extremize": ("HSC extremes over the unit sphere", _run_tensor_extremize, None),
+    "geography check": ("decide c2 <= 3 c1^2 per record", _run_geography_check, _VERDICTS_TSV),
+    "geography blowup": ("Chern numbers after k point blow-ups", _run_geography_blowup, None),
+    "geography scan-horikawa": ("sweep both Horikawa lines", _run_geography_scan, _VERDICTS_TSV),
+    "geography plotdata": (
+        "points plus the c2 = 3 c1^2 line as columns",
+        _run_geography_plotdata,
+        _records_tsv("rows", "line_c2"),
+    ),
 }
 
 # payload schema shipped for each subcommand, plus the envelope's
@@ -386,7 +375,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     command = f"{args.group} {args.command}"
-    run, layout = _COMMANDS[command]
+    _, run, layout = _COMMANDS[command]
     try:
         payload, warnings = run(args)
         envelope = {

@@ -95,8 +95,8 @@ def _image_mins(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two n^4 arrays holding, at each index, the smallest flat index among its
     4 linear images and among its 4 conjugating images."""
     ids = np.arange(n**4).reshape((n,) * 4)
-    linear = [ids.transpose(p) for p in _LINEAR]
-    return reduce(np.minimum, linear), reduce(np.minimum, [img.transpose(_HERMITIAN) for img in linear])
+    linear = reduce(np.minimum, (ids.transpose(p) for p in _LINEAR))
+    return linear, linear.transpose(_HERMITIAN)
 
 
 def _orbit_ids(n: int) -> np.ndarray:

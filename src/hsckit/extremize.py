@@ -89,6 +89,8 @@ class ExtremizeConfig:
             raise ValueError(f"starts must be <= {_MAX_STARTS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.oracle_samples < 0:
             raise ValueError("oracle_samples must be >= 0")
         if self.oracle_samples > _MAX_ORACLE_SAMPLES:
@@ -252,7 +254,8 @@ def _ascend(
     for step in range(1, cfg.max_iters + 1):
         iters[rows] = step
         v, f, g = V[rows], F[rows], G[rows]
-        gt = g - (v.conj() * g).sum(axis=1).real[:, None] * v
+        # Re<v, g> = 4 f by Euler's rule for the degree-4 f, and scaling by 4 is exact
+        gt = g - 4.0 * f[:, None] * v
         gn = np.linalg.norm(gt, axis=1)
         scale = np.maximum(1.0, np.abs(f))
         moving = gn > _STEP_TOLERANCE * scale

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import jsonschema
@@ -22,7 +23,7 @@ from hsckit import (
     extremize_hsc,
     tensor_to_dict,
 )
-from hsckit.cli import SCHEMAS, dispatch, schema_text
+from hsckit.cli import SCHEMAS, build_parser, dispatch, schema_text
 
 
 def run_json(capsys, argv):
@@ -342,6 +343,19 @@ def test_tensor_validate_warning_names_tolerance(capsys, tmp_path):
     ]
 
 
+def test_extremize_flags_match_config():
+    flags = {
+        "starts": "--starts", "max_iters": "--max-iters", "seed": "--seed", "oracle_samples": "--oracle-samples"
+    }
+    assert list(flags) == [field.name for field in fields(ExtremizeConfig)]
+    parser = build_parser()
+    args = parser.parse_args(["tensor", "extremize", "--input", "x"])
+    assert {name: getattr(args, name) for name in flags} == asdict(ExtremizeConfig())
+    for name, flag in flags.items():
+        args = parser.parse_args(["tensor", "extremize", "--input", "x", flag, "7"])
+        assert getattr(args, name) == 7
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -482,6 +496,12 @@ def test_tensor_validate_checks_stated_entries(capsys, tmp_path):
             ["tensor", "extremize", "--input", "{small}", "--oracle-samples", "1000000000000"],
             "ValueError: oracle_samples must be <= 16777216",
         ),
+        # at n = 2 four starts are the coordinate axes, so no random start is drawn
+        (
+            ["tensor", "extremize", "--input", "{small}", "--seed", "-1", "--starts", "4"],
+            "ValueError: seed must be >= 0",
+        ),
+        (["tensor", "extremize", "--input", "{small}", "--seed", "-1"], "ValueError: seed must be >= 0"),
     ],
 )
 def test_size_ceilings_exit_1(capsys, tmp_path, argv, error):

@@ -52,6 +52,8 @@ def test_config_validation():
         ExtremizeConfig(max_iters=0)
     with pytest.raises(ValueError):
         ExtremizeConfig(oracle_samples=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ExtremizeConfig(seed=-1)
     with pytest.raises(ValueError, match=f"starts must be <= {_MAX_STARTS}"):
         ExtremizeConfig(starts=_MAX_STARTS + 1)
     with pytest.raises(ValueError, match="oracle_samples must be <= 16777216"):

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from hsckit import (
     EinsteinFramePoint,
@@ -23,8 +24,6 @@ from hsckit import (
     max_hsc_surface,
 )
 from hsckit.extremize import _PAULI
-
-sp = pytest.importorskip("sympy")
 
 H, A, B_RE, B_IM = sp.symbols("H A B_re B_im", real=True)
 X1, Y1, X2, Y2 = sp.symbols("x1 y1 x2 y2", real=True)
