@@ -62,6 +62,7 @@ def schema_text(command: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hsckit`` parser: one subparser per entry of ``_COMMANDS``."""
     parser = argparse.ArgumentParser(prog="hsckit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hsckit {__version__}")
     groups = parser.add_subparsers(dest="group", required=True)
@@ -355,15 +356,23 @@ def _flattened(value, prefix: str = "") -> list[list]:
     return [[prefix[:-1], json.dumps(value) if isinstance(value, list) else value]]
 
 
+def _tsv_field(text: str) -> str:
+    """text as one TSV field; a tab or line break would shift the columns or
+    rows, so it raises ValueError naming the field."""
+    if any(c in text for c in "\t\n\r"):
+        raise ValueError(f"TSV field {text!r} holds a tab or line break; use --format json")
+    return text
+
+
 def _render_tsv(command: str, layout, payload: dict, warnings: list[str]) -> str:
     lines = [f"# command: {command}", f"# version: {__version__}"]
-    lines += [f"# warning: {w}" for w in warnings]
+    lines += [f"# warning: {_tsv_field(w)}" for w in warnings]
     if layout is None:
         rows = _flattened(payload)
     else:
         header, rows = layout(payload)
         lines.append("# columns: " + "\t".join(header))
-    lines += ["\t".join(str(c) for c in cells) for cells in rows]
+    lines += ["\t".join(_tsv_field(str(c)) for c in cells) for cells in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -399,6 +408,7 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    """Console entry point: run ``dispatch`` on the process arguments and exit with its code."""
     sys.exit(dispatch(sys.argv[1:]))
 
 

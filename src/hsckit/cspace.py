@@ -20,20 +20,17 @@ __all__ = [
     "AuditEntry",
     "CSpaceDescriptor",
     "CSpaceVerdict",
-    "PUBLISHED_CLASSICAL_FAMILIES",
-    "PUBLISHED_EXCEPTIONAL_POSITIVE",
     "audit_against_published",
     "classify_all",
     "itoh_positive",
-    "published_positive",
 ]
 
 # Published classification of the HSC-positive cases.  The classical families
 # are positive for every rank and marked node; the exceptional cases are
 # listed per node.  Stored as literal data, never regenerated, so the audit
 # below is a genuine cross-check of the enumeration against the publication.
-PUBLISHED_CLASSICAL_FAMILIES = ("A", "B", "C", "D")
-PUBLISHED_EXCEPTIONAL_POSITIVE: dict[tuple[str, int], tuple[int, ...]] = {
+_PUBLISHED_CLASSICAL_FAMILIES = ("A", "B", "C", "D")
+_PUBLISHED_EXCEPTIONAL_POSITIVE: dict[tuple[str, int], tuple[int, ...]] = {
     ("E", 6): (1, 2, 3, 4, 5, 6),
     ("E", 7): (1, 2, 6, 7),
     ("E", 8): (1, 8),
@@ -133,7 +130,10 @@ class AuditEntry:
 
     @property
     def published_positive(self) -> bool:
-        return published_positive(self.verdict.descriptor)
+        """Whether the published classification lists this case as positive."""
+        d = self.verdict.descriptor
+        fam, rank = d.lie_type.family, d.lie_type.rank
+        return fam in _PUBLISHED_CLASSICAL_FAMILIES or d.node in _PUBLISHED_EXCEPTIONAL_POSITIVE[(fam, rank)]
 
     @property
     def category(self) -> str:
@@ -148,15 +148,6 @@ class AuditEntry:
         return payload
 
 
-def published_positive(descriptor: CSpaceDescriptor) -> bool:
-    """Whether the published classification lists this case as positive."""
-    fam = descriptor.lie_type.family
-    if fam in PUBLISHED_CLASSICAL_FAMILIES:
-        return True
-    nodes = PUBLISHED_EXCEPTIONAL_POSITIVE[(fam, descriptor.lie_type.rank)]
-    return descriptor.node in nodes
-
-
 def audit_against_published() -> tuple[AuditEntry, ...]:
     """Compare computed verdicts with the published classification.
 
@@ -168,9 +159,9 @@ def audit_against_published() -> tuple[AuditEntry, ...]:
     patched.
     """
     types: list[LieType] = []
-    for fam in PUBLISHED_CLASSICAL_FAMILIES:
+    for fam in _PUBLISHED_CLASSICAL_FAMILIES:
         for rank in range(3 if fam == "D" else 2, 9):
             types.append(LieType(fam, rank))
-    for fam, rank in sorted(PUBLISHED_EXCEPTIONAL_POSITIVE):
+    for fam, rank in sorted(_PUBLISHED_EXCEPTIONAL_POSITIVE):
         types.append(LieType(fam, rank))
     return tuple(AuditEntry(verdict) for lie_type in types for verdict in classify_all(lie_type))

@@ -58,7 +58,6 @@ __all__ = [
     "hsc",
     "hsc_surface_closed_form",
     "max_hsc_surface",
-    "product_tensor",
     "ricci",
     "scalar",
     "sufficient_negativity",
@@ -196,6 +195,8 @@ def _as_vector(v, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymmetryViolation:
+    """The worst breach of one Kähler relation on one orbit, named by its smallest index."""
+
     relation: str
     indices: tuple[int, int, int, int]
     magnitude: float
@@ -203,6 +204,8 @@ class SymmetryViolation:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
+    """Result of ``validate``: the tolerance used and every violated orbit."""
+
     ok: bool
     tolerance: float
     violations: tuple[SymmetryViolation, ...]
@@ -404,6 +407,8 @@ def hsc_surface_closed_form(point: EinsteinFramePoint, v) -> float:
 
 
 class SurfaceMax(NamedTuple):
+    """Maximum HSC of a Kähler-Einstein surface and whether it is negative."""
+
     value: float
     negative: bool
 
@@ -444,22 +449,6 @@ def constant_hsc_tensor(n: int, c: float) -> KahlerCurvatureTensor:
     """The constant-HSC tensor ``R = (c/2)(δδ + δδ)``; HSC(v) = c for all v."""
     eye = np.eye(n)
     R = 0.5 * c * (np.einsum("ij,kl->ijkl", eye, eye) + np.einsum("il,kj->ijkl", eye, eye))
-    return KahlerCurvatureTensor(R)
-
-
-def product_tensor(
-    t1: KahlerCurvatureTensor, t2: KahlerCurvatureTensor
-) -> KahlerCurvatureTensor:
-    """Block direct sum realizing the curvature of a product metric.
-
-    Mixed index groups vanish, so HSC of the product at (x, y) is the
-    norm-weighted combination ``(h1(x)|x|^4 + h2(y)|y|^4) / (|x|^2+|y|^2)^2``.
-    """
-    n1, n2 = t1.n, t2.n
-    n = n1 + n2
-    R = np.zeros((n, n, n, n), dtype=complex)
-    R[:n1, :n1, :n1, :n1] = t1.array
-    R[n1:, n1:, n1:, n1:] = t2.array
     return KahlerCurvatureTensor(R)
 
 

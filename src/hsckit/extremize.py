@@ -63,7 +63,6 @@ __all__ = [
     "distinguished_frame",
     "extremize_hsc",
     "sample_hsc",
-    "sample_unit_sphere",
 ]
 
 _CHUNK = 65536  # fixed batch size keeps sampling bitwise-deterministic
@@ -72,13 +71,15 @@ _VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
 _EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor
 _MAX_STARTS = 4096  # bounds the starts x n^2 ascent product: 64 MB at n = 32
 _MAX_ORACLE_SAMPLES = 1 << 24  # 256 sampling chunks: about 17 s at n = 6
+_MAX_ITERS = 500  # ascent steps per start before it is reported unconverged
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
 class ExtremizeConfig:
+    """Starts, seed and oracle samples of ``extremize_hsc``; each ascent stops at ``_MAX_ITERS`` = 500."""
+
     starts: int = 32
-    max_iters: int = 500
     seed: int = 0
     oracle_samples: int = 0
 
@@ -87,8 +88,6 @@ class ExtremizeConfig:
             raise ValueError("starts must be >= 1")
         if self.starts > _MAX_STARTS:
             raise ValueError(f"starts must be <= {_MAX_STARTS}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.oracle_samples < 0:
@@ -99,6 +98,8 @@ class ExtremizeConfig:
 
 @dataclass(frozen=True, eq=False)
 class ExtremizeResult:
+    """HSC extremes, their directions, ascent steps, convergence and oracle values."""
+
     min_value: float
     max_value: float
     argmin: Direction
@@ -138,7 +139,7 @@ class SampleResult:
     samples: int
 
 
-def sample_unit_sphere(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_unit_sphere(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m uniform points on the unit sphere of C^n, as rows."""
     Z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     return Z / np.linalg.norm(Z, axis=1, keepdims=True)
@@ -158,7 +159,7 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
     rng = np.random.default_rng(seed)
     lo, hi, total = np.inf, -np.inf, 0.0
     for done in range(0, m, _CHUNK):
-        vals = _values_batch(K, sample_unit_sphere(tensor.n, min(_CHUNK, m - done), rng))
+        vals = _values_batch(K, _sample_unit_sphere(tensor.n, min(_CHUNK, m - done), rng))
         # argmin/argmax pick the first extreme entry; np.min and np.max may
         # return either zero when 0.0 and -0.0 tie
         lo = min(lo, float(vals[vals.argmin()]))
@@ -235,9 +236,7 @@ def _trig_argopt(c: np.ndarray) -> np.ndarray:
     return candidates[np.arange(m), best]
 
 
-def _ascend(
-    K: np.ndarray, V0: np.ndarray, cfg: ExtremizeConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _ascend(K: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradient ascent of f with exact great-circle line search, from every
     row of V0 in lockstep.
 
@@ -251,7 +250,7 @@ def _ascend(
     iters = np.zeros(len(V), dtype=int)
     converged = np.zeros(len(V), dtype=bool)
     rows = np.arange(len(V))
-    for step in range(1, cfg.max_iters + 1):
+    for step in range(1, _MAX_ITERS + 1):
         iters[rows] = step
         v, f, g = V[rows], F[rows], G[rows]
         # Re<v, g> = 4 f by Euler's rule for the degree-4 f, and scaling by 4 is exact
@@ -285,7 +284,7 @@ def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
     pair = 0
     while len(starts) < cfg.starts:
         rng = np.random.default_rng([cfg.seed, pair])
-        w = sample_unit_sphere(n, 1, rng)[0]
+        w = _sample_unit_sphere(n, 1, rng)[0]
         starts.append(w)
         if len(starts) < cfg.starts:
             # conjugate partner: -w would retrace the same orbit since
@@ -295,14 +294,12 @@ def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
     return np.array(starts[: cfg.starts])
 
 
-def _best_of_starts(
-    K: np.ndarray, starts: np.ndarray, cfg: ExtremizeConfig
-) -> tuple[float, Direction, bool, int]:
+def _best_of_starts(K: np.ndarray, starts: np.ndarray) -> tuple[float, Direction, bool, int]:
     """Best value of the ascents of f from every start (one row each), its
     direction, whether any start tied for it converged, and the total
     iteration count.  Directions tied within ``_VALUE_TOLERANCE`` are
     phase-normalized and the lexicographically first one is reported."""
-    values, V, iters, converged = _ascend(K, starts, cfg)
+    values, V, iters, converged = _ascend(K, starts)
     best = float(values.max())
     ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
     argbest = min((_normalize_phase(V[i]) for i in ties), key=_lex_key)
@@ -328,8 +325,8 @@ def extremize_hsc(
     starts = _start_directions(tensor.n, cfg)
     oracle_min = oracle_max = None
     with np.errstate(over="raise"):
-        neg_min, argmin, min_conv, min_iters = _best_of_starts(-K, starts, cfg)
-        max_value, argmax, max_conv, max_iters = _best_of_starts(K, starts, cfg)
+        neg_min, argmin, min_conv, min_iters = _best_of_starts(-K, starts)
+        max_value, argmax, max_conv, max_iters = _best_of_starts(K, starts)
         if cfg.oracle_samples > 0:
             oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
             oracle_min = oracle.min_value

@@ -30,7 +30,6 @@ __all__ = [
     "noether_fill",
     "plot_columns",
     "records_from_json",
-    "records_to_json",
     "todorov_family",
 ]
 
@@ -253,11 +252,8 @@ def plot_columns(records: list[SurfaceRecord] | tuple[SurfaceRecord, ...]) -> li
     return rows
 
 
-def records_to_json(records) -> str:
-    return json.dumps([r.to_payload() for r in records], indent=2, sort_keys=True)
-
-
 def records_from_json(text: str) -> list[SurfaceRecord]:
+    """Surface records from a JSON array of ``SurfaceRecord`` payloads."""
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("surface JSON must be an array of records")

@@ -34,19 +34,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InadmissibleRank, NodeOutOfRange
+from .errors import InadmissibleRank
 
 __all__ = [
-    "DEFAULT_MAX_RANK",
     "FAMILIES",
     "LieType",
     "Root",
     "RootSystem",
     "cartan_matrix",
     "closure_from_cartan",
-    "expected_positive_root_count",
     "highest_root",
-    "level_set",
     "positive_roots",
 ]
 
@@ -55,7 +52,7 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 # Classical families are enumerated up to this rank only, which bounds the
 # output (A12 has 78 positive roots); criterion results are rank-uniform for
 # A, B, C, D, so higher ranks add no verdicts.
-DEFAULT_MAX_RANK = 12
+_MAX_RANK = 12
 
 Root = tuple[int, ...]
 
@@ -190,7 +187,7 @@ def closure_from_cartan(cartan: np.ndarray | Sequence[Sequence[int]]) -> set[Roo
     return known
 
 
-def expected_positive_root_count(lie_type: LieType) -> int:
+def _expected_positive_root_count(lie_type: LieType) -> int:
     """Closed-form |Delta^+| for each simple type."""
     n = lie_type.rank
     closed = {
@@ -211,7 +208,7 @@ def _build_root_system(family: str, rank: int) -> RootSystem:
     lie_type = LieType(family, rank)
     cartan = cartan_matrix(lie_type)
     roots = closure_from_cartan(cartan)
-    expected = expected_positive_root_count(lie_type)
+    expected = _expected_positive_root_count(lie_type)
     if len(roots) != expected:
         raise RuntimeError(
             f"closure produced {len(roots)} positive roots for {lie_type}, "
@@ -224,25 +221,13 @@ def _build_root_system(family: str, rank: int) -> RootSystem:
 def positive_roots(lie_type: LieType) -> RootSystem:
     """Enumerate the positive root system of a simple type.
 
-    Classical families are refused above ``DEFAULT_MAX_RANK``.
+    Classical families (A, B, C, D) above rank 12 raise InadmissibleRank.
     """
-    if lie_type.family in ("A", "B", "C", "D") and lie_type.rank > DEFAULT_MAX_RANK:
+    if lie_type.family in ("A", "B", "C", "D") and lie_type.rank > _MAX_RANK:
         raise InadmissibleRank(
-            f"rank {lie_type.rank} exceeds the enumeration ceiling {DEFAULT_MAX_RANK}"
+            f"rank {lie_type.rank} exceeds the enumeration ceiling {_MAX_RANK}"
         )
     return _build_root_system(lie_type.family, lie_type.rank)
-
-
-def level_set(rs: RootSystem, node: int, k: int) -> list[Root]:
-    """Positive roots whose coefficient at the marked node equals k.
-
-    ``node`` is 1-based per the Dynkin diagrams in the module docstring.
-    """
-    if not 1 <= node <= rs.rank:
-        raise NodeOutOfRange(f"node {node} out of range 1..{rs.rank}")
-    if k < 0:
-        raise ValueError(f"level k must be non-negative, got {k}")
-    return [r for r in rs.positive_roots if r[node - 1] == k]
 
 
 def highest_root(rs: RootSystem) -> Root:

@@ -1,10 +1,10 @@
-"""Shared test fixtures: oracles and seeded random generators."""
+"""Shared test fixtures: oracles, model tensors and seeded random generators."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from hsckit import EinsteinFramePoint, KahlerCurvatureTensor
+from hsckit import EinsteinFramePoint, KahlerCurvatureTensor, NodeOutOfRange, Root, RootSystem
 
 
 def hsc_bruteforce(tensor: KahlerCurvatureTensor, v) -> float:
@@ -117,3 +117,38 @@ def transform_frame_einsum(R: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Reference frame change: the single five-operand einsum
     ``R'[a,b,c,d] = sum R[i,j,k,l] U[i,a] conj(U[j,b]) U[k,c] conj(U[l,d])``."""
     return np.einsum("ijkl,ia,jb,kc,ld->abcd", R, U, U.conj(), U, U.conj())
+
+
+def level_set(rs: RootSystem, node: int, k: int) -> list[Root]:
+    """Positive roots whose coefficient at the marked node equals k.
+
+    ``node`` is 1-based per the Dynkin diagrams in ``hsckit.rootsys``.
+    """
+    if not 1 <= node <= rs.rank:
+        raise NodeOutOfRange(f"node {node} out of range 1..{rs.rank}")
+    if k < 0:
+        raise ValueError(f"level k must be non-negative, got {k}")
+    return [r for r in rs.positive_roots if r[node - 1] == k]
+
+
+def product_tensor(t1: KahlerCurvatureTensor, t2: KahlerCurvatureTensor) -> KahlerCurvatureTensor:
+    """Block direct sum realizing the curvature of a product metric.
+
+    Mixed index groups vanish, so HSC of the product at (x, y) is the
+    norm-weighted combination ``(h1(x)|x|^4 + h2(y)|y|^4) / (|x|^2+|y|^2)^2``.
+    """
+    n1, n2 = t1.n, t2.n
+    n = n1 + n2
+    R = np.zeros((n, n, n, n), dtype=complex)
+    R[:n1, :n1, :n1, :n1] = t1.array
+    R[n1:, n1:, n1:, n1:] = t2.array
+    return KahlerCurvatureTensor(R)
+
+
+def grassmannian_tensor(p: int, q: int) -> KahlerCurvatureTensor:
+    """Curvature of the Grassmannian of p-planes in C^(p+q) in the p x q
+    matrix model: over the unit matrices B, R = einsum("iab,jcb,kcd,lad", B,
+    conj(B), B, conj(B)), so HSC(X) = tr((X X^H)^2) / |X|^4.  Its range is
+    [1/min(p, q), 1] (Wolf's polysphere theorem)."""
+    B = np.eye(p * q).reshape(p * q, p, q)
+    return KahlerCurvatureTensor(np.einsum("iab,jcb,kcd,lad->ijkl", B, B.conj(), B, B.conj()))

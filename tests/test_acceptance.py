@@ -21,7 +21,6 @@ from hsckit import (
     chern_weil,
     classify_all,
     distinguished_frame,
-    expected_positive_root_count,
     extremize_hsc,
     horikawa_scan,
     max_hsc_surface,
@@ -32,7 +31,7 @@ from hsckit import (
     todorov_family,
     transform_frame,
 )
-from hsckit.rootsys import _build_root_system
+from hsckit.rootsys import _build_root_system, _expected_positive_root_count
 from helpers import random_frame_point, random_kahler_tensor, random_unitary
 
 
@@ -58,7 +57,7 @@ def test_root_count_reproduction():
     for family, rank in types:
         lt = LieType(family, rank)
         got = len(positive_roots(lt).positive_roots)
-        want = expected_positive_root_count(lt)
+        want = _expected_positive_root_count(lt)
         if got != want:
             mismatches.append((str(lt), got, want))
     elapsed = time.perf_counter() - start

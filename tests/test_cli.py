@@ -232,6 +232,13 @@ def test_rank_ceiling_is_not_settable(capsys, command):
     assert "error:" in capsys.readouterr().err
 
 
+def test_max_iters_is_not_settable(capsys, tensor_file):
+    assert dispatch(["tensor", "extremize", "--input", str(tensor_file), "--max-iters", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --max-iters" in captured.err
+    assert captured.out == ""
+
+
 def test_frame_constraint_error_exit_1(capsys):
     code = dispatch(["surface", "analyze", "--H", "0", "--A", "-1"])
     assert code == 1
@@ -344,9 +351,7 @@ def test_tensor_validate_warning_names_tolerance(capsys, tmp_path):
 
 
 def test_extremize_flags_match_config():
-    flags = {
-        "starts": "--starts", "max_iters": "--max-iters", "seed": "--seed", "oracle_samples": "--oracle-samples"
-    }
+    flags = {"starts": "--starts", "seed": "--seed", "oracle_samples": "--oracle-samples"}
     assert list(flags) == [field.name for field in fields(ExtremizeConfig)]
     parser = build_parser()
     args = parser.parse_args(["tensor", "extremize", "--input", "x"])
@@ -538,6 +543,27 @@ def test_bad_surface_record_exit_1(capsys, tmp_path, command, records, message):
     assert captured.err.startswith("ValueError: ")
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, record, field",
+    [
+        ("check", {"name": "a\tb\nc", "c1sq": 1, "c2": 2}, "'a\\tb\\nc'"),
+        ("check", {"name": "a", "c1sq": 1, "c2": 2, "flags": ["x\ny"]}, "'a: x\\ny'"),
+        ("plotdata", {"name": "a\rb", "c1sq": 1, "c2": 2}, "'a\\rb'"),
+    ],
+)
+def test_tsv_rejects_tabs_and_line_breaks(capsys, tmp_path, command, record, field):
+    # such text would shift TSV columns or start an uncommented line; JSON escapes it
+    path = tmp_path / "surfaces.json"
+    path.write_text(json.dumps([record]))
+    argv = ["geography", command, "--input", str(path)]
+    assert dispatch([*argv, "--format", "tsv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ValueError: TSV field {field} holds a tab or line break; use --format json\n"
+    assert captured.out == ""
+    assert dispatch(argv) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]
 
 
 def test_output_write_failure_exit_1(capsys, tmp_path):

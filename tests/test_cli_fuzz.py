@@ -100,7 +100,6 @@ def argvs(draw):
         if command == "tensor extremize":
             argv += [
                 f"--starts={draw(mostly(st.integers(1, 4), 0))}",
-                f"--max-iters={draw(mostly(st.integers(1, 50), 0))}",
                 f"--seed={draw(mostly(st.integers(0, 3), -1))}",
                 f"--oracle-samples={draw(mostly(st.sampled_from([0, 1, 1000]), -1))}",
             ]

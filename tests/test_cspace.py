@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from hsckit import (
+    AuditEntry,
     CSpaceDescriptor,
     LieType,
     NodeOutOfRange,
     audit_against_published,
     classify_all,
     itoh_positive,
-    published_positive,
 )
 
 
@@ -80,7 +80,7 @@ def test_verdict_internal_consistency():
 
 
 def test_census_sums_to_roots_through_node():
-    from hsckit import level_set, positive_roots
+    from hsckit import positive_roots
 
     rs = positive_roots(LieType("F", 4))
     for v in classify_all(LieType("F", 4)):
@@ -155,6 +155,10 @@ def test_audit_deterministic():
     a = [e.to_payload() for e in audit_against_published()]
     b = [e.to_payload() for e in audit_against_published()]
     assert a == b
+
+
+def published_positive(descriptor: CSpaceDescriptor) -> bool:
+    return AuditEntry(itoh_positive(descriptor)).published_positive
 
 
 def test_published_positive_exceptional_table():

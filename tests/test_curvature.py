@@ -24,7 +24,6 @@ from hsckit import (
     hsc,
     hsc_surface_closed_form,
     max_hsc_surface,
-    product_tensor,
     ricci,
     scalar,
     sufficient_negativity,
@@ -34,7 +33,7 @@ from hsckit import (
     validate,
 )
 from hsckit.curvature import _HERMITIAN, _orbit_ids, _stated_array
-from helpers import hsc_bruteforce, random_kahler_tensor, random_unitary, transform_frame_einsum
+from helpers import hsc_bruteforce, product_tensor, random_kahler_tensor, random_unitary, transform_frame_einsum
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from hsckit import (
+    CSpaceDescriptor,
     EinsteinFramePoint,
     ExtremizeConfig,
     KahlerCurvatureTensor,
+    LieType,
     NotEinstein,
     NotSurface,
     assemble_einstein_surface,
@@ -16,26 +18,29 @@ from hsckit import (
     distinguished_frame,
     extremize_hsc,
     hsc,
+    itoh_positive,
     max_hsc_surface,
-    product_tensor,
     ricci,
     sample_hsc,
-    sample_unit_sphere,
     transform_frame,
 )
 from hsckit.curvature import _quartic_matrix, _value_and_gradient, _values_batch
 from hsckit.extremize import (
+    _MAX_ITERS,
     _MAX_ORACLE_SAMPLES,
     _MAX_STARTS,
     _ascend,
     _best_of_starts,
     _circle_coefficients,
+    _sample_unit_sphere,
     _start_directions,
     _trig_argopt,
     _trig_eval,
 )
 from helpers import (
     best_of_starts_serial,
+    grassmannian_tensor,
+    product_tensor,
     quartic_values_einsum,
     random_frame_point,
     random_kahler_tensor,
@@ -48,8 +53,6 @@ from helpers import (
 def test_config_validation():
     with pytest.raises(ValueError):
         ExtremizeConfig(starts=0)
-    with pytest.raises(ValueError):
-        ExtremizeConfig(max_iters=0)
     with pytest.raises(ValueError):
         ExtremizeConfig(oracle_samples=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -141,8 +144,8 @@ def test_circle_coefficients_reproduce_the_circle(n):
     T = random_kahler_tensor(n, seed=800 + n)
     K = _quartic_matrix(T.array)
     rng = np.random.default_rng(900 + n)
-    V = sample_unit_sphere(n, 3, rng)
-    U = sample_unit_sphere(n, 3, rng)
+    V = _sample_unit_sphere(n, 3, rng)
+    U = _sample_unit_sphere(n, 3, rng)
     U -= (V.conj() * U).sum(axis=1).real[:, None] * V
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     angles = np.linspace(-np.pi, np.pi, 64, endpoint=False)
@@ -154,15 +157,15 @@ def test_circle_coefficients_reproduce_the_circle(n):
 
 def test_ascent_stops_at_the_value_noise_floor():
     # this descent reaches H to within 3e-16 early on; a stall test that let
-    # tied steps through kept it stepping until max_iters, unconverged
+    # tied steps through kept it stepping until _MAX_ITERS, unconverged
     p = EinsteinFramePoint(
         H=-0.5581463227956642, A=0.5714659935519548, B=-0.3876308181887844 - 1.0304108040358098j
     )
     cfg = ExtremizeConfig(starts=8, seed=88)
     start = _start_directions(2, cfg)[4:5]
-    values, _, iters, converged = _ascend(-_quartic_matrix(assemble_einstein_surface(p).array), start, cfg)
+    values, _, iters, converged = _ascend(-_quartic_matrix(assemble_einstein_surface(p).array), start)
     assert converged[0]
-    assert iters[0] < cfg.max_iters
+    assert iters[0] < _MAX_ITERS
     assert -values[0] == pytest.approx(p.H, abs=1e-12)
 
 
@@ -172,7 +175,7 @@ def test_values_batch_matches_einsum_across_blocks(n):
     K = _quartic_matrix(T.array)
     rng = np.random.default_rng(600 + n)
     for m in (1, 8191, 8192, 2 * 8192 + 3):
-        V = sample_unit_sphere(n, m, rng)
+        V = _sample_unit_sphere(n, m, rng)
         ref = quartic_values_einsum(T.array, V)
         got = _values_batch(K, V)
         assert got.shape == (m,)
@@ -185,8 +188,8 @@ def test_batched_starts_match_serial_ascents(n, seed):
     cfg = ExtremizeConfig(starts=16, seed=seed)
     starts = _start_directions(n, cfg)
     for sign in (-1.0, 1.0):
-        best, _, _, _ = _best_of_starts(sign * _quartic_matrix(T.array), starts, cfg)
-        reference = best_of_starts_serial(T.array, starts, sign, cfg.max_iters)
+        best, _, _, _ = _best_of_starts(sign * _quartic_matrix(T.array), starts)
+        reference = best_of_starts_serial(T.array, starts, sign, _MAX_ITERS)
         assert sign * best == pytest.approx(reference, rel=1e-12)
 
 
@@ -301,6 +304,18 @@ def test_surface_extremes_match_closed_form_over_random_points():
         res = extremize_hsc(assemble_einstein_surface(p), ExtremizeConfig(starts=8, seed=trial))
         assert res.max_value == pytest.approx(max_hsc_surface(p).value, abs=1e-6)
         assert res.min_value == pytest.approx(p.H, abs=1e-6)
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_grassmannian_hsc_range_is_known(p, q):
+    # (A_{p+q-1}, alpha_p) is Hermitian symmetric, of dimension p q and rank
+    # min(p, q); its HSC ranges over [c / rank, c] (polysphere theorem)
+    verdict = itoh_positive(CSpaceDescriptor(LieType("A", p + q - 1), p))
+    assert verdict.level_census == {1: p * q}
+    res = extremize_hsc(grassmannian_tensor(p, q), ExtremizeConfig(starts=32))
+    assert res.converged
+    assert res.max_value == pytest.approx(1.0, abs=1e-12)
+    assert res.min_value / res.max_value == pytest.approx(1.0 / min(p, q), abs=1e-12)
 
 
 def test_product_positive_blocks_give_positive_min():

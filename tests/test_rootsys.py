@@ -11,11 +11,11 @@ from hsckit import (
     NodeOutOfRange,
     cartan_matrix,
     closure_from_cartan,
-    expected_positive_root_count,
     highest_root,
-    level_set,
     positive_roots,
 )
+from hsckit.rootsys import _expected_positive_root_count
+from helpers import level_set
 
 ALL_TYPES_RANK8 = (
     [("A", n) for n in range(1, 9)]
@@ -79,7 +79,7 @@ def test_deterministic_graded_order():
 def test_counts_match_closed_form(family, rank):
     lt = LieType(family, rank)
     rs = positive_roots(lt)
-    assert len(rs.positive_roots) == expected_positive_root_count(lt)
+    assert len(rs.positive_roots) == _expected_positive_root_count(lt)
     assert len(set(rs.positive_roots)) == len(rs.positive_roots)
 
 
