@@ -42,6 +42,7 @@ from .curvature import (
 from .errors import HsckitError, RegimeViolation, TensorFormatError
 from .extremize import ExtremizeConfig, extremize_hsc
 from .geography import (
+    _C2_BOUND,
     GeographyVerdict,
     SurfaceRecord,
     blowup_transform,
@@ -225,6 +226,9 @@ def _run_tensor_extremize(args) -> tuple[dict, list[str]]:
     result = extremize_hsc(tensor, cfg)
     if not result.converged:
         warnings.append("optimizer did not converge; values are best-so-far")
+    for side, ties in (("minimum", result.min_starts_at_best), ("maximum", result.max_starts_at_best)):
+        if ties == 1:
+            warnings.append(f"the {side} was reached by only one of {cfg.starts} starts")
     return result.to_payload(), warnings
 
 
@@ -334,11 +338,11 @@ _COMMANDS = {
     "surface analyze": ("extremes, bound verdict and gamma functions", _run_surface_analyze, None),
     "tensor validate": ("check the Kähler symmetries", _run_tensor_validate, None),
     "tensor extremize": ("HSC extremes over the unit sphere", _run_tensor_extremize, None),
-    "geography check": ("decide c2 <= 3 c1^2 per record", _run_geography_check, _VERDICTS_TSV),
+    "geography check": (f"decide c2 <= {_C2_BOUND} c1^2 per record", _run_geography_check, _VERDICTS_TSV),
     "geography blowup": ("Chern numbers after k point blow-ups", _run_geography_blowup, None),
     "geography scan-horikawa": ("sweep both Horikawa lines", _run_geography_scan, _VERDICTS_TSV),
     "geography plotdata": (
-        "points plus the c2 = 3 c1^2 line as columns",
+        f"points plus the c2 = {_C2_BOUND} c1^2 line as columns",
         _run_geography_plotdata,
         _records_tsv("rows", "line_c2"),
     ),

@@ -435,7 +435,9 @@ def sufficient_negativity(point: EinsteinFramePoint) -> bool:
 
     Only meaningful in the negative-Einstein regime; raises RegimeViolation
     when the Einstein constant gamma1 is non-negative.  The test is
-    sufficient, not necessary: False does not certify a sign.
+    sufficient, not necessary: False does not certify a sign.  That it is
+    sufficient, and sharp at (H, A, |B|) = (-1, 0, 1), is proved in
+    ``tests/test_symbolic.py``.
     """
     gamma1, gamma2 = chern_weil(point)
     if gamma1 >= 0.0:

@@ -1,24 +1,28 @@
 """Numerical extremization of HSC over the unit sphere of directions.
 
 The objective is the smooth quartic ``f(v) = sum R[i,j,k,l] v_i conj(v_j)
-v_k conj(v_l)`` restricted to ``|v| = 1``.  Multistart gradient ascent is
-enough at these sizes: the Riemannian gradient is the cubic contraction of R
-with (v, v, conj(v)) projected onto the sphere's tangent space, and each
-step moves along the great circle it spans.  Restricted to a great circle
-the objective is a quartic form in (cos t, sin t), so it has only the even
-harmonics 0, 2 and 4, recovered by a 5-point DFT over the half circle.  The
-line search is exact: every stationary angle is half the argument of a root
-of a degree-4 polynomial, and the best of those angles is the circle's
+v_k conj(v_l)`` restricted to ``|v| = 1``.  Multistart conjugate-gradient
+ascent on the sphere (Absil, Mahony & Sepulchre, *Optimization Algorithms on
+Matrix Manifolds*, 2008, ch. 8) is enough at these sizes: the Riemannian
+gradient is the cubic contraction of R with (v, v, conj(v)) projected onto
+the sphere's tangent space, the search direction adds the previous one,
+carried along the last circle, with the Polak-Ribiere+ weight, and each step
+moves along the great circle the direction spans.  Restricted to a great
+circle the objective is a quartic form in (cos t, sin t), so it has only the
+even harmonics 0, 2 and 4, recovered by a 5-point DFT over the half circle.
+The line search is exact: every stationary angle is half the argument of a
+root of a degree-4 polynomial, and the best of those angles is the circle's
 global optimum, with no grid and no noise floor.
 
 Every evaluation is one product with the n^2 x n^2 quartic matrix K of
 ``curvature``, which gives f alone (``_values_batch``) or f and its
 gradient together (``_value_and_gradient``); the accepted step's product is
-the next step's gradient.  The minimum of f is minus the maximum of -f,
-whose matrix is -K, so one ascent serves both extremes.  The starts ascend
-in lockstep as the rows of one array: each step is one fused product for
-the rows still running, one product for all their circle samples and one
-batch of companion-matrix eigenvalues, and each row stops on its own rule.
+the next step's gradient.  The minimum of f is minus the maximum of -f, and
+negating f, its gradient and its circle coefficients is exact, so every
+start ascends twice, once per sign, and all those ascents run in lockstep
+as the rows of one array: each step is one fused product for the rows still
+running, one product for all their circle samples and one batch of
+companion-matrix eigenvalues, and each row stops on its own rule.
 
 Determinism: start directions are derived from ``(seed, start index)``, the
 ascent is deterministic, and the best-of-starts merge is an index-ordered
@@ -98,7 +102,12 @@ class ExtremizeConfig:
 
 @dataclass(frozen=True, eq=False)
 class ExtremizeResult:
-    """HSC extremes, their directions, ascent steps, convergence and oracle values."""
+    """HSC extremes, their directions, ascent steps, convergence and oracle values.
+
+    Per side, ``*_starts_at_best`` counts the starts whose ascent ties the
+    best value within ``_VALUE_TOLERANCE``, and ``*_capped`` the starts still
+    running after ``_MAX_ITERS`` steps.
+    """
 
     min_value: float
     max_value: float
@@ -107,6 +116,10 @@ class ExtremizeResult:
     iterations_used: int
     min_converged: bool
     max_converged: bool
+    min_starts_at_best: int
+    max_starts_at_best: int
+    min_capped: int
+    max_capped: int
     oracle_min: float | None = None
     oracle_max: float | None = None
 
@@ -124,6 +137,10 @@ class ExtremizeResult:
             "iterations_used": self.iterations_used,
             "min_converged": self.min_converged,
             "max_converged": self.max_converged,
+            "min_starts_at_best": self.min_starts_at_best,
+            "max_starts_at_best": self.max_starts_at_best,
+            "min_capped": self.min_capped,
+            "max_capped": self.max_capped,
             "oracle_min": self.oracle_min,
             "oracle_max": self.oracle_max,
         }
@@ -236,20 +253,42 @@ def _trig_argopt(c: np.ndarray) -> np.ndarray:
     return candidates[np.arange(m), best]
 
 
-def _ascend(K: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient ascent of f with exact great-circle line search, from every
-    row of V0 in lockstep.
+def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re<a, b> per row of two complex arrays, as the sum of their float pairs."""
+    return (a.view(float) * b.view(float)).sum(axis=1)
 
-    Each step takes the rows still running through one fused value and
-    gradient product, one circle-sampling product and one batch of
-    companion eigenvalues; each row stops by the rules of a lone ascent.
-    Returns per-row (f, v, iters, converged).
+
+def _ascend(
+    K: np.ndarray, V0: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Conjugate-gradient ascent of s f with exact great-circle line search,
+    from every row of V0 in lockstep, with s = signs[row] = +-1.
+
+    The search direction is Polak-Ribiere+: d = g + beta T(d_prev) with
+    beta = max(0, Re<g, g - g_prev> / |g_prev|^2) on tangent gradients,
+    projected onto the complex-orthogonal complement of v (which also drops
+    the phase direction i v), where T(d_prev) is the tangent of the accepted
+    circle at the new point.  A row steps along g itself when it is fresh,
+    when beta = 0 or when Re<g, d> <= 0.  A conjugate step that does not
+    improve is retried along g; a gradient step that does not improve stops
+    the row.  Each step takes the rows still running through one fused value
+    and gradient product, one circle-sampling product and one batch of
+    companion eigenvalues.  Negating f, g and the circle coefficients is
+    exact, so a row with s = -1 descends f exactly as a row of -K would.
+    Returns per-row (s f, v, iters, converged, capped), where capped rows
+    were still running after ``_MAX_ITERS`` steps.
     """
     V = V0 / np.linalg.norm(V0, axis=1, keepdims=True)
     F, G = _value_and_gradient(K, V)
+    F, G = signs * F, signs[:, None] * G
     iters = np.zeros(len(V), dtype=int)
     converged = np.zeros(len(V), dtype=bool)
     rows = np.arange(len(V))
+    # per running row: whether it restarts along g, its previous tangent
+    # gradient and its previous direction carried to the current point
+    fresh = np.ones(len(V), dtype=bool)
+    g_prev = np.zeros_like(V)
+    d_carried = np.zeros_like(V)
     for step in range(1, _MAX_ITERS + 1):
         iters[rows] = step
         v, f, g = V[rows], F[rows], G[rows]
@@ -262,20 +301,38 @@ def _ascend(K: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
         rows = rows[moving]
         if not rows.size:
             break
-        v, f, gn, scale = v[moving], f[moving], gn[moving], scale[moving]
-        u = gt[moving] / gn[:, None]
-        theta = _trig_argopt(_circle_coefficients(K, v, u))[:, None]
+        v, f, gt, gn, scale = v[moving], f[moving], gt[moving], gn[moving], scale[moving]
+        fresh, g_prev, d_carried = fresh[moving], g_prev[moving], d_carried[moving]
+        # a fresh row compares g with itself, so its beta is exactly 0
+        g_prev = np.where(fresh[:, None], gt, g_prev)
+        beta = np.maximum(0.0, _re_dot(gt, gt - g_prev) / _re_dot(g_prev, g_prev))
+        d = gt + beta[:, None] * d_carried
+        d -= (v.conj() * d).sum(axis=1)[:, None] * v
+        gradient = (beta == 0.0) | (_re_dot(gt, d) <= 0.0)
+        d = np.where(gradient[:, None], gt, d)
+        dn = np.linalg.norm(d, axis=1)[:, None]
+        u = d / dn
+        s = signs[rows]
+        theta = _trig_argopt(s[:, None] * _circle_coefficients(K, v, u))[:, None]
         w = np.cos(theta) * v + np.sin(theta) * u
         w = w / np.linalg.norm(w, axis=1, keepdims=True)
         fw, gw = _value_and_gradient(K, w)
+        fw, gw = s * fw, s[:, None] * gw
         # the best step on the circle (theta = 0 included) gives no
-        # floating-point improvement: that row is at the numerical optimum
+        # floating-point improvement: along g, that row is at the numerical
+        # optimum; along a conjugate direction, it retries along g
         stalled = fw <= f
-        converged[rows[stalled]] = gn[stalled] <= 1e3 * _STEP_TOLERANCE * scale[stalled]
+        stop = stalled & gradient
+        converged[rows[stop]] = gn[stop] <= 1e3 * _STEP_TOLERANCE * scale[stop]
         up = ~stalled
-        rows = rows[up]
-        V[rows], F[rows], G[rows] = w[up], fw[up], gw[up]
-    return F, V, iters, converged
+        moved = rows[up]
+        V[moved], F[moved], G[moved] = w[up], fw[up], gw[up]
+        keep = ~stop
+        rows, fresh, g_prev = rows[keep], stalled[keep], gt[keep]
+        d_carried = (dn * (np.cos(theta) * u - np.sin(theta) * v))[keep]
+    capped = np.zeros(len(V), dtype=bool)
+    capped[rows] = True
+    return F, V, iters, converged, capped
 
 
 def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
@@ -294,16 +351,17 @@ def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
     return np.array(starts[: cfg.starts])
 
 
-def _best_of_starts(K: np.ndarray, starts: np.ndarray) -> tuple[float, Direction, bool, int]:
-    """Best value of the ascents of f from every start (one row each), its
-    direction, whether any start tied for it converged, and the total
-    iteration count.  Directions tied within ``_VALUE_TOLERANCE`` are
-    phase-normalized and the lexicographically first one is reported."""
-    values, V, iters, converged = _ascend(K, starts)
+def _best_of_starts(
+    values: np.ndarray, V: np.ndarray, converged: np.ndarray
+) -> tuple[float, Direction, bool, int]:
+    """Best of the ascended values (one row per start), its direction,
+    whether any start tied for it converged, and how many starts tie for it.
+    Directions tied within ``_VALUE_TOLERANCE`` are phase-normalized and the
+    lexicographically first one is reported."""
     best = float(values.max())
     ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
     argbest = min((_normalize_phase(V[i]) for i in ties), key=_lex_key)
-    return best, Direction(argbest), bool(converged[ties].any()), int(iters.sum())
+    return best, Direction(argbest), bool(converged[ties].any()), len(ties)
 
 
 def extremize_hsc(
@@ -313,8 +371,9 @@ def extremize_hsc(
 
     Starts are the 2n coordinate directions (real and imaginary axes) padded
     with conjugate-paired random sphere points; ``cfg.starts`` counts the n
-    phase copies ``i e_j`` too.  Each start runs a projected gradient ascent
-    of f for the maximum and of -f (matrix -K) for the minimum, reported as
+    phase copies ``i e_j`` too.  Every start runs a conjugate-gradient
+    ascent of -f for the minimum and of f for the maximum, all 2 x starts
+    of them as the rows of one lockstep loop; the minimum is reported as
     ``0.0 - best`` so that a zero minimum is +0.0.  Non-convergence is
     flagged on the result, not raised, so batch runs keep going.  Reported
     argmin/argmax are phase-normalized (first nonzero component real
@@ -323,10 +382,13 @@ def extremize_hsc(
     """
     K = _quartic_matrix(tensor.array)
     starts = _start_directions(tensor.n, cfg)
+    m = len(starts)
+    signs = np.repeat([-1.0, 1.0], m)
     oracle_min = oracle_max = None
     with np.errstate(over="raise"):
-        neg_min, argmin, min_conv, min_iters = _best_of_starts(-K, starts)
-        max_value, argmax, max_conv, max_iters = _best_of_starts(K, starts)
+        values, V, iters, converged, capped = _ascend(K, np.concatenate((starts, starts)), signs)
+        neg_min, argmin, min_conv, min_ties = _best_of_starts(values[:m], V[:m], converged[:m])
+        max_value, argmax, max_conv, max_ties = _best_of_starts(values[m:], V[m:], converged[m:])
         if cfg.oracle_samples > 0:
             oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
             oracle_min = oracle.min_value
@@ -336,9 +398,13 @@ def extremize_hsc(
         max_value=max_value,
         argmin=argmin,
         argmax=argmax,
-        iterations_used=min_iters + max_iters,
+        iterations_used=int(iters.sum()),
         min_converged=min_conv,
         max_converged=max_conv,
+        min_starts_at_best=min_ties,
+        max_starts_at_best=max_ties,
+        min_capped=int(capped[:m].sum()),
+        max_capped=int(capped[m:].sum()),
         oracle_min=oracle_min,
         oracle_max=oracle_max,
     )

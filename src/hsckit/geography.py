@@ -1,12 +1,21 @@
 """Chern-number geography of surfaces of general type.
 
 A Kähler-Einstein surface metric with negative Ricci curvature and negative
-holomorphic sectional curvature forces ``c2 <= 3 c1^2``, so surface families
-violating that bound cannot carry such a metric.  This module keeps a
-catalog of published families with their stated Chern numbers, decides the
-bound, runs the Noether completion ``c2 = 12 (1 - q + pg) - K^2`` (with
-``c1^2 = K^2``), and models point blow-ups ``(c1^2, c2) -> (c1^2 - 1, c2 +
-1)``.
+holomorphic sectional curvature forces the Chern bound ``c2 <= 3 c1^2``, so
+surface families violating that bound cannot carry such a metric.  This
+module keeps a catalog of published families with their stated Chern
+numbers, decides the bound, runs the Noether completion ``c2 = 12 (1 - q +
+pg) - K^2`` (with ``c1^2 = K^2``), and models point blow-ups ``(c1^2, c2) ->
+(c1^2 - 1, c2 + 1)``.
+
+The 3 of the Chern bound is ``_C2_BOUND``.  At each point, in the
+distinguished frame (H, A, B), negative HSC gives ``gamma2 < 3 gamma1^2``
+for the Chern-Weil functions of ``curvature.chern_weil``, and 3 is the
+supremum, approached toward (H, A, B) = (-2, 1, 0), where the maximum HSC
+is 0.  On a ball quotient
+``gamma1^2 = 3 gamma2`` at every point and ``c1^2 = 3 c2``, which fixes the
+normalization, so integrating the pointwise inequality gives the bound.
+``tests/test_symbolic.py`` proves the pointwise claim and its sharpness.
 
 Stated values are stored verbatim with provenance; when a record's classical
 invariants contradict its stated Chern numbers the record carries an
@@ -34,6 +43,7 @@ __all__ = [
 ]
 
 _NOETHER_FLAG = "noether-mismatch"
+_C2_BOUND = 3  # the Chern bound c2 <= 3 c1^2 of the module docstring
 _MAX_SCAN_VALUES = 10_000  # largest pg range horikawa_scan sweeps: 20,000 records
 
 
@@ -118,7 +128,8 @@ class SurfaceRecord:
 
 @dataclass(frozen=True)
 class GeographyVerdict:
-    """Bound decision for one record: passes iff margin = 3 c1^2 - c2 >= 0.
+    """Chern bound decision for one record: passes iff margin =
+    ``_C2_BOUND`` c1^2 - c2 >= 0.
 
     ``passes=False`` means the family cannot carry a Kähler-Einstein metric
     of negative holomorphic sectional curvature.
@@ -136,10 +147,10 @@ class GeographyVerdict:
 
 
 def check_inequality(record: SurfaceRecord) -> GeographyVerdict:
-    """Decide c2 <= 3 c1^2 for a record with stated Chern numbers."""
+    """Decide the Chern bound for a record with stated Chern numbers."""
     if record.c1sq is None or record.c2 is None:
         raise MissingChernNumbers(f"record {record.name!r} lacks c1sq/c2")
-    margin = 3 * record.c1sq - record.c2
+    margin = _C2_BOUND * record.c1sq - record.c2
     return GeographyVerdict(record=record, passes=margin >= 0, margin=margin)
 
 
@@ -235,8 +246,8 @@ def horikawa_scan(pg_min: int, pg_max: int) -> list[GeographyVerdict]:
 
 
 def plot_columns(records: list[SurfaceRecord] | tuple[SurfaceRecord, ...]) -> list[dict]:
-    """Rows of (name, c1sq, c2) plus the boundary value 3 c1^2 per point,
-    ready for external plotting of the c2 = 3 c1^2 line."""
+    """Rows of (name, c1sq, c2) plus the boundary value ``_C2_BOUND`` c1^2
+    per point, ready for external plotting of the Chern bound's line."""
     rows = []
     for record in records:
         if record.c1sq is None or record.c2 is None:
@@ -246,7 +257,7 @@ def plot_columns(records: list[SurfaceRecord] | tuple[SurfaceRecord, ...]) -> li
                 "name": record.name,
                 "c1sq": record.c1sq,
                 "c2": record.c2,
-                "line_c2": 3 * record.c1sq,
+                "line_c2": _C2_BOUND * record.c1sq,
             }
         )
     return rows

@@ -25,6 +25,8 @@ from hsckit import (
 )
 from hsckit.cli import SCHEMAS, build_parser, dispatch, schema_text
 
+from helpers import random_kahler_tensor
+
 
 def run_json(capsys, argv):
     code = dispatch(argv)
@@ -38,6 +40,13 @@ def validate_payload(command: str, payload) -> None:
 
 def validate_envelope(envelope) -> None:
     jsonschema.validate(envelope, json.loads(schema_text("envelope")))
+
+
+def _child_env(**extra: str) -> dict:
+    """The environment of a child ``python -m hsckit.cli`` that imports this checkout."""
+    src = Path(hsckit.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 @pytest.fixture
@@ -161,6 +170,36 @@ def test_byte_identical_reruns(capsys, tensor_file):
     assert dispatch(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_extremize_reruns_are_byte_identical_per_blas_thread_count(tmp_path, n):
+    # identity holds within one thread count; across counts the BLAS may
+    # sum in another order
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(tensor_to_dict(random_kahler_tensor(n, seed=n))))
+    argv = [sys.executable, "-m", "hsckit.cli", "tensor", "extremize", "--input", str(path), "--starts", "64"]
+    for threads in ("1", "2"):
+        env = _child_env(OPENBLAS_NUM_THREADS=threads)
+        first, second = (subprocess.run(argv, capture_output=True, env=env, timeout=120) for _ in range(2))
+        assert first.returncode == 0, first.stderr
+        assert first.stdout and first.stdout == second.stdout
+
+
+def test_extremize_warns_when_one_start_reaches_a_side(capsys, tensor_file):
+    code, envelope = run_json(capsys, ["tensor", "extremize", "--input", str(tensor_file), "--starts", "1"])
+    assert code == 0
+    payload = envelope["payload"]
+    validate_payload("tensor extremize", payload)
+    assert (payload["min_starts_at_best"], payload["max_starts_at_best"]) == (1, 1)
+    assert envelope["warnings"] == [
+        "the minimum was reached by only one of 1 starts",
+        "the maximum was reached by only one of 1 starts",
+    ]
+    code, envelope = run_json(capsys, ["tensor", "extremize", "--input", str(tensor_file), "--starts", "8"])
+    assert code == 0
+    assert min(envelope["payload"]["min_starts_at_best"], envelope["payload"]["max_starts_at_best"]) > 1
+    assert envelope["warnings"] == []
 
 
 def test_geography_check_builtin(capsys):
@@ -421,11 +460,9 @@ def test_bad_tolerance_exit_1(capsys, tensor_file, command, tolerance):
 
 
 def test_python_m_runs_the_cli():
-    src = Path(hsckit.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "hsckit.cli", "geography", "blowup", "--c1sq", "9", "--c2", "3", "--k", "2"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     envelope = json.loads(proc.stdout)

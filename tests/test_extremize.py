@@ -163,7 +163,9 @@ def test_ascent_stops_at_the_value_noise_floor():
     )
     cfg = ExtremizeConfig(starts=8, seed=88)
     start = _start_directions(2, cfg)[4:5]
-    values, _, iters, converged = _ascend(-_quartic_matrix(assemble_einstein_surface(p).array), start)
+    values, _, iters, converged, _ = _ascend(
+        _quartic_matrix(assemble_einstein_surface(p).array), start, np.array([-1.0])
+    )
     assert converged[0]
     assert iters[0] < _MAX_ITERS
     assert -values[0] == pytest.approx(p.H, abs=1e-12)
@@ -187,10 +189,45 @@ def test_batched_starts_match_serial_ascents(n, seed):
     T = random_kahler_tensor(n, seed=seed)
     cfg = ExtremizeConfig(starts=16, seed=seed)
     starts = _start_directions(n, cfg)
+    K = _quartic_matrix(T.array)
     for sign in (-1.0, 1.0):
-        best, _, _, _ = _best_of_starts(sign * _quartic_matrix(T.array), starts)
+        values, V, _, converged, _ = _ascend(K, starts, np.full(len(starts), sign))
+        best, _, _, _ = _best_of_starts(values, V, converged)
         reference = best_of_starts_serial(T.array, starts, sign, _MAX_ITERS)
         assert sign * best == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 700), (4, 701), (6, 702)])
+def test_joint_loop_matches_one_sign_ascents(n, seed):
+    # the +-1 rows of one lockstep loop against one all-minus and one
+    # all-plus loop; the products' shapes differ, so values agree to
+    # rounding, not bitwise
+    T = random_kahler_tensor(n, seed=seed)
+    starts = _start_directions(n, ExtremizeConfig(starts=16, seed=seed))
+    K = _quartic_matrix(T.array)
+    m = len(starts)
+    joint, V, _, converged, _ = _ascend(K, np.concatenate((starts, starts)), np.repeat([-1.0, 1.0], m))
+    for half, sign in ((slice(None, m), -1.0), (slice(m, None), 1.0)):
+        values, W, _, alone_converged, _ = _ascend(K, starts, np.full(m, sign))
+        best = _best_of_starts(joint[half], V[half], converged[half])[0]
+        assert best == pytest.approx(_best_of_starts(values, W, alone_converged)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_default_starts_converge_without_hitting_the_cap(n):
+    # steepest ascent ran 5 of these rows into _MAX_ITERS at n = 6 and 20
+    # at n = 8; the conjugate-gradient ascent needs at most about 110 steps
+    for seed in range(12):
+        res = extremize_hsc(random_kahler_tensor(n, seed=seed))
+        assert res.min_capped == res.max_capped == 0
+        assert res.converged
+
+
+def test_starts_at_best_counts_the_tie_set():
+    # every direction is optimal for constant HSC, so every start ties
+    res = extremize_hsc(constant_hsc_tensor(3, 2.0), ExtremizeConfig(starts=10))
+    assert res.min_starts_at_best == res.max_starts_at_best == 10
+    assert res.min_capped == res.max_capped == 0
 
 
 def test_constant_tensor_extremes():
@@ -286,6 +323,7 @@ def test_extremize_deterministic():
     assert np.array_equal(a.argmin.vector, b.argmin.vector)
     assert np.array_equal(a.argmax.vector, b.argmax.vector)
     assert a.iterations_used == b.iterations_used
+    assert a.to_payload() == b.to_payload()
 
 
 def test_extremes_invariant_under_frame_change():

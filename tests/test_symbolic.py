@@ -24,6 +24,7 @@ from hsckit import (
     max_hsc_surface,
 )
 from hsckit.extremize import _PAULI
+from hsckit.geography import _C2_BOUND
 
 H, A, B_RE, B_IM = sp.symbols("H A B_re B_im", real=True)
 X1, Y1, X2, Y2 = sp.symbols("x1 y1 x2 y2", real=True)
@@ -149,3 +150,70 @@ def test_chern_weil_discriminant_identity():
     gamma1, gamma2 = sp.nsimplify(gamma1, rational=True), sp.nsimplify(gamma2, rational=True)
     expected = (H - 2 * A) ** 2 / 2 + sp.Rational(3, 2) * (B_RE**2 + B_IM**2)
     assert _is_zero(3 * gamma2 - gamma1**2 - expected)
+
+
+def _normalized_gammas(h, r):
+    """(gamma1, gamma2, 2 max HSC) at (H, A, |B|) = (h, -1 - h, r), as exact
+    expressions; every point with gamma1 < 0 scales to gamma1 = -1, which
+    keeps the signs of the max and of gamma2 - k gamma1^2."""
+    point = SimpleNamespace(H=h, A=-1 - h, B=r)
+    gamma1, gamma2 = (sp.nsimplify(x, rational=True) for x in chern_weil(point))
+    twice_max = sp.nsimplify(2 * max_hsc_surface(point).value, rational=True)
+    return gamma1, gamma2, twice_max
+
+
+def test_gammas_scale_with_the_point():
+    t = sp.Symbol("t", positive=True)
+    r = sp.Symbol("r", nonnegative=True)
+    point, scaled = SimpleNamespace(H=H, A=A, B=r), SimpleNamespace(H=t * H, A=t * A, B=t * r)
+    (g1, g2), (g1t, g2t) = chern_weil(point), chern_weil(scaled)
+    assert _is_zero(g1t - t * g1) and _is_zero(g2t - t**2 * g2)
+    assert _is_zero(max_hsc_surface(scaled).value - t * max_hsc_surface(point).value)
+
+
+def test_sufficiency_test_implies_negative_hsc():
+    # claim (a): with gamma1 = -1, a max HSC >= 0 forces gamma2 >= gamma1^2,
+    # so gamma2 < gamma1^2 implies negative HSC
+    y, z, r = sp.symbols("y z r", nonnegative=True)
+    x = sp.Symbol("x", positive=True)
+    # case H + 2 = y >= 0: max >= 0 means |B| = y + z with z >= 0, and
+    # 2 (gamma2 - gamma1^2) = 4 (H + 1)^2 + |B|^2 - (H + 2)^2 >= 0
+    gamma1, gamma2, twice_max = _normalized_gammas(y - 2, y + z)
+    assert gamma1 == -1
+    assert _is_zero(twice_max - z)
+    assert sp.expand(2 * (gamma2 - gamma1**2) - 4 * (y - 1) ** 2).is_nonnegative
+    # case H + 2 = -x < 0, with any |B| = r: gamma2 > gamma1^2
+    gamma1, gamma2, _ = _normalized_gammas(-2 - x, r)
+    assert sp.expand(2 * (gamma2 - gamma1**2)).is_positive
+    # sharp: at (-1, 0, 1), on the cone, gamma2 = gamma1^2 and the max is 0
+    gamma1, gamma2, twice_max = _normalized_gammas(-1, 1)
+    assert (gamma2 - gamma1**2, twice_max) == (0, 0)
+
+
+def test_negative_hsc_bounds_gamma2_by_three():
+    # claim (b): with gamma1 = -1, write H = p - 2 and |B| = p - q.  Negative
+    # HSC is q > 0, |B| >= 0 is q <= p, and the cone 2A >= H + |B| is
+    # 4 - 4p + q >= 0, so p <= 4/3.  Then 2 (3 gamma1^2 - gamma2) =
+    # 4 p (2 - p) + q (2p - q) > 0: the first term is >= 0 and the second > 0
+    p, q = sp.symbols("p q", positive=True)
+    r = sp.Symbol("r", nonnegative=True)  # |B|, so that |r| = r
+    gamma1, gamma2, twice_max = (x.subs(r, p - q) for x in _normalized_gammas(p - 2, r))
+    assert _is_zero(twice_max + q)
+    assert _is_zero(2 * (-1 - (p - 2)) - (p - 2) - (p - q) - (4 - 4 * p + q))
+    assert _is_zero(2 * (3 * gamma1**2 - gamma2) - (4 * p * (2 - p) + q * (2 * p - q)))
+    # 3 is the supremum: at p = q = e the max HSC is -e/2 < 0, the point is on
+    # the cone for e <= 4/3, and gamma2 / gamma1^2 -> 3 as e -> 0
+    e = sp.Symbol("e", positive=True)
+    gamma1, gamma2, _ = _normalized_gammas(e - 2, 0)
+    assert sp.limit(gamma2 / gamma1**2, e, 0) == 3
+
+
+def test_ball_quotient_fixes_the_chern_normalization():
+    # constant HSC c is (H, A, B) = (c, c/2, 0): gamma1^2 = 3 gamma2 at every
+    # point, as c1^2 = 3 c2 for the ball quotient, so c1^2 and c2 integrate
+    # gamma1^2 and gamma2 with one constant and gamma2 < 3 gamma1^2
+    # integrates to c2 <= 3 c1^2, the geography module's bound
+    c = sp.Symbol("c", real=True)
+    gamma1, gamma2 = chern_weil(SimpleNamespace(H=c, A=c / 2, B=0))
+    assert _is_zero(sp.nsimplify(gamma1**2 - 3 * gamma2, rational=True))
+    assert _C2_BOUND == 3
