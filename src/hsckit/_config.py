@@ -1,0 +1,35 @@
+"""Settings the CLI parser reads for every command, kept free of numpy.
+
+``curvature`` re-exports ``SYMMETRY_TOL`` and ``extremize`` re-exports
+``ExtremizeConfig``, which is where they are public; they live here so that
+building the parser of a cspace or geography command loads no numeric code.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+SYMMETRY_TOL = 1e-9
+_MAX_STARTS = 4096  # bounds the starts x n^2 ascent product: 64 MB at n = 32
+_MAX_ORACLE_SAMPLES = 1 << 24  # 256 sampling chunks: about 17 s at n = 6
+
+
+@dataclass(frozen=True)
+class ExtremizeConfig:
+    """Starts, seed and oracle samples of ``extremize_hsc``; each ascent stops at ``extremize._MAX_ITERS`` = 500."""
+
+    starts: int = 32
+    seed: int = 0
+    oracle_samples: int = 0
+
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError("starts must be >= 1")
+        if self.starts > _MAX_STARTS:
+            raise ValueError(f"starts must be <= {_MAX_STARTS}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.oracle_samples < 0:
+            raise ValueError("oracle_samples must be >= 0")
+        if self.oracle_samples > _MAX_ORACLE_SAMPLES:
+            raise ValueError(f"oracle_samples must be <= {_MAX_ORACLE_SAMPLES}")

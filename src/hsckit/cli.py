@@ -20,27 +20,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
+from ._config import SYMMETRY_TOL, ExtremizeConfig
 from .cspace import AuditEntry, CSpaceDescriptor, classify_all, itoh_positive
-from .curvature import (
-    EinsteinFramePoint,
-    KahlerCurvatureTensor,
-    SYMMETRY_TOL,
-    _stated_array,
-    chern_weil,
-    max_hsc_surface,
-    sufficient_negativity,
-    validate,
-)
 from .errors import HsckitError, RegimeViolation, TensorFormatError
-from .extremize import ExtremizeConfig, extremize_hsc
 from .geography import (
     _C2_BOUND,
     GeographyVerdict,
@@ -54,7 +44,30 @@ from .geography import (
 )
 from .rootsys import FAMILIES, LieType, highest_root, positive_roots
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .curvature import KahlerCurvatureTensor
+
 __all__ = ["SCHEMAS", "build_parser", "dispatch", "main", "schema_text"]
+
+# a negative number, exponent notation included, is a flag's value and not an
+# option; Python before 3.13 matches only plain decimals such as -0.5
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+def __getattr__(name: str):
+    """A public name of ``curvature`` or ``extremize`` (PEP 562).  Those
+    modules, and numpy with them, load only when a surface or tensor runner
+    or a name read here needs them, so cspace and geography commands start
+    without them."""
+    if not name.startswith("_"):  # probes such as __path__ load nothing
+        from . import curvature, extremize
+
+        for module in (curvature, extremize):
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def schema_text(command: str) -> str:
@@ -117,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--output", type=Path, default=None, help="write to file instead of stdout"
         )
+        subparser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -127,7 +141,7 @@ def _run_cspace_roots(args) -> tuple[dict, list[str]]:
         "family": lie_type.family,
         "rank": lie_type.rank,
         "count": len(rs.positive_roots),
-        "cartan": rs.cartan.tolist(),
+        "cartan": [list(row) for row in rs.cartan],
         "highest_root": list(highest_root(rs)),
         "roots": [list(r) for r in rs.positive_roots],
     }
@@ -161,6 +175,8 @@ def _run_cspace_classify(args) -> tuple[dict, list[str]]:
 
 
 def _run_surface_analyze(args) -> tuple[dict, list[str]]:
+    from .curvature import EinsteinFramePoint, chern_weil, max_hsc_surface, sufficient_negativity
+
     point = EinsteinFramePoint(H=args.H, A=args.A, B=complex(args.b_re, args.b_im))
     gamma1, gamma2 = chern_weil(point)
     surface_max = max_hsc_surface(point)
@@ -201,6 +217,8 @@ def _parse_file(path: Path, parse, error: type[Exception]):
 def _load_tensor(path: Path, tolerance: float) -> tuple[np.ndarray, KahlerCurvatureTensor, list[str]]:
     """The array a tensor file states, the tensor it canonicalizes to, and
     a warning when the two differ by more than tolerance."""
+    from .curvature import KahlerCurvatureTensor, _stated_array
+
     stated = _stated_array(_parse_file(path, json.loads, TensorFormatError))
     tensor = KahlerCurvatureTensor(stated)
     warnings = []
@@ -213,6 +231,8 @@ def _load_tensor(path: Path, tolerance: float) -> tuple[np.ndarray, KahlerCurvat
 
 
 def _run_tensor_validate(args) -> tuple[dict, list[str]]:
+    from .curvature import validate
+
     stated, tensor, warnings = _load_tensor(args.input, args.tolerance)
     report = validate(stated, args.tolerance)
     payload = {"n": tensor.n, "asymmetry": tensor.asymmetry}
@@ -221,6 +241,8 @@ def _run_tensor_validate(args) -> tuple[dict, list[str]]:
 
 
 def _run_tensor_extremize(args) -> tuple[dict, list[str]]:
+    from .extremize import extremize_hsc
+
     _, tensor, warnings = _load_tensor(args.input, SYMMETRY_TOL)
     cfg = ExtremizeConfig(**{f.name: getattr(args, f.name) for f in fields(ExtremizeConfig)})
     result = extremize_hsc(tensor, cfg)

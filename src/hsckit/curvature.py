@@ -36,6 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._config import SYMMETRY_TOL
 from .errors import (
     DimensionMismatch,
     FrameConstraintViolated,
@@ -67,7 +68,6 @@ __all__ = [
     "validate",
 ]
 
-SYMMETRY_TOL = 1e-9
 _MAX_WIRE_N = 32  # largest n a tensor file may state: one n^4 complex array is 16 MB
 
 # The Kähler symmetry group as axis permutations of R[i,j,k,l]: the four linear
@@ -424,9 +424,16 @@ def max_hsc_surface(point: EinsteinFramePoint) -> SurfaceMax:
 
 
 def chern_weil(point: EinsteinFramePoint) -> tuple[float, float]:
-    """The Chern-Weil functions (gamma1, gamma2) at the point."""
+    """The Chern-Weil functions (gamma1, gamma2) at the point.  Frame data
+    so large that gamma2 overflows a float raises ValueError; gamma1 cannot
+    overflow without it."""
     gamma1 = point.H + point.A
-    gamma2 = 0.5 * (point.H**2 + 2.0 * point.A**2 + abs(point.B) ** 2)
+    try:
+        gamma2 = 0.5 * (point.H**2 + 2.0 * point.A**2 + abs(point.B) ** 2)
+    except OverflowError:
+        gamma2 = np.inf
+    if gamma2 == np.inf:  # not np.isinf, which rejects the sympy symbols tests/test_symbolic.py passes
+        raise ValueError(f"frame data too large: gamma2 overflows at H={point.H}, A={point.A}, B={point.B}")
     return gamma1, gamma2
 
 
@@ -444,7 +451,10 @@ def sufficient_negativity(point: EinsteinFramePoint) -> bool:
         raise RegimeViolation(
             f"sufficiency test requires a negative Einstein constant, got gamma1={gamma1}"
         )
-    return gamma2 < gamma1**2
+    try:
+        return gamma2 < gamma1**2
+    except OverflowError:  # gamma1^2 exceeds every float, so the finite gamma2 too
+        return True
 
 
 def constant_hsc_tensor(n: int, c: float) -> KahlerCurvatureTensor:

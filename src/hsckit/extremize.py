@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import _MAX_ORACLE_SAMPLES, _MAX_STARTS, ExtremizeConfig  # re-exported with its limits
 from .curvature import (
     Direction,
     EinsteinFramePoint,
@@ -73,31 +74,8 @@ _CHUNK = 65536  # fixed batch size keeps sampling bitwise-deterministic
 _STEP_TOLERANCE = 1e-9  # relative tangent-gradient norm at which an ascent stops
 _VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
 _EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor
-_MAX_STARTS = 4096  # bounds the starts x n^2 ascent product: 64 MB at n = 32
-_MAX_ORACLE_SAMPLES = 1 << 24  # 256 sampling chunks: about 17 s at n = 6
 _MAX_ITERS = 500  # ascent steps per start before it is reported unconverged
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-@dataclass(frozen=True)
-class ExtremizeConfig:
-    """Starts, seed and oracle samples of ``extremize_hsc``; each ascent stops at ``_MAX_ITERS`` = 500."""
-
-    starts: int = 32
-    seed: int = 0
-    oracle_samples: int = 0
-
-    def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.starts > _MAX_STARTS:
-            raise ValueError(f"starts must be <= {_MAX_STARTS}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.oracle_samples < 0:
-            raise ValueError("oracle_samples must be >= 0")
-        if self.oracle_samples > _MAX_ORACLE_SAMPLES:
-            raise ValueError(f"oracle_samples must be <= {_MAX_ORACLE_SAMPLES}")
 
 
 @dataclass(frozen=True, eq=False)

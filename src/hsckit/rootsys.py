@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InadmissibleRank
 
 __all__ = [
@@ -92,11 +90,12 @@ class RootSystem:
     """Enumerated positive roots of a simple type.
 
     ``positive_roots`` is sorted graded-lexicographically (height, then
-    coefficients) and immutable; the Cartan matrix array is read-only.
+    coefficients) and immutable, and so is the Cartan matrix, a tuple of
+    int tuples.
     """
 
     lie_type: LieType
-    cartan: np.ndarray
+    cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
 
     @property
@@ -104,27 +103,27 @@ class RootSystem:
         return self.lie_type.rank
 
 
-def _chain(A: np.ndarray, i: int, j: int) -> None:
-    A[i, j] = -1
-    A[j, i] = -1
+def _chain(A: list[list[int]], i: int, j: int) -> None:
+    A[i][j] = -1
+    A[j][i] = -1
 
 
-def cartan_matrix(lie_type: LieType) -> np.ndarray:
+def cartan_matrix(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of a simple type in Bourbaki node numbering.
 
-    Returns a read-only integer array with ``A[i][j] = <alpha_i,
-    alpha_j^vee>`` (0-based storage for the 1-based node labels above).
+    Returns a tuple of int tuples with ``A[i][j] = <alpha_i, alpha_j^vee>``
+    (0-based storage for the 1-based node labels above).
     """
     n = lie_type.rank
-    A = 2 * np.eye(n, dtype=int)
+    A = [[2 * (i == j) for j in range(n)] for i in range(n)]
     fam = lie_type.family
     if fam in ("A", "B", "C"):
         for i in range(n - 1):
             _chain(A, i, i + 1)
         if fam == "B" and n >= 2:
-            A[n - 2, n - 1] = -2  # node n short
+            A[n - 2][n - 1] = -2  # node n short
         elif fam == "C" and n >= 2:
-            A[n - 1, n - 2] = -2  # node n long
+            A[n - 1][n - 2] = -2  # node n long
     elif fam == "D":
         for i in range(n - 2):
             _chain(A, i, i + 1)
@@ -138,15 +137,14 @@ def cartan_matrix(lie_type: LieType) -> np.ndarray:
         _chain(A, 0, 1)
         _chain(A, 1, 2)
         _chain(A, 2, 3)
-        A[1, 2] = -2  # nodes 3, 4 short
+        A[1][2] = -2  # nodes 3, 4 short
     elif fam == "G":
-        A[0, 1] = -1
-        A[1, 0] = -3  # node 1 short
-    A.setflags(write=False)
-    return A
+        A[0][1] = -1
+        A[1][0] = -3  # node 1 short
+    return tuple(map(tuple, A))
 
 
-def closure_from_cartan(cartan: np.ndarray | Sequence[Sequence[int]]) -> set[Root]:
+def closure_from_cartan(cartan: Sequence[Sequence[int]]) -> set[Root]:
     """Enumerate positive roots by root-string closure.
 
     Starting from the simple roots, a root ``beta`` of height h extends to
@@ -157,10 +155,12 @@ def closure_from_cartan(cartan: np.ndarray | Sequence[Sequence[int]]) -> set[Roo
 
     The simple roots are scanned in their given order; relabelling them
     (permuting the Cartan matrix) relabels the result and changes nothing
-    else (tested property).
+    else (tested property).  Any integer matrix will do, a numpy array
+    included.
     """
-    A = np.asarray(cartan, dtype=int)
-    rank = A.shape[0]
+    rank = len(cartan)
+    # column j of the matrix: the pairings <alpha_i, alpha_j^vee> over i
+    columns = [[int(cartan[i][j]) for i in range(rank)] for j in range(rank)]
 
     simple = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
     known: set[Root] = set(simple)
@@ -169,7 +169,7 @@ def closure_from_cartan(cartan: np.ndarray | Sequence[Sequence[int]]) -> set[Roo
         grown: list[Root] = []
         for beta in frontier:
             for j in range(rank):
-                pairing = int(sum(beta[i] * A[i, j] for i in range(rank)))
+                pairing = sum(b * a for b, a in zip(beta, columns[j]))
                 p = 0
                 lower = list(beta)
                 lower[j] -= 1

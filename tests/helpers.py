@@ -131,6 +131,18 @@ def level_set(rs: RootSystem, node: int, k: int) -> list[Root]:
     return [r for r in rs.positive_roots if r[node - 1] == k]
 
 
+def fano_index(rs: RootSystem, node: int) -> int:
+    """The Fano index iota = <sum of the roots alpha with k(alpha) >= 1,
+    alpha_r^vee> of the C-space marked at ``node`` (1-based), in integers.
+
+    The summed roots span its tangent space, so their count is its dimension
+    n; iota = n + 1 singles out P^n and iota = n the quadric.
+    """
+    r = node - 1
+    total = [sum(root[i] for root in rs.positive_roots if root[r] >= 1) for i in range(rs.rank)]
+    return sum(c * rs.cartan[i][r] for i, c in enumerate(total))
+
+
 def product_tensor(t1: KahlerCurvatureTensor, t2: KahlerCurvatureTensor) -> KahlerCurvatureTensor:
     """Block direct sum realizing the curvature of a product metric.
 

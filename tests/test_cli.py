@@ -471,6 +471,54 @@ def test_python_m_runs_the_cli():
     assert envelope["payload"]["result"] == {"c1sq": 7, "c2": 5}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "analyze", "--H", "-1e-3", "--A", "0.5"],
+        ["surface", "analyze", "--H", "-1", "--A", "0", "--B-im", "-2.5e-17"],  # the repr of a tiny float
+        ["geography", "blowup", "--c1sq", "-5", "--c2", "3", "--k", "2"],
+    ],
+)
+def test_negative_flag_values_read_as_values(capsys, argv):
+    # argparse before Python 3.13 takes "-1e-3" for an option unless joined by "="
+    joined = argv[:2] + [f"{flag}={value}" for flag, value in zip(argv[2::2], argv[3::2])]
+    assert dispatch(joined) == 0
+    expected = capsys.readouterr().out
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+NUMPY_FREE_COMMANDS = [
+    ["cspace", "roots", "--family", "E", "--rank", "8"],
+    ["cspace", "classify", "--family", "E", "--rank", "6", "--audit"],
+    ["geography", "check", "--builtin"],
+    ["geography", "blowup", "--c1sq", "9", "--c2", "3", "--k", "2"],
+    ["geography", "scan-horikawa", "--pg", "3..20"],
+    ["geography", "plotdata", "--format", "tsv"],
+]
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    script = "import sys, hsckit, hsckit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_cspace_and_geography_commands_run_without_numpy(capsys, argv):
+    # a None entry in sys.modules makes every later "import numpy" raise ImportError
+    script = "import sys; sys.modules['numpy'] = None; from hsckit.cli import main; main()"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, env=_child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert dispatch(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
 HUGE_TENSOR = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1e308}]}
 # the stated value breaks the Hermitian relation by 2e308, beyond the float range
 HUGE_VIOLATION = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0, "im": 1e308}]}
@@ -481,7 +529,11 @@ HUGE_VIOLATION = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["surface", "analyze", "--H=-1e200", "--A=1e200"], "OverflowError"),
+        pytest.param(
+            ["surface", "analyze", "--H=-1e200", "--A=1e200"],  # H**2 overflows
+            "ValueError: frame data too large: gamma2 overflows at H=-1e+200, A=1e+200, B=0j",
+            id="argv0-ValueError",
+        ),
         (["surface", "analyze", "--H", "0", "--A", "1.1e154"], "ValueError"),  # gamma2 = inf
         pytest.param(
             ["tensor", "validate", "--input", "{violation}"],  # magnitude = inf
@@ -489,6 +541,11 @@ HUGE_VIOLATION = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0
             id="argv2-ValueError",
         ),
         (["tensor", "extremize", "--input", "{huge}"], "FloatingPointError"),
+        pytest.param(
+            ["surface", "analyze", "--H", "1e200", "--A", "1e200"],
+            "ValueError: frame data too large: gamma2 overflows at H=1e+200, A=1e+200, B=0j",
+            id="argv4-ValueError",
+        ),
     ],
 )
 def test_overflow_exits_1_with_named_error(capsys, tmp_path, argv, error, fmt):

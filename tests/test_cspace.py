@@ -12,7 +12,9 @@ from hsckit import (
     audit_against_published,
     classify_all,
     itoh_positive,
+    positive_roots,
 )
+from helpers import fano_index
 
 
 def test_a3_node2_positive_level_one():
@@ -167,3 +169,27 @@ def test_published_positive_exceptional_table():
     assert published_positive(CSpaceDescriptor(LieType("G", 2), 2))
     assert not published_positive(CSpaceDescriptor(LieType("G", 2), 1))
     assert published_positive(CSpaceDescriptor(LieType("B", 9), 9))
+
+
+def test_fano_index_of_projective_spaces_and_quadrics():
+    # iota = n + 1 is P^n and iota = n the n-dimensional quadric; both carry
+    # metrics of positive HSC, so a failed criterion on either contradicts it
+    assert fano_index(positive_roots(LieType("A", 4)), 1) == 5  # P^4
+    assert fano_index(positive_roots(LieType("B", 3)), 1) == 5  # Q^5
+    entries = audit_against_published()
+    assert len(entries) == 165
+    matched, failed = 0, []
+    for entry in entries:
+        d = entry.verdict.descriptor
+        rs = positive_roots(d.lie_type)
+        n = sum(root[d.node - 1] >= 1 for root in rs.positive_roots)
+        iota = fano_index(rs, d.node)
+        if iota in (n, n + 1):
+            matched += 1
+            if not entry.verdict.itoh_positive:
+                failed.append((str(d.lie_type), d.node, n, iota))
+    assert matched == 43
+    assert failed == [("G2", 1, 5, 5)], (
+        "the criterion should fail on P^n or a quadric only at (G2, alpha_1), the "
+        f"5-dimensional quadric; it fails at {failed}"
+    )

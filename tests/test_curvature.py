@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import time
 
 import numpy as np
@@ -374,6 +375,18 @@ def test_sufficiency_examples():
     assert sufficient_negativity(EinsteinFramePoint(-1.0, -0.5, 0.0)) is True
     assert sufficient_negativity(EinsteinFramePoint(-2.0, 0.0, 1.0)) is True
     assert sufficient_negativity(EinsteinFramePoint(-1.0, 0.26, 0.9)) is False
+
+
+def test_sufficiency_when_gamma1_squared_overflows():
+    # gamma2 = 7.5e307 is finite; gamma1^2 = 2.25e308 is past the float range
+    assert sufficient_negativity(EinsteinFramePoint(-1e154, -5e153, 0.0)) is True
+
+
+@pytest.mark.parametrize("H, A, B", [(1e200, 1e200, 0.0), (0.0, 1e308, 1e308), (0.0, 1.1e154, 0.0)])
+def test_chern_weil_overflow_names_the_frame_data(H, A, B):
+    point = EinsteinFramePoint(H, A, B)
+    with pytest.raises(ValueError, match=re.escape(f"at H={point.H}, A={point.A}, B={point.B}")):
+        chern_weil(point)
 
 
 def test_sufficiency_outside_regime_raises():

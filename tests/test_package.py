@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +64,32 @@ def test_public_classes_and_functions_have_written_docstrings(short):
             doc = value.__doc__ or ""
             # dataclass and NamedTuple fill a missing docstring with the signature
             assert doc.strip() and not doc.startswith(f"{name}("), name
+
+
+def quickstart_script(readme: str) -> str:
+    """The README's Library quickstart block as a script: a line commented
+    ``# True`` or ``# False`` asserts that value, and one commented ``# ==
+    expr`` asserts that it is close to expr."""
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = ["import math"]
+    for line in block.splitlines():
+        code, _, comment = (part.strip() for part in line.partition("  # "))
+        if comment in ("True", "False"):
+            line = f"assert ({code}) is {comment}, {code!r}"
+        elif comment.startswith("== "):
+            line = f"assert math.isclose({code}, {comment[3:]}, rel_tol=1e-9, abs_tol=1e-9), {code!r}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_quickstart_runs():
+    root = Path(__file__).resolve().parent.parent
+    script = quickstart_script((root / "README.md").read_text())
+    assert script.count("\nassert ") == 3, script
+    src = Path(hsckit.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), script
