@@ -51,9 +51,10 @@ if TYPE_CHECKING:
 
 __all__ = ["SCHEMAS", "build_parser", "dispatch", "main", "schema_text"]
 
-# a negative number, exponent notation included, is a flag's value and not an
-# option; Python before 3.13 matches only plain decimals such as -0.5
-_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+# a negative number, in exponent notation too, is a flag's value and not an
+# option, and so are -inf, -infinity and -nan in any case; Python before 3.13
+# matches only plain decimals such as -0.5
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 def __getattr__(name: str):

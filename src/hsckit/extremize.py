@@ -43,7 +43,7 @@ the frame's residual reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,7 +84,9 @@ class ExtremizeResult:
 
     Per side, ``*_starts_at_best`` counts the starts whose ascent ties the
     best value within ``_VALUE_TOLERANCE``, and ``*_capped`` the starts still
-    running after ``_MAX_ITERS`` steps.
+    running after ``_MAX_ITERS`` steps.  An axis start ``e_j`` and its phase
+    copy ``i e_j`` count as two, though HSC is phase-invariant and both
+    usually reach the same optimum, so a count of 2 may be one axis.
     """
 
     min_value: float
@@ -106,22 +108,11 @@ class ExtremizeResult:
         return self.min_converged and self.max_converged
 
     def to_payload(self) -> dict:
-        return {
-            "n": self.argmin.n,
-            "min_value": self.min_value,
-            "max_value": self.max_value,
-            "argmin": [[z.real, z.imag] for z in self.argmin.vector],
-            "argmax": [[z.real, z.imag] for z in self.argmax.vector],
-            "iterations_used": self.iterations_used,
-            "min_converged": self.min_converged,
-            "max_converged": self.max_converged,
-            "min_starts_at_best": self.min_starts_at_best,
-            "max_starts_at_best": self.max_starts_at_best,
-            "min_capped": self.min_capped,
-            "max_capped": self.max_capped,
-            "oracle_min": self.oracle_min,
-            "oracle_max": self.oracle_max,
-        }
+        """Every field, each direction as [re, im] pairs, and n."""
+        payload = asdict(self)
+        for side in ("argmin", "argmax"):
+            payload[side] = [[z.real, z.imag] for z in getattr(self, side).vector]
+        return {"n": self.argmin.n, **payload}
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,14 +155,10 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
 
 
 def _normalize_phase(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if abs(x) > 1e-12:
-            return v * (np.conj(x) / abs(x))
-    return v
-
-
-def _lex_key(v: np.ndarray) -> tuple:
-    return tuple(np.column_stack((v.real, v.imag)).ravel())
+    """The unit vector v with its first component above 1e-12 in modulus
+    made real and positive."""
+    x = next(x for x in v if abs(x) > 1e-12)
+    return v * (np.conj(x) / abs(x))
 
 
 _CIRCLE_SAMPLES = 5  # enough to fit harmonics 0, 2 and 4 exactly
@@ -338,7 +325,7 @@ def _best_of_starts(
     lexicographically first one is reported."""
     best = float(values.max())
     ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
-    argbest = min((_normalize_phase(V[i]) for i in ties), key=_lex_key)
+    argbest = min((_normalize_phase(V[i]) for i in ties), key=lambda v: v.view(float).tolist())
     return best, Direction(argbest), bool(converged[ties].any()), len(ties)
 
 

@@ -481,11 +481,34 @@ def test_python_m_runs_the_cli():
 )
 def test_negative_flag_values_read_as_values(capsys, argv):
     # argparse before Python 3.13 takes "-1e-3" for an option unless joined by "="
-    joined = argv[:2] + [f"{flag}={value}" for flag, value in zip(argv[2::2], argv[3::2])]
+    joined = _join_flag_values(argv)
     assert dispatch(joined) == 0
     expected = capsys.readouterr().out
     assert dispatch(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "analyze", "--H", "-inf", "--A", "0"],
+        ["surface", "analyze", "--H", "-Infinity", "--A", "0"],
+        ["surface", "analyze", "--H", "-1", "--A", "-NaN"],
+        ["surface", "analyze", "--H", "-1", "--A", "0", "--B-im", "-INF"],
+        ["surface", "analyze", "--H", "-1", "--A", "0", "--B-re", "-nan"],
+    ],
+)
+def test_non_finite_flag_values_reach_the_runner(capsys, argv):
+    # in any case, and with or without "=", they fail the frame check rather than the parser
+    assert dispatch(_join_flag_values(argv)) == 1
+    expected = capsys.readouterr()
+    assert "ValueError: frame data must be finite" in expected.err
+    assert dispatch(argv) == 1
+    assert capsys.readouterr() == expected
+
+
+def _join_flag_values(argv):
+    return argv[:2] + [f"{flag}={value}" for flag, value in zip(argv[2::2], argv[3::2])]
 
 
 NUMPY_FREE_COMMANDS = [
@@ -582,6 +605,20 @@ def test_tensor_validate_checks_stated_entries(capsys, tmp_path):
         {"relation": "hermitian", "indices": [0, 0, 1, 1], "magnitude": pytest.approx(0.8)}
     ]
     assert envelope["warnings"] == ["canonicalization adjusted stated entries by 0.4 (tolerance 1e-09)"]
+
+
+def test_tensor_tsv_rows_hold_json_lists(capsys, tmp_path):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps({"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0, "im": 0.4}]}))
+    lines = run_tsv(capsys, ["tensor", "validate", "--input", str(path)])
+    assert 'violations\t[{"relation": "hermitian", "indices": [0, 0, 1, 1], "magnitude": 0.8}]' in lines
+    argv = ["tensor", "extremize", "--input", str(path), "--starts", "8"]
+    rows = dict(line.split("\t") for line in run_tsv(capsys, argv) if not line.startswith("#"))
+    _, envelope = run_json(capsys, argv)
+    for side in ("argmin", "argmax"):
+        pairs = json.loads(rows[side])
+        assert [len(pair) for pair in pairs] == [2, 2]
+        assert pairs == envelope["payload"][side]
 
 
 @pytest.mark.parametrize(

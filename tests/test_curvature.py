@@ -120,6 +120,9 @@ def test_bad_shape_rejected():
         KahlerCurvatureTensor(np.zeros((2, 2, 2)))
     with pytest.raises(DimensionMismatch):
         KahlerCurvatureTensor(np.zeros((2, 2, 2, 3)))
+    # n = 0 has no unit sphere, and the wire format already rejects it
+    with pytest.raises(DimensionMismatch, match="n >= 1"):
+        KahlerCurvatureTensor(np.zeros((0, 0, 0, 0)))
 
 
 # --- hsc --------------------------------------------------------------------
