@@ -255,9 +255,11 @@ def validate(
     return ValidationReport(ok=not violations, tolerance=tol, violations=violations)
 
 
-# rows per product: 4.7 MB per temporary at n = 6, 134 MB at n = 32, where 8,192 rows
-# peak at 404 MiB in circle sampling and 388 MiB in ``_value_and_gradient`` (tracemalloc)
-_KERNEL_ROWS = 8192
+# rows per product: 590 kB per temporary at n = 6, inside a 4 MiB L2 cache, and 17 MB
+# at n = 32, where 8,192 rows peak at 68 MiB in circle sampling and 388 MiB in the
+# unblocked ``_value_and_gradient`` (tracemalloc); 1,024 and 8,192 rows gave bitwise
+# equal values at n = 1 to 32 (OpenBLAS)
+_KERNEL_ROWS = 1024
 
 
 def _quartic_matrix(R: np.ndarray) -> np.ndarray:
@@ -271,7 +273,7 @@ def _values_batch(K: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The quartic ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` per row v
     of V, for K = ``_quartic_matrix(R)``.
 
-    Each block of at most 8,192 rows is one GEMM ``Y = X K`` with X the rows
+    Each block of at most 1,024 rows is one GEMM ``Y = X K`` with X the rows
     of x = v (x) v, followed by ``Re conj(x).y`` per row; the quartic is real
     because R is Hermitian-symmetric.  The blocks are cut at fixed offsets,
     so the sequence of products depends only on the row count, and the same

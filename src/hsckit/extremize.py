@@ -7,12 +7,17 @@ Matrix Manifolds*, 2008, ch. 8) is enough at these sizes: the Riemannian
 gradient is the cubic contraction of R with (v, v, conj(v)) projected onto
 the sphere's tangent space, the search direction adds the previous one,
 carried along the last circle, with the Polak-Ribiere+ weight, and each step
-moves along the great circle the direction spans.  Restricted to a great
-circle the objective is a quartic form in (cos t, sin t), so it has only the
-even harmonics 0, 2 and 4, recovered by a 5-point DFT over the half circle.
-The line search is exact: every stationary angle is half the argument of a
-root of a degree-4 polynomial, and the best of those angles is the circle's
-global optimum, with no grid and no noise floor.
+moves along the great circle the direction spans.  Every 2n - 2 steps, the
+real dimension of CP^{n-1} (the sphere less the phase direction), a row
+restarts along the gradient: Powell (*Math. Programming* 12, 1977) showed
+that conjugate gradient restarted every d steps in dimension d converges
+quadratically per cycle, where the unrestarted Polak-Ribiere+ is linear.
+Restricted to a great circle the objective is a quartic form in (cos t,
+sin t), so it has only the even harmonics 0, 2 and 4, recovered by a 5-point
+DFT over the half circle.  The line search is exact: every stationary angle
+is half the argument of a root of a degree-4 polynomial, and the best of
+those angles is the circle's global optimum, with no grid and no noise
+floor.
 
 Every evaluation is one product with the n^2 x n^2 quartic matrix K of
 ``curvature``, which gives f alone (``_values_batch``) or f and its
@@ -233,13 +238,17 @@ def _ascend(
     beta = max(0, Re<g, g - g_prev> / |g_prev|^2) on tangent gradients,
     projected onto the complex-orthogonal complement of v (which also drops
     the phase direction i v), where T(d_prev) is the tangent of the accepted
-    circle at the new point.  A row steps along g itself when it is fresh,
-    when beta = 0 or when Re<g, d> <= 0.  A conjugate step that does not
-    improve is retried along g; a gradient step that does not improve stops
-    the row.  Each step takes the rows still running through one fused value
-    and gradient product, one circle-sampling product and one batch of
-    companion eigenvalues.  Negating f, g and the circle coefficients is
-    exact, so a row with s = -1 descends f exactly as a row of -K would.
+    circle at the new point.  A row steps along g itself when it restarts,
+    when beta = 0 or when Re<g, d> <= 0.  A row restarts at its first step,
+    after a conjugate step that does not improve, and 2n - 2 steps after its
+    last restart: 2n - 2 is the real dimension of CP^{n-1}, and this is
+    Powell's restart (*Math. Programming* 12, 1977), quadratic per cycle
+    near a nondegenerate optimum.  A gradient step that does not improve
+    stops the row.  Each step takes the rows still running through one
+    fused value and gradient product, one circle-sampling product and one
+    batch of companion eigenvalues.  Negating f, g and the circle
+    coefficients is exact, so a row with s = -1 descends f exactly as a row
+    of -K would.
     Returns per-row (s f, v, iters, converged, capped), where capped rows
     were still running after ``_MAX_ITERS`` steps.
     """
@@ -249,9 +258,11 @@ def _ascend(
     iters = np.zeros(len(V), dtype=int)
     converged = np.zeros(len(V), dtype=bool)
     rows = np.arange(len(V))
-    # per running row: whether it restarts along g, its previous tangent
-    # gradient and its previous direction carried to the current point
-    fresh = np.ones(len(V), dtype=bool)
+    # per running row: its steps since it last restarted along g (0: it
+    # restarts now), its previous tangent gradient and its previous direction
+    # carried to the current point
+    period = 2 * V.shape[1] - 2  # real dimension of CP^{n-1}
+    since = np.zeros(len(V), dtype=int)
     g_prev = np.zeros_like(V)
     d_carried = np.zeros_like(V)
     for step in range(1, _MAX_ITERS + 1):
@@ -267,9 +278,9 @@ def _ascend(
         if not rows.size:
             break
         v, f, gt, gn, scale = v[moving], f[moving], gt[moving], gn[moving], scale[moving]
-        fresh, g_prev, d_carried = fresh[moving], g_prev[moving], d_carried[moving]
-        # a fresh row compares g with itself, so its beta is exactly 0
-        g_prev = np.where(fresh[:, None], gt, g_prev)
+        since, g_prev, d_carried = since[moving], g_prev[moving], d_carried[moving]
+        # a restarting row compares g with itself, so its beta is exactly 0
+        g_prev = np.where((since == 0)[:, None], gt, g_prev)
         beta = np.maximum(0.0, _re_dot(gt, gt - g_prev) / _re_dot(g_prev, g_prev))
         d = gt + beta[:, None] * d_carried
         d -= (v.conj() * d).sum(axis=1)[:, None] * v
@@ -293,7 +304,8 @@ def _ascend(
         moved = rows[up]
         V[moved], F[moved], G[moved] = w[up], fw[up], gw[up]
         keep = ~stop
-        rows, fresh, g_prev = rows[keep], stalled[keep], gt[keep]
+        since = np.where(stalled | (since + 1 >= period), 0, since + 1)
+        rows, since, g_prev = rows[keep], since[keep], gt[keep]
         d_carried = (dn * (np.cos(theta) * u - np.sin(theta) * v))[keep]
     capped = np.zeros(len(V), dtype=bool)
     capped[rows] = True

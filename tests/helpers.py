@@ -164,3 +164,14 @@ def grassmannian_tensor(p: int, q: int) -> KahlerCurvatureTensor:
     [1/min(p, q), 1] (Wolf's polysphere theorem)."""
     B = np.eye(p * q).reshape(p * q, p, q)
     return KahlerCurvatureTensor(np.einsum("iab,jcb,kcd,lad->ijkl", B, B.conj(), B, B.conj()))
+
+
+def quadric_tensor(n: int) -> KahlerCurvatureTensor:
+    """Curvature of the quadric Q^n at a point: R[i,j,k,l] = (d_ij d_kl +
+    d_il d_kj) / 2 - d_ik d_jl / 2, so HSC(v) = |v|^4 - |v^T v|^2 / 2.  Its
+    range is [1/2, 1], the minimum on the real directions and the maximum on
+    the isotropic ones (v^T v = 0); both optima are non-isolated."""
+    d = np.eye(n)
+    return KahlerCurvatureTensor(
+        0.5 * (np.einsum("ij,kl->ijkl", d, d) + np.einsum("il,kj->ijkl", d, d) - np.einsum("ik,jl->ijkl", d, d))
+    )

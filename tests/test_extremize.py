@@ -24,7 +24,7 @@ from hsckit import (
     sample_hsc,
     transform_frame,
 )
-from hsckit.curvature import _quartic_matrix, _value_and_gradient, _values_batch
+from hsckit.curvature import _KERNEL_ROWS, _quartic_matrix, _value_and_gradient, _values_batch
 from hsckit.extremize import (
     _MAX_ITERS,
     _MAX_ORACLE_SAMPLES,
@@ -41,6 +41,7 @@ from helpers import (
     best_of_starts_serial,
     grassmannian_tensor,
     product_tensor,
+    quadric_tensor,
     quartic_values_einsum,
     random_frame_point,
     random_kahler_tensor,
@@ -176,7 +177,7 @@ def test_values_batch_matches_einsum_across_blocks(n):
     T = random_kahler_tensor(n, seed=500 + n)
     K = _quartic_matrix(T.array)
     rng = np.random.default_rng(600 + n)
-    for m in (1, 8191, 8192, 2 * 8192 + 3):
+    for m in (1, _KERNEL_ROWS - 1, _KERNEL_ROWS, 2 * _KERNEL_ROWS + 3):
         V = _sample_unit_sphere(n, m, rng)
         ref = quartic_values_einsum(T.array, V)
         got = _values_batch(K, V)
@@ -184,7 +185,7 @@ def test_values_batch_matches_einsum_across_blocks(n):
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-@pytest.mark.parametrize("n, seed", [(3, 700), (4, 701), (6, 702)])
+@pytest.mark.parametrize("n, seed", [(2, 703), (2, 704), (3, 700), (4, 701), (6, 702)])
 def test_batched_starts_match_serial_ascents(n, seed):
     T = random_kahler_tensor(n, seed=seed)
     cfg = ExtremizeConfig(starts=16, seed=seed)
@@ -216,7 +217,8 @@ def test_joint_loop_matches_one_sign_ascents(n, seed):
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
 def test_default_starts_converge_without_hitting_the_cap(n):
     # steepest ascent ran 5 of these rows into _MAX_ITERS at n = 6 and 20
-    # at n = 8; the conjugate-gradient ascent needs at most about 110 steps
+    # at n = 8; the restarted conjugate-gradient ascent needs at most 70
+    # steps (n = 8), against 102 without the restart
     for seed in range(12):
         res = extremize_hsc(random_kahler_tensor(n, seed=seed))
         assert res.min_capped == res.max_capped == 0
@@ -342,6 +344,39 @@ def test_surface_extremes_match_closed_form_over_random_points():
         res = extremize_hsc(assemble_einstein_surface(p), ExtremizeConfig(starts=8, seed=trial))
         assert res.max_value == pytest.approx(max_hsc_surface(p).value, abs=1e-6)
         assert res.min_value == pytest.approx(p.H, abs=1e-6)
+
+
+def test_surface_ascents_converge_within_a_few_restart_cycles(monkeypatch):
+    # restarted every 2n - 2 = 2 steps, the longest n = 2 row here takes 9
+    # steps; unrestarted Polak-Ribiere+ converges linearly and took 22
+    longest = []
+
+    def ascend(K, V0, signs):
+        out = _ascend(K, V0, signs)
+        longest.append(int(out[2].max()))
+        return out
+
+    monkeypatch.setattr("hsckit.extremize._ascend", ascend)
+    rng = np.random.default_rng(2024)
+    for seed in range(32):
+        p = random_frame_point(rng)
+        res = extremize_hsc(assemble_einstein_surface(p), ExtremizeConfig(starts=8, seed=seed))
+        assert res.min_value == pytest.approx(p.H, abs=1e-9)
+        assert res.max_value == pytest.approx(max_hsc_surface(p).value, abs=1e-9)
+    assert len(longest) == 32
+    assert max(longest) <= 12
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_quadric_hsc_range_is_known(n):
+    # Q^n is Hermitian symmetric of rank 2, so HSC ranges over [1/2, 1]; both
+    # optima are non-isolated (real and isotropic directions), where
+    # conjugate gradient's restart has the least to work with
+    res = extremize_hsc(quadric_tensor(n))
+    assert res.converged
+    assert res.min_capped == res.max_capped == 0
+    assert res.min_value == pytest.approx(0.5, abs=1e-10)
+    assert res.max_value == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("p, q", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
