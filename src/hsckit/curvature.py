@@ -256,9 +256,10 @@ def validate(
 
 
 # rows per product: 590 kB per temporary at n = 6, inside a 4 MiB L2 cache, and 17 MB
-# at n = 32, where 8,192 rows peak at 68 MiB in circle sampling and 388 MiB in the
-# unblocked ``_value_and_gradient`` (tracemalloc); 1,024 and 8,192 rows gave bitwise
-# equal values at n = 1 to 32 (OpenBLAS)
+# at n = 32, where 8,192 rows peak at 68 MiB in circle sampling and 53 MiB in
+# ``_value_and_gradient`` (tracemalloc); 1,024 and 8,192 rows gave bitwise equal
+# values at n = 1 to 32 (OpenBLAS), but a one-row block is a matrix-vector product
+# that may differ in the last bits
 _KERNEL_ROWS = 1024
 
 
@@ -269,24 +270,27 @@ def _quartic_matrix(R: np.ndarray) -> np.ndarray:
     return R.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
+def _by_blocks(K: np.ndarray, V: np.ndarray, out: np.ndarray, reduce) -> np.ndarray:
+    """out, with ``out[rows] = reduce(Vb, X, X K)`` for each block Vb of V and X
+    the rows of x = v (x) v; blocks are cut at fixed offsets of ``_KERNEL_ROWS``,
+    so the same rows give bitwise-identical products on every call."""
+    n = V.shape[1]
+    for start in range(0, len(V), _KERNEL_ROWS):
+        Vb = V[start : start + _KERNEL_ROWS]
+        X = (Vb[:, :, None] * Vb[:, None, :]).reshape(len(Vb), n * n)
+        out[start : start + len(Vb)] = reduce(Vb, X, X @ K)
+    return out
+
+
 def _values_batch(K: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The quartic ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` per row v
     of V, for K = ``_quartic_matrix(R)``.
 
-    Each block of at most 1,024 rows is one GEMM ``Y = X K`` with X the rows
-    of x = v (x) v, followed by ``Re conj(x).y`` per row; the quartic is real
-    because R is Hermitian-symmetric.  The blocks are cut at fixed offsets,
-    so the sequence of products depends only on the row count, and the same
-    rows give bitwise-identical values on every call.
+    Each block is one GEMM ``Y = X K`` followed by ``Re conj(x).y`` per row;
+    the quartic is real because R is Hermitian-symmetric.
     """
-    m, n = V.shape
-    out = np.empty(m)
-    for start in range(0, m, _KERNEL_ROWS):
-        Vb = V[start : start + _KERNEL_ROWS]
-        X = (Vb[:, :, None] * Vb[:, None, :]).reshape(len(Vb), n * n)
-        # Re(y conj(x)) = y.re x.re + y.im x.im, summed over the float pairs
-        out[start : start + len(Vb)] = ((X @ K).view(float) * X.view(float)).sum(axis=1)
-    return out
+    # Re(y conj(x)) = y.re x.re + y.im x.im, summed over the float pairs
+    return _by_blocks(K, V, np.empty(len(V)), lambda _, X, Y: (Y.view(float) * X.view(float)).sum(axis=1))
 
 
 def _value_and_gradient(K: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,8 +302,8 @@ def _value_and_gradient(K: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.nd
     doubled again by the two barred slots), and ``f = Re conj(v).Y conj(v)``.
     """
     m, n = V.shape
-    X = (V[:, :, None] * V[:, None, :]).reshape(m, n * n)
-    Yv = ((X @ K).reshape(m, n, n) * V.conj()[:, None, :]).sum(axis=2)
+    Yv = np.empty((m, n), dtype=complex)
+    _by_blocks(K, V, Yv, lambda Vb, _, Y: (Y.reshape(-1, n, n) * Vb.conj()[:, None, :]).sum(axis=2))
     return (V.conj() * Yv).sum(axis=1).real, 4.0 * Yv
 
 

@@ -29,13 +29,13 @@ as the rows of one array: each step is one fused product for the rows still
 running, one product for all their circle samples and one batch of
 companion-matrix eigenvalues, and each row stops on its own rule.
 
-Determinism: start directions are derived from ``(seed, start index)``, the
-ascent is deterministic, and the best-of-starts merge is an index-ordered
-reduction.  Which rows are still running at each step, and so the shape of
-every product, depends only on the inputs, and the kernel cuts large batches
-into blocks of a fixed size; so identical configs give bitwise-identical
-results on a given BLAS build.  A brute-force sphere-sampling oracle is
-provided for cross-checks.
+Determinism: each conjugate pair of random starts is derived from ``(seed,
+pair index)``, the ascent is deterministic, and the best-of-starts merge is
+an index-ordered reduction.  Which rows are still running at each step, and
+so the shape of every product, depends only on the inputs, and the kernel
+cuts large batches into blocks of a fixed size; so identical configs give
+bitwise-identical results on a given BLAS build.  A brute-force
+sphere-sampling oracle is provided for cross-checks.
 
 ``distinguished_frame`` needs no optimizer: for a unit v in C^2, ``v v^H =
 (I + s.sigma) / 2`` with s on the Bloch sphere, so HSC is ``c + b.s + s^T Q
@@ -89,9 +89,7 @@ class ExtremizeResult:
 
     Per side, ``*_starts_at_best`` counts the starts whose ascent ties the
     best value within ``_VALUE_TOLERANCE``, and ``*_capped`` the starts still
-    running after ``_MAX_ITERS`` steps.  An axis start ``e_j`` and its phase
-    copy ``i e_j`` count as two, though HSC is phase-invariant and both
-    usually reach the same optimum, so a count of 2 may be one axis.
+    running after ``_MAX_ITERS`` steps.
     """
 
     min_value: float
@@ -313,18 +311,13 @@ def _ascend(
 
 
 def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
-    # the 2n coordinate axes, real then imaginary
-    starts = [*np.eye(n, dtype=complex), *(1j * np.eye(n))]
-    pair = 0
-    while len(starts) < cfg.starts:
-        rng = np.random.default_rng([cfg.seed, pair])
-        w = _sample_unit_sphere(n, 1, rng)[0]
-        starts.append(w)
-        if len(starts) < cfg.starts:
-            # conjugate partner: -w would retrace the same orbit since
-            # HSC(-v) = HSC(v), while conj(w) generically does not
-            starts.append(w.conj())
-        pair += 1
+    # the n coordinate axes, then conjugate-paired random points: -w would
+    # retrace the same orbit since HSC(-v) = HSC(v), while conj(w)
+    # generically does not
+    starts = [*np.eye(n, dtype=complex)]
+    for pair in range((cfg.starts - n + 1) // 2):
+        w = _sample_unit_sphere(n, 1, np.random.default_rng([cfg.seed, pair]))[0]
+        starts += [w, w.conj()]
     return np.array(starts[: cfg.starts])
 
 
@@ -346,16 +339,16 @@ def extremize_hsc(
 ) -> ExtremizeResult:
     """Best-of-starts HSC extremes over the unit sphere.
 
-    Starts are the 2n coordinate directions (real and imaginary axes) padded
-    with conjugate-paired random sphere points; ``cfg.starts`` counts the n
-    phase copies ``i e_j`` too.  Every start runs a conjugate-gradient
-    ascent of -f for the minimum and of f for the maximum, all 2 x starts
-    of them as the rows of one lockstep loop; the minimum is reported as
-    ``0.0 - best`` so that a zero minimum is +0.0.  Non-convergence is
-    flagged on the result, not raised, so batch runs keep going.  Reported
-    argmin/argmax are phase-normalized (first nonzero component real
-    positive) and ties within a relative 1e-12 break lexicographically.  A
-    value beyond the float range raises FloatingPointError.
+    Starts are the n coordinate axes padded with conjugate-paired random
+    sphere points, ``cfg.starts`` in all.  Every start runs a
+    conjugate-gradient ascent of -f for the minimum and of f for the
+    maximum, all 2 x starts of them as the rows of one lockstep loop; the
+    minimum is reported as ``0.0 - best`` so that a zero minimum is +0.0.
+    Non-convergence is flagged on the result, not raised, so batch runs keep
+    going.  Reported argmin/argmax are phase-normalized (first nonzero
+    component real positive) and ties within a relative 1e-12 break
+    lexicographically.  A value beyond the float range raises
+    FloatingPointError.
     """
     K = _quartic_matrix(tensor.array)
     starts = _start_directions(tensor.n, cfg)

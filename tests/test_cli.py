@@ -200,6 +200,12 @@ def test_extremize_warns_when_one_start_reaches_a_side(capsys, tensor_file):
     assert code == 0
     assert min(envelope["payload"]["min_starts_at_best"], envelope["payload"]["max_starts_at_best"]) > 1
     assert envelope["warnings"] == []
+    # only the axis start e_2 reaches this minimum
+    tensor_file.write_text(json.dumps(tensor_to_dict(random_kahler_tensor(4, seed=39))))
+    code, envelope = run_json(capsys, ["tensor", "extremize", "--input", str(tensor_file), "--starts", "8"])
+    assert code == 0
+    assert envelope["payload"]["min_starts_at_best"] == 1
+    assert envelope["warnings"] == ["the minimum was reached by only one of 8 starts"]
 
 
 def test_geography_check_builtin(capsys):
