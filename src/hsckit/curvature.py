@@ -9,8 +9,9 @@ standing for ``R_{i jbar k lbar}`` (0-based).  The Kähler symmetries are
 * Hermitian symmetry:                   ``conj(R[i,j,k,l]) == R[j,i,l,k]``
 
 The group they generate is stated once, in ``_LINEAR`` and ``_HERMITIAN``,
-and so is the one rule that fills an orbit, in ``_fill_orbits``: the linear
-images of its representative take its value and the others the conjugate.
+and so are the orbit maps, in ``_orbit_maps``, and the one rule that fills an
+orbit, in ``_fill_orbits``: the linear images of its representative take its
+value and the others the conjugate.
 Tensors are canonicalized on construction by averaging each symmetry orbit;
 the residual is recorded as the tensor's reported asymmetry.  All values are
 immutable after construction and every operation is a pure function, so
@@ -85,23 +86,18 @@ def _symmetrize(R: np.ndarray) -> np.ndarray:
     the result is exactly invariant."""
     S = reduce(np.add, (0.25 * R.transpose(p) for p in _LINEAR))
     avg = (0.5 * S + 0.5 * S.transpose(_HERMITIAN).conj()).ravel()
-    linear, hermitian = _image_mins(R.shape[0])
+    linear, hermitian, rep = _orbit_maps(R.shape[0])
     avg.imag[(linear == hermitian).ravel()] = 0.0
-    return _fill_orbits(avg, linear, np.minimum(linear, hermitian))
+    return _fill_orbits(avg, linear, rep)
 
 
-def _image_mins(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two n^4 arrays holding, at each index, the smallest flat index among its
-    4 linear images and among its 4 conjugating images."""
+def _orbit_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n^4 arrays of the smallest flat index among each index's 4 linear
+    images, its 4 conjugating images, and all 8 (its orbit representative)."""
     ids = np.arange(n**4).reshape((n,) * 4)
     linear = reduce(np.minimum, (ids.transpose(p) for p in _LINEAR))
-    return linear, linear.transpose(_HERMITIAN)
-
-
-def _orbit_ids(n: int) -> np.ndarray:
-    """The n^4 array holding, at each index, the smallest flat index among its
-    8 images: its orbit representative, as row-major order is lexicographic."""
-    return np.minimum(*_image_mins(n))
+    hermitian = linear.transpose(_HERMITIAN)
+    return linear, hermitian, np.minimum(linear, hermitian)
 
 
 def _fill_orbits(values: np.ndarray, linear: np.ndarray, rep: np.ndarray) -> np.ndarray:
@@ -242,7 +238,7 @@ def validate(
             ("barred-pair-swap", np.abs(R - R.transpose(_LINEAR[2]))),
             ("hermitian", np.abs(R - R.transpose(_HERMITIAN).conj())),
         )
-    reps = _orbit_ids(R.shape[0])
+    reps = _orbit_maps(R.shape[0])[2]
     worst: dict[tuple[int, str], float] = {}
     for name, mags in relations:
         bad = mags > tol
@@ -282,6 +278,11 @@ def _by_blocks(K: np.ndarray, V: np.ndarray, out: np.ndarray, reduce) -> np.ndar
     return out
 
 
+def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re<a, b> per row of two complex arrays, as the sum of their float pairs."""
+    return (a.view(float) * b.view(float)).sum(axis=1)
+
+
 def _values_batch(K: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The quartic ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` per row v
     of V, for K = ``_quartic_matrix(R)``.
@@ -289,8 +290,7 @@ def _values_batch(K: np.ndarray, V: np.ndarray) -> np.ndarray:
     Each block is one GEMM ``Y = X K`` followed by ``Re conj(x).y`` per row;
     the quartic is real because R is Hermitian-symmetric.
     """
-    # Re(y conj(x)) = y.re x.re + y.im x.im, summed over the float pairs
-    return _by_blocks(K, V, np.empty(len(V)), lambda _, X, Y: (Y.view(float) * X.view(float)).sum(axis=1))
+    return _by_blocks(K, V, np.empty(len(V)), lambda _, X, Y: _re_dot(Y, X))
 
 
 def _value_and_gradient(K: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -424,14 +424,11 @@ def max_hsc_surface(point: EinsteinFramePoint) -> SurfaceMax:
 
 
 def chern_weil(point: EinsteinFramePoint) -> tuple[float, float]:
-    """The Chern-Weil functions (gamma1, gamma2) at the point.  Frame data
-    so large that gamma2 overflows a float raises ValueError; gamma1 cannot
-    overflow without it."""
+    """The Chern-Weil functions (gamma1, gamma2) at the point.  gamma2 sums
+    products, which overflow to inf where ``**`` would raise; frame data that
+    large raises ValueError, and gamma1 cannot overflow without it."""
     gamma1 = point.H + point.A
-    try:
-        gamma2 = 0.5 * (point.H**2 + 2.0 * point.A**2 + abs(point.B) ** 2)
-    except OverflowError:
-        gamma2 = np.inf
+    gamma2 = 0.5 * (point.H * point.H + 2.0 * point.A * point.A + abs(point.B) * abs(point.B))
     if gamma2 == np.inf:  # not np.isinf, which rejects the sympy symbols tests/test_symbolic.py passes
         raise ValueError(f"frame data too large: gamma2 overflows at H={point.H}, A={point.A}, B={point.B}")
     return gamma1, gamma2
@@ -451,10 +448,7 @@ def sufficient_negativity(point: EinsteinFramePoint) -> bool:
         raise RegimeViolation(
             f"sufficiency test requires a negative Einstein constant, got gamma1={gamma1}"
         )
-    try:
-        return gamma2 < gamma1**2
-    except OverflowError:  # gamma1^2 exceeds every float, so the finite gamma2 too
-        return True
+    return gamma2 < gamma1 * gamma1  # an overflowing gamma1^2 is inf, above every finite gamma2
 
 
 def constant_hsc_tensor(n: int, c: float) -> KahlerCurvatureTensor:
@@ -474,7 +468,7 @@ def constant_hsc_tensor(n: int, c: float) -> KahlerCurvatureTensor:
 def tensor_to_dict(tensor: KahlerCurvatureTensor) -> dict:
     """Serialize canonical orbit representatives (nonzero ones only)."""
     R = tensor.array
-    ids = _orbit_ids(tensor.n)
+    ids = _orbit_maps(tensor.n)[2]
     keep = (ids == np.arange(ids.size).reshape(ids.shape)) & (R != 0)
     entries = [
         {"i": i, "j": j, "k": k, "l": l, "re": z.real, "im": z.imag}
@@ -507,8 +501,7 @@ def _stated_array(data: dict) -> np.ndarray:
         raise TensorFormatError(f"dimension n={n} exceeds the limit of {_MAX_WIRE_N}")
     if not isinstance(raw_entries, list):
         raise TensorFormatError(f"tensor field 'entries' must be a list, got {raw_entries!r}")
-    linear, hermitian = _image_mins(n)
-    ids = np.minimum(linear, hermitian)
+    linear, _, ids = _orbit_maps(n)
     values = np.zeros(n**4, dtype=complex)
     seen: set[int] = set()
     for entry in raw_entries:

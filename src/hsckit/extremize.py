@@ -58,6 +58,7 @@ from .curvature import (
     EinsteinFramePoint,
     KahlerCurvatureTensor,
     _quartic_matrix,
+    _re_dot,
     _value_and_gradient,
     _values_batch,
     ricci,
@@ -219,11 +220,6 @@ def _trig_argopt(c: np.ndarray) -> np.ndarray:
     candidates[:, :4] = 0.5 * np.angle(np.linalg.eigvals(companion))
     best = np.argmax(_trig_eval(c, candidates), axis=1)
     return candidates[np.arange(m), best]
-
-
-def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re<a, b> per row of two complex arrays, as the sum of their float pairs."""
-    return (a.view(float) * b.view(float)).sum(axis=1)
 
 
 def _ascend(

@@ -209,16 +209,13 @@ def builtin_surface_table() -> tuple[SurfaceRecord, ...]:
 
 def todorov_family() -> list[SurfaceRecord]:
     """Noether-completed records for the Todorov range pg=1, q=0, K2 in [2, 8]."""
-    records = []
-    for k2 in range(2, 9):
-        c1sq, c2 = noether_fill(1, 0, k2)
-        records.append(
-            SurfaceRecord(
-                f"Todorov (K2={k2})", c1sq, c2, pg=1, q=0, K2=k2,
-                source="noether completion",
-            )
-        )
-    return records
+    return [_completed(f"Todorov (K2={k2})", 1, 0, k2) for k2 in range(2, 9)]
+
+
+def _completed(name: str, pg: int, q: int, K2: int) -> SurfaceRecord:
+    """The record whose Chern numbers ``noether_fill`` completes from (pg, q, K2)."""
+    c1sq, c2 = noether_fill(pg, q, K2)
+    return SurfaceRecord(name, c1sq, c2, pg=pg, q=q, K2=K2, source="noether completion")
 
 
 def horikawa_scan(pg_min: int, pg_max: int) -> list[GeographyVerdict]:
@@ -236,12 +233,7 @@ def horikawa_scan(pg_min: int, pg_max: int) -> list[GeographyVerdict]:
     verdicts = []
     for pg in range(pg_min, pg_max + 1):
         for label, k2 in (("2(pg-2)", 2 * (pg - 2)), ("2pg-3", 2 * pg - 3)):
-            c1sq, c2 = noether_fill(pg, 0, k2)
-            record = SurfaceRecord(
-                f"Horikawa (pg={pg}, K2={label})", c1sq, c2, pg=pg, q=0, K2=k2,
-                source="noether completion",
-            )
-            verdicts.append(check_inequality(record))
+            verdicts.append(check_inequality(_completed(f"Horikawa (pg={pg}, K2={label})", pg, 0, k2)))
     return verdicts
 
 

@@ -208,6 +208,19 @@ def test_extremize_warns_when_one_start_reaches_a_side(capsys, tensor_file):
     assert envelope["warnings"] == ["the minimum was reached by only one of 8 starts"]
 
 
+def test_extremize_warns_when_not_converged(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("hsckit.extremize._MAX_ITERS", 1)
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(tensor_to_dict(random_kahler_tensor(4, seed=3))))
+    code, envelope = run_json(capsys, ["tensor", "extremize", "--input", str(path), "--starts", "8"])
+    assert code == 0
+    payload = envelope["payload"]
+    validate_payload("tensor extremize", payload)
+    assert envelope["warnings"][0] == "optimizer did not converge; values are best-so-far"
+    assert payload["min_capped"] == payload["max_capped"] == 8
+    assert payload["min_converged"] is False and payload["max_converged"] is False
+
+
 def test_geography_check_builtin(capsys):
     code, envelope = run_json(capsys, ["geography", "check", "--builtin"])
     assert code == 0

@@ -33,7 +33,7 @@ from hsckit import (
     transform_frame,
     validate,
 )
-from hsckit.curvature import _HERMITIAN, _orbit_ids, _stated_array
+from hsckit.curvature import _HERMITIAN, _orbit_maps, _stated_array
 from helpers import hsc_bruteforce, product_tensor, random_kahler_tensor, random_unitary, transform_frame_einsum
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -268,6 +268,11 @@ def test_transform_at_n16_is_fast():
 def test_not_unitary_rejected():
     with pytest.raises(NotUnitary):
         transform_frame(constant_hsc_tensor(2, 1.0), np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+def test_frame_of_wrong_shape_rejected():
+    with pytest.raises(DimensionMismatch, match=r"expected a 2x2 matrix, got \(3, 3\)"):
+        transform_frame(constant_hsc_tensor(2, 1.0), np.eye(3))
 
 
 # --- distinguished-frame closed forms ----------------------------------------
@@ -507,7 +512,7 @@ def _orbit_closure(idx: tuple[int, int, int, int]) -> set[tuple[int, int, int, i
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_ids_match_bruteforce_closure(n):
-    ids = _orbit_ids(n)
+    ids = _orbit_maps(n)[2]
     for idx in np.ndindex(ids.shape):
         rep = min(_orbit_closure(idx))
         assert ids[idx] == np.ravel_multi_index(rep, ids.shape)

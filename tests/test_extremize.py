@@ -306,8 +306,14 @@ def test_sample_deterministic_per_seed():
     assert a.min_value == b.min_value and a.max_value == b.max_value and a.mean == b.mean
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_sample_count_must_be_positive(m):
+    with pytest.raises(ValueError, match="sample count must be >= 1"):
+        sample_hsc(constant_hsc_tensor(2, 1.0), m)
+
+
 def test_sample_bit_identical_across_kernel_blocks():
-    # 5 * 8192 + 17 rows: several kernel blocks inside one sampling chunk
+    # 41 blocks of _KERNEL_ROWS = 1,024 rows, the last one partial, inside one 65,536-row sampling chunk
     T = random_kahler_tensor(4, seed=12)
     a = sample_hsc(T, 5 * 8192 + 17, seed=6)
     b = sample_hsc(T, 5 * 8192 + 17, seed=6)
