@@ -252,29 +252,39 @@ def validate(
 
 
 # rows per product: 590 kB per temporary at n = 6, inside a 4 MiB L2 cache, and 17 MB
-# at n = 32, where 8,192 rows peak at 68 MiB in circle sampling and 53 MiB in
+# at n = 32, where 8,192 rows peak at 45 MiB in circle sampling and in
 # ``_value_and_gradient`` (tracemalloc); 1,024 and 8,192 rows gave bitwise equal
 # values at n = 1 to 32 (OpenBLAS), but a one-row block is a matrix-vector product
 # that may differ in the last bits
 _KERNEL_ROWS = 1024
 
 
-def _quartic_matrix(R: np.ndarray) -> np.ndarray:
-    """R as the n^2 x n^2 matrix ``K[(i,k),(j,l)] = R[i,j,k,l]``, so that
-    ``f(v) = Re conj(x).(x K)`` for ``x = v (x) v``."""
+def _quartic_matrix(R: np.ndarray) -> tuple[np.ndarray, ...]:
+    """R folded onto Sym^2(C^n), as the tuple (I, J, Kc, Ks) the kernels take.
+
+    With ``K[(i,k),(j,l)] = R[i,j,k,l]`` and ``x = v (x) v``, ``f(v) = Re
+    conj(x).(x K)``.  x is symmetric, so its N = n (n + 1) / 2 entries on
+    i <= k, ``x_s = v[I] v[J]``, carry it: Kc (N x n^2) adds row (k,i) of K
+    to row (i,k), so ``x_s Kc = x K``; R's barred pair symmetry makes that
+    product symmetric too, and Ks (N x N) folds Kc's columns the same way,
+    so ``f = Re conj(x_s).(x_s Ks)``."""
     n = R.shape[0]
-    return R.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    I, J = np.triu_indices(n)
+    a, b, off = I * n + J, J * n + I, I != J
+    K = R.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    Kc = K[a] + off[:, None] * K[b]
+    return I, J, Kc, Kc[:, a] + off * Kc[:, b]
 
 
-def _by_blocks(K: np.ndarray, V: np.ndarray, out: np.ndarray, reduce) -> np.ndarray:
-    """out, with ``out[rows] = reduce(Vb, X, X K)`` for each block Vb of V and X
-    the rows of x = v (x) v; blocks are cut at fixed offsets of ``_KERNEL_ROWS``,
-    so the same rows give bitwise-identical products on every call."""
-    n = V.shape[1]
+def _by_blocks(K: tuple, V: np.ndarray, out: np.ndarray, reduce) -> np.ndarray:
+    """out, with ``out[rows] = reduce(Vb, X)`` for each block Vb of V and X
+    its rows of ``x_s = v[I] v[J]``; blocks are cut at fixed offsets of
+    ``_KERNEL_ROWS``, so the same rows give bitwise-identical products on
+    every call."""
+    I, J = K[:2]
     for start in range(0, len(V), _KERNEL_ROWS):
         Vb = V[start : start + _KERNEL_ROWS]
-        X = (Vb[:, :, None] * Vb[:, None, :]).reshape(len(Vb), n * n)
-        out[start : start + len(Vb)] = reduce(Vb, X, X @ K)
+        out[start : start + len(Vb)] = reduce(Vb, Vb.take(I, 1) * Vb.take(J, 1))
     return out
 
 
@@ -283,27 +293,28 @@ def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.view(float) * b.view(float)).sum(axis=1)
 
 
-def _values_batch(K: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _values_batch(K: tuple, V: np.ndarray) -> np.ndarray:
     """The quartic ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` per row v
     of V, for K = ``_quartic_matrix(R)``.
 
-    Each block is one GEMM ``Y = X K`` followed by ``Re conj(x).y`` per row;
-    the quartic is real because R is Hermitian-symmetric.
+    Each block is one N x N GEMM ``x_s Ks`` followed by ``Re conj(x_s).y``
+    per row; the quartic is real because R is Hermitian-symmetric.
     """
-    return _by_blocks(K, V, np.empty(len(V)), lambda _, X, Y: _re_dot(Y, X))
+    return _by_blocks(K, V, np.empty(len(V)), lambda _, X: _re_dot(X @ K[3], X))
 
 
-def _value_and_gradient(K: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _value_and_gradient(K: tuple, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f and its Euclidean gradient at every row v of V, from one product.
 
-    With Y = (v (x) v) K read as an n x n matrix, ``Y conj(v)`` is the cubic
-    contraction ``sum R[i,m,k,l] v_i v_k conj(v_l)``: the gradient in R^{2n}
-    coordinates, as a complex vector, is 4 Y conj(v) (2 d f / d conj(v),
-    doubled again by the two barred slots), and ``f = Re conj(v).Y conj(v)``.
+    With Y = x_s Kc = (v (x) v) K read as an n x n matrix, ``Y conj(v)`` is
+    the cubic contraction ``sum R[i,m,k,l] v_i v_k conj(v_l)``: the gradient
+    in R^{2n} coordinates, as a complex vector, is 4 Y conj(v) (2 d f /
+    d conj(v), doubled again by the two barred slots), and ``f = Re
+    conj(v).Y conj(v)``.
     """
     m, n = V.shape
     Yv = np.empty((m, n), dtype=complex)
-    _by_blocks(K, V, Yv, lambda Vb, _, Y: (Y.reshape(-1, n, n) * Vb.conj()[:, None, :]).sum(axis=2))
+    _by_blocks(K, V, Yv, lambda Vb, X: ((X @ K[2]).reshape(-1, n, n) * Vb.conj()[:, None, :]).sum(axis=2))
     return (V.conj() * Yv).sum(axis=1).real, 4.0 * Yv
 
 

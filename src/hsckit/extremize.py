@@ -15,19 +15,19 @@ quadratically per cycle, where the unrestarted Polak-Ribiere+ is linear.
 Restricted to a great circle the objective is a quartic form in (cos t,
 sin t), so it has only the even harmonics 0, 2 and 4, recovered by a 5-point
 DFT over the half circle.  The line search is exact: every stationary angle
-is half the argument of a root of a degree-4 polynomial, and the best of
-those angles is the circle's global optimum, with no grid and no noise
-floor.
+is the arctangent of a real root of a quartic in tan t (or t = pi/2), and
+the best of those angles is the circle's global optimum, with no grid and
+no noise floor.
 
-Every evaluation is one product with the n^2 x n^2 quartic matrix K of
-``curvature``, which gives f alone (``_values_batch``) or f and its
-gradient together (``_value_and_gradient``); the accepted step's product is
-the next step's gradient.  The minimum of f is minus the maximum of -f, and
-negating f, its gradient and its circle coefficients is exact, so every
+Every evaluation is one product with the quartic matrix K of ``curvature``,
+folded onto Sym^2(C^n), which gives f alone (``_values_batch``) or f and
+its gradient together (``_value_and_gradient``); the accepted step's product
+is the next step's gradient.  The minimum of f is minus the maximum of -f,
+and negating f, its gradient and its circle coefficients is exact, so every
 start ascends twice, once per sign, and all those ascents run in lockstep
 as the rows of one array: each step is one fused product for the rows still
-running, one product for all their circle samples and one batch of
-companion-matrix eigenvalues, and each row stops on its own rule.
+running, one product for all their circle samples and one batch of real
+4 x 4 companion-matrix eigenvalues, and each row stops on its own rule.
 
 Determinism: each conjugate pair of random starts is derived from ``(seed,
 pair index)``, the ascent is deterministic, and the best-of-starts merge is
@@ -88,9 +88,11 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1,
 class ExtremizeResult:
     """HSC extremes, their directions, ascent steps, convergence and oracle values.
 
-    Per side, ``*_starts_at_best`` counts the starts whose ascent ties the
-    best value within ``_VALUE_TOLERANCE``, and ``*_capped`` the starts still
-    running after ``_MAX_ITERS`` steps.
+    ``iterations_used`` sums the steps of every ascent, and ``steps`` is the
+    most steps one ascent took, the length of the lockstep loop.  Per side,
+    ``*_starts_at_best`` counts the starts whose ascent ties the best value
+    within ``_VALUE_TOLERANCE``, and ``*_capped`` the starts still running
+    after ``_MAX_ITERS`` steps.
     """
 
     min_value: float
@@ -98,6 +100,7 @@ class ExtremizeResult:
     argmin: Direction
     argmax: Direction
     iterations_used: int
+    steps: int
     min_converged: bool
     max_converged: bool
     min_starts_at_best: int
@@ -197,27 +200,30 @@ def _trig_eval(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def _trig_argopt(c: np.ndarray) -> np.ndarray:
     """Angle of the global maximum of the trig polynomial on each circle.
 
-    With w = e^{2i theta}, df/dtheta = 2i sum k c_k w^k, so the stationary
-    angles are half the root arguments of sum k c_k w^{k+2}, a degree-4
-    polynomial with coefficients (2 c_2, c_1, 0, -conj(c_1), -2 conj(c_2));
-    theta = 0 is always the last candidate, and the first best one wins.  The roots
-    are the eigenvalues of the 4 x 4 companion matrices, all rows in one
-    call.  A row with 2 c_2 exactly 0 has a zero constant term too, so it is
-    multiplied by w to keep degree 4; the added root w = 0 has angle 0, a
-    candidate already.  The zero row takes lead 1, so its roots are all 0.
+    With c_1 = p_1 + i q_1, c_2 = p_2 + i q_2 and t = tan(theta), (1 + t^2)^2
+    df/dtheta is a multiple of the real quartic in t with coefficients (2 q_2 -
+    q_1, 2 p_1 - 8 p_2, -12 q_2, 2 p_1 + 8 p_2, q_1 + 2 q_2), highest power
+    first.  Each eigenvalue t of its 4 x 4 companion matrix, all rows in one
+    real call, gives the candidate arctan(Re t); theta = pi/2 (t = infinity)
+    and theta = 0 come last, and the first best one wins.  Each zero leading
+    coefficient is shifted out, multiplying by t and adding the root t = 0; an
+    all-zero row takes lead 1, so its roots are all 0.
     """
-    c1, c2 = c[:, 1], c[:, 2]
-    # highest power first
-    coeffs = np.column_stack((2.0 * c2, c1, np.zeros_like(c1), -c1.conj(), -2.0 * c2.conj()))
-    low = coeffs[:, 0] == 0
-    coeffs[low, :-1] = coeffs[low, 1:]
+    (p1, p2), (q1, q2) = c[:, 1:3].real.T, c[:, 1:3].imag.T
+    coeffs = np.column_stack((2.0 * q2 - q1, 2.0 * p1 - 8.0 * p2, -12.0 * q2, 2.0 * p1 + 8.0 * p2, q1 + 2.0 * q2))
+    for _ in range(4):
+        low = coeffs[:, 0] == 0
+        if not low.any():
+            break
+        coeffs[low] = np.roll(coeffs[low], -1, axis=1)
     coeffs[coeffs[:, 0] == 0, 0] = 1.0
     m = len(coeffs)
-    companion = np.zeros((m, 4, 4), dtype=complex)
+    companion = np.zeros((m, 4, 4))
     companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
     companion[:, np.arange(1, 4), np.arange(3)] = 1.0
-    candidates = np.zeros((m, 5))
-    candidates[:, :4] = 0.5 * np.angle(np.linalg.eigvals(companion))
+    candidates = np.zeros((m, 6))
+    candidates[:, :4] = np.arctan(np.linalg.eigvals(companion).real)
+    candidates[:, 4] = 0.5 * np.pi
     best = np.argmax(_trig_eval(c, candidates), axis=1)
     return candidates[np.arange(m), best]
 
@@ -346,12 +352,12 @@ def extremize_hsc(
     lexicographically.  A value beyond the float range raises
     FloatingPointError.
     """
-    K = _quartic_matrix(tensor.array)
     starts = _start_directions(tensor.n, cfg)
     m = len(starts)
     signs = np.repeat([-1.0, 1.0], m)
     oracle_min = oracle_max = None
-    with np.errstate(over="raise"):
+    with np.errstate(over="raise"):  # the fold of K sums entries, so it is inside too
+        K = _quartic_matrix(tensor.array)
         values, V, iters, converged, capped = _ascend(K, np.concatenate((starts, starts)), signs)
         neg_min, argmin, min_conv, min_ties = _best_of_starts(values[:m], V[:m], converged[:m])
         max_value, argmax, max_conv, max_ties = _best_of_starts(values[m:], V[m:], converged[m:])
@@ -365,6 +371,7 @@ def extremize_hsc(
         argmin=argmin,
         argmax=argmax,
         iterations_used=int(iters.sum()),
+        steps=int(iters.max()),
         min_converged=min_conv,
         max_converged=max_conv,
         min_starts_at_best=min_ties,

@@ -20,6 +20,7 @@ from hsckit import (
     ExtremizeConfig,
     KahlerCurvatureTensor,
     assemble_einstein_surface,
+    constant_hsc_tensor,
     extremize_hsc,
     tensor_to_dict,
 )
@@ -599,6 +600,26 @@ def test_overflow_exits_1_with_named_error(capsys, tmp_path, argv, error, fmt):
     captured = capsys.readouterr()
     assert captured.err.startswith(error if ": " in error else f"{error}: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle-samples", "100"]])
+@pytest.mark.parametrize("scale, code", [(1e308, 1), (1e150, 0)])
+def test_huge_extremize_prints_only_the_error_line(tmp_path, scale, code, oracle):
+    # folding the quartic matrix sums entries, so at 1e308 it overflows; that
+    # must raise inside the overflow guard, not warn on the way to the error
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(tensor_to_dict(KahlerCurvatureTensor(constant_hsc_tensor(2, 1.0).array * scale))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsckit.cli", "tensor", "extremize", "--input", str(path), "--starts", "4", *oracle],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("FloatingPointError: ")
+    else:
+        assert proc.stderr == ""
+        validate_payload("tensor extremize", json.loads(proc.stdout)["payload"])
 
 
 @pytest.mark.filterwarnings("error")

@@ -114,6 +114,39 @@ def test_trig_argopt_reaches_dense_grid_optimum(sign):
         assert value >= best_on_grid - 1e-12
 
 
+def _family_rows(family: str, rng: np.random.Generator, m: int) -> np.ndarray:
+    """m coefficient rows of one family, each at a log-uniform scale."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, m)
+    c0, c1, c2 = rng.standard_normal(m), _random_complex(rng, m), _random_complex(rng, m)
+    if family == "c2 = 0":
+        c2[:] = 0.0
+    elif family == "lead zero":  # q1 = 2 q2: the t^4 coefficient is 0
+        c1 = c1.real + 2j * c2.imag
+    elif family == "two lead zeros":  # and p1 = 4 p2: the t^3 one too
+        c1 = 4.0 * c2.real + 2j * c2.imag
+    elif family == "c1 = c2 = 0":
+        c1[:] = c2[:] = 0.0
+    elif family == "c1 = 0":
+        c1[:] = 0.0
+    elif family == "real":
+        c1, c2 = c1.real, c2.real
+    return _coefficient_rows(scale * c0, scale * c1, scale * c2)
+
+
+@pytest.mark.parametrize(
+    "family", ["generic", "c2 = 0", "lead zero", "two lead zeros", "c1 = c2 = 0", "c1 = 0", "real"]
+)
+def test_trig_argopt_beats_a_grid_in_every_degenerate_family(family):
+    # 7 x 288 rows, each against 721 angles over the period [0, pi]
+    C = _family_rows(family, np.random.default_rng(12), 288)
+    thetas = _trig_argopt(C)
+    assert np.isfinite(thetas).all()
+    reached = _trig_eval(C, thetas[:, None])[:, 0]
+    on_grid = _trig_eval(C, np.tile(np.linspace(0.0, np.pi, 721), (len(C), 1))).max(axis=1)
+    scale = np.abs(C).sum(axis=1)
+    assert np.all(reached >= on_grid - 1e-15 * scale)
+
+
 def test_trig_argopt_constant_polynomial_stays_put():
     assert _trig_argopt(_coefficient_rows([2.0], [0.0], [0.0]))[0] == 0.0
 
@@ -240,6 +273,18 @@ def test_default_starts_converge_without_hitting_the_cap(n):
         res = extremize_hsc(random_kahler_tensor(n, seed=seed))
         assert res.min_capped == res.max_capped == 0
         assert res.converged
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_steps_is_the_longest_ascent(n, monkeypatch):
+    # steps is the lockstep loop's length: at most the cap, and at most the
+    # sum of every ascent's steps
+    for seed in range(3):
+        res = extremize_hsc(random_kahler_tensor(n, seed=seed), ExtremizeConfig(starts=8, seed=seed))
+        assert 1 <= res.steps <= min(_MAX_ITERS, res.iterations_used)
+    monkeypatch.setattr("hsckit.extremize._MAX_ITERS", 2)
+    res = extremize_hsc(random_kahler_tensor(n, seed=0), ExtremizeConfig(starts=8))
+    assert res.steps <= 2
 
 
 def test_starts_at_best_counts_the_tie_set():
@@ -384,6 +429,7 @@ def test_surface_ascents_converge_within_a_few_restart_cycles(monkeypatch):
     for seed in range(32):
         p = random_frame_point(rng)
         res = extremize_hsc(assemble_einstein_surface(p), ExtremizeConfig(starts=8, seed=seed))
+        assert res.steps == longest[-1]
         assert res.min_value == pytest.approx(p.H, abs=1e-9)
         assert res.max_value == pytest.approx(max_hsc_surface(p).value, abs=1e-9)
     assert len(longest) == 32
