@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 SYMMETRY_TOL = 1e-9
 # 4,096 starts ascend as 8,192 rows, one per sign; at n = 32 they peak at 45 MiB
-# in ``_value_and_gradient`` and in ``_circle_coefficients`` (tracemalloc)
+# in ``_value_and_gradient`` and 37 MiB in ``_circle_coefficients`` (tracemalloc)
 _MAX_STARTS = 4096
-_MAX_ORACLE_SAMPLES = 1 << 24  # 256 sampling chunks: about 11 s at n = 6
+_MAX_ORACLE_SAMPLES = 1 << 24  # 16,384 kernel blocks: about 16 s at n = 6
 
 
 @dataclass(frozen=True)

@@ -251,11 +251,11 @@ def validate(
     return ValidationReport(ok=not violations, tolerance=tol, violations=violations)
 
 
-# rows per product: 590 kB per temporary at n = 6, inside a 4 MiB L2 cache, and 17 MB
-# at n = 32, where 8,192 rows peak at 45 MiB in circle sampling and in
-# ``_value_and_gradient`` (tracemalloc); 1,024 and 8,192 rows gave bitwise equal
-# values at n = 1 to 32 (OpenBLAS), but a one-row block is a matrix-vector product
-# that may differ in the last bits
+# rows per product and per ``sample_hsc`` draw: 590 kB per temporary at n = 6, inside
+# a 4 MiB L2 cache, and 17 MB at n = 32, where 8,192 rows peak at 45 MiB in
+# ``_value_and_gradient`` and 37 MiB in the circle fit (tracemalloc); 1,024 and 8,192
+# rows gave bitwise equal values at n = 1 to 32 (OpenBLAS), but a one-row block is a
+# matrix-vector product that may differ in the last bits
 _KERNEL_ROWS = 1024
 
 

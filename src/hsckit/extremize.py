@@ -12,12 +12,12 @@ real dimension of CP^{n-1} (the sphere less the phase direction), a row
 restarts along the gradient: Powell (*Math. Programming* 12, 1977) showed
 that conjugate gradient restarted every d steps in dimension d converges
 quadratically per cycle, where the unrestarted Polak-Ribiere+ is linear.
-Restricted to a great circle the objective is a quartic form in (cos t,
-sin t), so it has only the even harmonics 0, 2 and 4, recovered by a 5-point
-DFT over the half circle.  The line search is exact: every stationary angle
-is the arctangent of a real root of a quartic in tan t (or t = pi/2), and
-the best of those angles is the circle's global optimum, with no grid and
-no noise floor.
+Restricted to the plane of v and u the objective is a binary quartic,
+f(a v + b u) = sum g_k a^(4-k) b^k: g_0 = f(v) and g_1, the slope along u,
+are already known, and f at u and v +- u gives the other three.  The line
+search is exact: every stationary angle t is a real root of a quartic in
+tan t or in cot t (or t = pi/2), and the best of those angles is the
+circle's global optimum, with no grid and no noise floor.
 
 Every evaluation is one product with the quartic matrix K of ``curvature``,
 folded onto Sym^2(C^n), which gives f alone (``_values_batch``) or f and
@@ -26,7 +26,7 @@ is the next step's gradient.  The minimum of f is minus the maximum of -f,
 and negating f, its gradient and its circle coefficients is exact, so every
 start ascends twice, once per sign, and all those ascents run in lockstep
 as the rows of one array: each step is one fused product for the rows still
-running, one product for all their circle samples and one batch of real
+running, one product that fits all their circles and one batch of real
 4 x 4 companion-matrix eigenvalues, and each row stops on its own rule.
 
 Determinism: each conjugate pair of random starts is derived from ``(seed,
@@ -54,6 +54,7 @@ import numpy as np
 
 from ._config import _MAX_ORACLE_SAMPLES, _MAX_STARTS, ExtremizeConfig  # re-exported with its limits
 from .curvature import (
+    _KERNEL_ROWS,
     Direction,
     EinsteinFramePoint,
     KahlerCurvatureTensor,
@@ -76,7 +77,6 @@ __all__ = [
     "sample_hsc",
 ]
 
-_CHUNK = 65536  # fixed batch size keeps sampling bitwise-deterministic
 _STEP_TOLERANCE = 1e-9  # relative tangent-gradient norm at which an ascent stops
 _VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
 _EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor
@@ -142,17 +142,18 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
     """HSC extremes and mean over m uniform unit-sphere samples (values
     only, no directions).
 
-    A brute-force oracle: deterministic per seed, chunked at a fixed size so
-    results do not depend on memory pressure or parallelism.  Each chunk
-    keeps only its min, max and sum.
+    A brute-force oracle, deterministic per seed: rows are drawn, evaluated
+    and reduced to their min, max and sum one kernel block of
+    ``_KERNEL_ROWS`` at a time, so memory stays at one block and results do
+    not depend on memory pressure or parallelism.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
     K = _quartic_matrix(tensor.array)
     rng = np.random.default_rng(seed)
     lo, hi, total = np.inf, -np.inf, 0.0
-    for done in range(0, m, _CHUNK):
-        vals = _values_batch(K, _sample_unit_sphere(tensor.n, min(_CHUNK, m - done), rng))
+    for done in range(0, m, _KERNEL_ROWS):
+        vals = _values_batch(K, _sample_unit_sphere(tensor.n, min(_KERNEL_ROWS, m - done), rng))
         # argmin/argmax pick the first extreme entry; np.min and np.max may
         # return either zero when 0.0 and -0.0 tie
         lo = min(lo, float(vals[vals.argmin()]))
@@ -168,49 +169,40 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(x) / abs(x))
 
 
-_CIRCLE_SAMPLES = 5  # enough to fit harmonics 0, 2 and 4 exactly
-_CIRCLE_ANGLES = np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
-_HARMONICS = np.fft.fftfreq(_CIRCLE_SAMPLES, 1.0 / _CIRCLE_SAMPLES)  # 0, 1, 2, -2, -1
+def _circle_coefficients(K: tuple, V: np.ndarray, U: np.ndarray, f, slope, s) -> np.ndarray:
+    """Coefficients g, one row each, of the binary quartic ``s f(a v + b u) =
+    sum g_k a^(4-k) b^k`` on matching rows of V and U, with s = +-1 per row:
+    g_0 = s f(v) and the slope g_1 = s Re<grad f(v), u> are given, one kernel
+    call on the rows u and v +- u gives g_4 = s f(u), and the even and odd
+    parts of s f(v +- u) give g_2 and g_3."""
+    fu, fp, fm = s * _values_batch(K, np.concatenate((U, V + U, V - U))).reshape(3, len(V))
+    return np.column_stack((f, slope, 0.5 * (fp + fm) - f - fu, 0.5 * (fp - fm) - slope, fu))
 
 
-def _circle_coefficients(K: np.ndarray, V: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Coefficients c, one row each, of f along the great circles cos(t) v +
-    sin(t) u through matching rows of V and U.
+def _trig_eval(g: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Row r of the binary quartics g at (cos, sin) of the angles theta[r, :]."""
+    k = np.arange(5)
+    return (g[:, None, :] * np.cos(theta)[..., None] ** (4 - k) * np.sin(theta)[..., None] ** k).sum(axis=2)
 
-    With Re<v,u> = 0 and |v| = |u| = 1 the restriction is a quartic form in
-    (cos t, sin t), so it has only the even harmonics 0, 2 and 4: f(t) = sum
-    c_k e^{2ikt} over |k| <= 2, in the order of ``_HARMONICS``.  Five
-    equispaced samples on the half circle recover them via the DFT with no
-    aliasing.  All circles are sampled in one call to the kernel.
+
+def _trig_argopt(g: np.ndarray) -> np.ndarray:
+    """Angle theta of the global maximum of g(cos theta, sin theta) per row.
+
+    With t = tan(theta), dg/dtheta / cos^4 is the real quartic (-g_3, 4 g_4
+    - 2 g_2, 3 g_3 - 3 g_1, 2 g_2 - 4 g_0, g_1) in t, highest power first.
+    Where |g_3| < |g_1| its reverse, the quartic in cot(theta), is solved, so
+    the lead is the larger end one (never 0 in the ascent, where g_1 > 0)
+    and no rounding-level lead blows up the companion matrix.  The real part
+    t of each eigenvalue of the 4 x 4 companion matrices, all rows in one
+    call, gives the candidate arctan(t) (pi/2 - arctan(t) for cot); pi/2 and
+    0 come last, and the first best one wins.  Each zero lead is shifted out,
+    multiplying by t and adding the root t = 0; an all-zero row takes lead
+    1, so its roots are all 0.
     """
-    m, n = V.shape
-    W = (
-        np.cos(_CIRCLE_ANGLES)[None, :, None] * V[:, None, :]
-        + np.sin(_CIRCLE_ANGLES)[None, :, None] * U[:, None, :]
-    )
-    vals = _values_batch(K, W.reshape(m * _CIRCLE_SAMPLES, n)).reshape(m, _CIRCLE_SAMPLES)
-    return np.fft.fft(vals, axis=1) / _CIRCLE_SAMPLES
-
-
-def _trig_eval(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Row r of the coefficients c at the angles theta[r, :]."""
-    return (np.exp(2j * theta[:, :, None] * _HARMONICS) @ c[:, :, None])[:, :, 0].real
-
-
-def _trig_argopt(c: np.ndarray) -> np.ndarray:
-    """Angle of the global maximum of the trig polynomial on each circle.
-
-    With c_1 = p_1 + i q_1, c_2 = p_2 + i q_2 and t = tan(theta), (1 + t^2)^2
-    df/dtheta is a multiple of the real quartic in t with coefficients (2 q_2 -
-    q_1, 2 p_1 - 8 p_2, -12 q_2, 2 p_1 + 8 p_2, q_1 + 2 q_2), highest power
-    first.  Each eigenvalue t of its 4 x 4 companion matrix, all rows in one
-    real call, gives the candidate arctan(Re t); theta = pi/2 (t = infinity)
-    and theta = 0 come last, and the first best one wins.  Each zero leading
-    coefficient is shifted out, multiplying by t and adding the root t = 0; an
-    all-zero row takes lead 1, so its roots are all 0.
-    """
-    (p1, p2), (q1, q2) = c[:, 1:3].real.T, c[:, 1:3].imag.T
-    coeffs = np.column_stack((2.0 * q2 - q1, 2.0 * p1 - 8.0 * p2, -12.0 * q2, 2.0 * p1 + 8.0 * p2, q1 + 2.0 * q2))
+    g0, g1, g2, g3, g4 = g.T
+    coeffs = np.column_stack((-g3, 4.0 * g4 - 2.0 * g2, 3.0 * g3 - 3.0 * g1, 2.0 * g2 - 4.0 * g0, g1))
+    cot = np.abs(g3) < np.abs(g1)
+    coeffs[cot] = coeffs[cot, ::-1]
     for _ in range(4):
         low = coeffs[:, 0] == 0
         if not low.any():
@@ -222,9 +214,10 @@ def _trig_argopt(c: np.ndarray) -> np.ndarray:
     companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
     companion[:, np.arange(1, 4), np.arange(3)] = 1.0
     candidates = np.zeros((m, 6))
-    candidates[:, :4] = np.arctan(np.linalg.eigvals(companion).real)
+    roots = np.arctan(np.linalg.eigvals(companion).real)
+    candidates[:, :4] = np.where(cot[:, None], 0.5 * np.pi - roots, roots)
     candidates[:, 4] = 0.5 * np.pi
-    best = np.argmax(_trig_eval(c, candidates), axis=1)
+    best = np.argmax(_trig_eval(g, candidates), axis=1)
     return candidates[np.arange(m), best]
 
 
@@ -245,10 +238,10 @@ def _ascend(
     Powell's restart (*Math. Programming* 12, 1977), quadratic per cycle
     near a nondegenerate optimum.  A gradient step that does not improve
     stops the row.  Each step takes the rows still running through one
-    fused value and gradient product, one circle-sampling product and one
-    batch of companion eigenvalues.  Negating f, g and the circle
-    coefficients is exact, so a row with s = -1 descends f exactly as a row
-    of -K would.
+    fused value and gradient product, one product on u and v +- u that fits
+    each circle with the value and slope the row holds, and one batch of
+    companion eigenvalues.  Negating f, g and the circle coefficients is
+    exact, so a row with s = -1 descends f exactly as a row of -K would.
     Returns per-row (s f, v, iters, converged, capped), where capped rows
     were still running after ``_MAX_ITERS`` steps.
     """
@@ -289,7 +282,7 @@ def _ascend(
         dn = np.linalg.norm(d, axis=1)[:, None]
         u = d / dn
         s = signs[rows]
-        theta = _trig_argopt(s[:, None] * _circle_coefficients(K, v, u))[:, None]
+        theta = _trig_argopt(_circle_coefficients(K, v, u, f, _re_dot(gt, u), s))[:, None]
         w = np.cos(theta) * v + np.sin(theta) * u
         w = w / np.linalg.norm(w, axis=1, keepdims=True)
         fw, gw = _value_and_gradient(K, w)
