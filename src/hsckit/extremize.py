@@ -29,13 +29,13 @@ as the rows of one array: each step is one fused product for the rows still
 running, one product that fits all their circles and one batch of real
 4 x 4 companion-matrix eigenvalues, and each row stops on its own rule.
 
-Determinism: each conjugate pair of random starts is derived from ``(seed,
-pair index)``, the ascent is deterministic, and the best-of-starts merge is
-an index-ordered reduction.  Which rows are still running at each step, and
-so the shape of every product, depends only on the inputs, and the kernel
-cuts large batches into blocks of a fixed size; so identical configs give
-bitwise-identical results on a given BLAS build.  A brute-force
-sphere-sampling oracle is provided for cross-checks.
+Determinism: the random starts are the rows of one stream seeded by a
+child of ``seed``, the ascent is deterministic, and the best-of-starts
+merge is an index-ordered reduction.  Which rows are still running at
+each step, and so the shape of every product, depends only on the inputs,
+and the kernel cuts large batches into blocks of a fixed size; so
+identical configs give bitwise-identical results on a given BLAS build.
+A brute-force sphere-sampling oracle is provided for cross-checks.
 
 ``distinguished_frame`` needs no optimizer: for a unit v in C^2, ``v v^H =
 (I + s.sigma) / 2`` with s on the Bloch sphere, so HSC is ``c + b.s + s^T Q
@@ -133,8 +133,9 @@ class SampleResult:
 
 
 def _sample_unit_sphere(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m uniform points on the unit sphere of C^n, as rows."""
-    Z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    """m uniform points on the unit sphere of C^n, as rows; row k reads only
+    the normal variates 2nk ... 2nk + 2n - 1, so m rows are a prefix of m + 1."""
+    Z = rng.standard_normal((m, 2 * n)).view(complex)
     return Z / np.linalg.norm(Z, axis=1, keepdims=True)
 
 
@@ -306,14 +307,12 @@ def _ascend(
 
 
 def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
-    # the n coordinate axes, then conjugate-paired random points: -w would
-    # retrace the same orbit since HSC(-v) = HSC(v), while conj(w)
-    # generically does not
-    starts = [*np.eye(n, dtype=complex)]
-    for pair in range((cfg.starts - n + 1) // 2):
-        w = _sample_unit_sphere(n, 1, np.random.default_rng([cfg.seed, pair]))[0]
-        starts += [w, w.conj()]
-    return np.array(starts[: cfg.starts])
+    # the n axes, then random points from a spawned child of the seed, which
+    # differs from every root seed: default_rng([seed, 0]) is the oracle's
+    # default_rng(seed), and [seed, 1] is the root seed seed + 2^32
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    random = _sample_unit_sphere(n, max(0, cfg.starts - n), rng)
+    return np.concatenate((np.eye(n, dtype=complex), random))[: cfg.starts]
 
 
 def _best_of_starts(
@@ -334,8 +333,8 @@ def extremize_hsc(
 ) -> ExtremizeResult:
     """Best-of-starts HSC extremes over the unit sphere.
 
-    Starts are the n coordinate axes padded with conjugate-paired random
-    sphere points, ``cfg.starts`` in all.  Every start runs a
+    Starts are the n coordinate axes padded with random sphere points from
+    one seeded stream, ``cfg.starts`` in all.  Every start runs a
     conjugate-gradient ascent of -f for the minimum and of f for the
     maximum, all 2 x starts of them as the rows of one lockstep loop; the
     minimum is reported as ``0.0 - best`` so that a zero minimum is +0.0.

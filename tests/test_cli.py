@@ -201,12 +201,17 @@ def test_extremize_warns_when_one_start_reaches_a_side(capsys, tensor_file):
     assert code == 0
     assert min(envelope["payload"]["min_starts_at_best"], envelope["payload"]["max_starts_at_best"]) > 1
     assert envelope["warnings"] == []
-    # only the axis start e_2 reaches this minimum
-    tensor_file.write_text(json.dumps(tensor_to_dict(random_kahler_tensor(4, seed=39))))
-    code, envelope = run_json(capsys, ["tensor", "extremize", "--input", str(tensor_file), "--starts", "8"])
-    assert code == 0
-    assert envelope["payload"]["min_starts_at_best"] == 1
-    assert envelope["warnings"] == ["the minimum was reached by only one of 8 starts"]
+    # only the axis start e_3 reaches the first minimum, and only the last
+    # random start the second: a real tensor, where a start and its
+    # conjugate would tie and hide the warning
+    real = KahlerCurvatureTensor(np.random.default_rng(1).standard_normal((4,) * 4))
+    for tensor in (random_kahler_tensor(4, seed=62), real):
+        tensor_file.write_text(json.dumps(tensor_to_dict(tensor)))
+        argv = ["tensor", "extremize", "--input", str(tensor_file), "--starts", "8", "--seed", "0"]
+        code, envelope = run_json(capsys, argv)
+        assert code == 0
+        assert envelope["payload"]["min_starts_at_best"] == 1
+        assert envelope["warnings"] == ["the minimum was reached by only one of 8 starts"]
 
 
 def test_extremize_warns_when_not_converged(capsys, tmp_path, monkeypatch):

@@ -213,8 +213,9 @@ def test_circle_coefficients_reproduce_the_circle(n):
 
 
 def test_ascent_stops_at_the_value_noise_floor():
-    # this descent reaches H to within 3e-16 early on; a stall test that let
-    # tied steps through kept it stepping until _MAX_ITERS, unconverged
+    # the surface descent reaches H to within 3e-16 in 7 steps, and the
+    # n = 4 descent from e_1 stops after 21; a stall test that let tied
+    # steps through kept the second stepping until _MAX_ITERS, unconverged
     p = EinsteinFramePoint(
         H=-0.5581463227956642, A=0.5714659935519548, B=-0.3876308181887844 - 1.0304108040358098j
     )
@@ -226,6 +227,10 @@ def test_ascent_stops_at_the_value_noise_floor():
     assert converged[0]
     assert iters[0] < _MAX_ITERS
     assert -values[0] == pytest.approx(p.H, abs=1e-12)
+    K = _quartic_matrix(random_kahler_tensor(4, seed=7).array)
+    _, _, iters, converged, _ = _ascend(K, np.eye(4, dtype=complex)[:1], np.array([-1.0]))
+    assert converged[0]
+    assert iters[0] < _MAX_ITERS
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -246,16 +251,25 @@ def test_values_batch_matches_einsum_across_blocks(n):
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_starts_are_distinct_points_of_cpn(n, seed):
-    # n = 1 is left out: CP^0 is a single point
+    # n = 1 is left out: CP^0 is a single point.  The random rows are 2n
+    # normal variates each, viewed as complex, from a spawned child of the
+    # seed; fewer starts are a prefix of more, no row is a point of the
+    # oracle's default_rng(seed) sample, and no two rows are equal or
+    # conjugate in CP^{n-1}: |<s_a, s_b>| or |<conj(s_a), s_b>| would be 1
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    W = rng.standard_normal((33, 2 * n)).view(complex)
+    drawn = W / np.linalg.norm(W, axis=1, keepdims=True)
+    oracle = _sample_unit_sphere(n, 33, np.random.default_rng(seed))
+    longest = _start_directions(n, ExtremizeConfig(starts=33, seed=seed))
     for starts in (1, n, 2 * n + 1, 16, 33):
         S = _start_directions(n, ExtremizeConfig(starts=starts, seed=seed))
-        overlap = np.abs(S.conj() @ S.T)
-        np.fill_diagonal(overlap, 0.0)
-        assert overlap.max() <= 1.0 - 1e-9
+        assert np.array_equal(S, longest[:starts])
         assert np.array_equal(S[:n], np.eye(n)[:starts])
-        drawn = [_sample_unit_sphere(n, 1, np.random.default_rng([seed, pair]))[0] for pair in range(starts)]
-        random = [z for w in drawn for z in (w, w.conj())]
-        assert np.array_equal(S[n:], np.array(random[: max(0, starts - n)]).reshape(-1, n))
+        assert np.array_equal(S[n:], drawn[: max(0, starts - n)])
+        assert np.abs(oracle.conj() @ S[n:].T).max(initial=0.0) <= 1.0 - 1e-9
+        for overlap in (np.abs(S.conj() @ S.T), np.abs(S @ S.T)):
+            np.fill_diagonal(overlap, 0.0)
+            assert overlap.max() <= 1.0 - 1e-9
 
 
 @pytest.mark.parametrize("n, seed", [(2, 703), (2, 704), (3, 700), (4, 701), (6, 702)])
@@ -289,9 +303,9 @@ def test_joint_loop_matches_one_sign_ascents(n, seed):
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
 def test_default_starts_converge_without_hitting_the_cap(n):
-    # steepest ascent ran 5 of these rows into _MAX_ITERS at n = 6 and 20
-    # at n = 8; the restarted conjugate-gradient ascent needs at most 70
-    # steps (n = 8), against 103 without the restart
+    # steepest ascent runs 6 of these rows into _MAX_ITERS at n = 6 and 23
+    # at n = 8; the restarted conjugate-gradient ascent needs at most 74
+    # steps (n = 8), against 109 without the restart
     for seed in range(12):
         res = extremize_hsc(random_kahler_tensor(n, seed=seed))
         assert res.min_capped == res.max_capped == 0
