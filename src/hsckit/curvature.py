@@ -251,11 +251,11 @@ def validate(
     return ValidationReport(ok=not violations, tolerance=tol, violations=violations)
 
 
-# rows per product and per ``sample_hsc`` draw: 590 kB per temporary at n = 6, inside
-# a 4 MiB L2 cache, and 17 MB at n = 32, where 8,192 rows peak at 45 MiB in
-# ``_value_and_gradient`` and 37 MiB in the circle fit (tracemalloc); 1,024 and 8,192
-# rows gave bitwise equal values at n = 1 to 32 (OpenBLAS), but a one-row block is a
-# matrix-vector product that may differ in the last bits
+# rows per product and per ``sample_hsc`` draw, in buffers allocated once per call: 590 kB
+# per N-column buffer at n = 6, inside a 4 MiB L2 cache, and 17 MB at n = 32, where 8,192
+# rows peak at 45 MiB in ``_value_and_gradient`` and 37 MiB in the circle fit (tracemalloc);
+# 1,024 and 8,192 rows gave bitwise equal values at n = 1 to 32 (OpenBLAS), but a one-row
+# block is a matrix-vector product that may differ in the last bits
 _KERNEL_ROWS = 1024
 
 
@@ -276,31 +276,37 @@ def _quartic_matrix(R: np.ndarray) -> tuple[np.ndarray, ...]:
     return I, J, Kc, Kc[:, a] + off * Kc[:, b]
 
 
-def _by_blocks(K: tuple, V: np.ndarray, out: np.ndarray, reduce) -> np.ndarray:
-    """out, with ``out[rows] = reduce(Vb, X)`` for each block Vb of V and X
-    its rows of ``x_s = v[I] v[J]``; blocks are cut at fixed offsets of
-    ``_KERNEL_ROWS``, so the same rows give bitwise-identical products on
-    every call."""
-    I, J = K[:2]
+def _by_blocks(K: tuple, V: np.ndarray, out: np.ndarray, kernel) -> np.ndarray:
+    """out, with ``out[rows] = kernel(Vb, X, Y)`` for each block Vb of V, cut at fixed offsets of
+    ``_KERNEL_ROWS`` so the same rows give bitwise-identical products, and X and Y its rows of
+    two N-column buffers allocated once per call."""
+    X, Y = np.empty((2, min(len(V), _KERNEL_ROWS), len(K[0])), dtype=complex)
     for start in range(0, len(V), _KERNEL_ROWS):
         Vb = V[start : start + _KERNEL_ROWS]
-        out[start : start + len(Vb)] = reduce(Vb, Vb.take(I, 1) * Vb.take(J, 1))
+        out[start : start + len(Vb)] = kernel(Vb, X[: len(Vb)], Y[: len(Vb)])
     return out
 
 
-def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re<a, b> per row of two complex arrays, as the sum of their float pairs."""
-    return (a.view(float) * b.view(float)).sum(axis=1)
+def _fold(K: tuple, Vb: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X = x_s = v[I] v[J] per row v of Vb, with Y as scratch (``mode="clip"`` writes in place)."""
+    return np.multiply(np.take(Vb, K[0], 1, out=X, mode="clip"), np.take(Vb, K[1], 1, out=Y, mode="clip"), out=X)
+
+
+def _re_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Re<a, b> per row of two complex arrays, the dot product of their float views."""
+    return np.vecdot(a.view(float), b.view(float), out=out)
+
+
+def _block_values(K: tuple, Vb: np.ndarray, X: np.ndarray, Y: np.ndarray, out=None) -> np.ndarray:
+    """The quartic per row of the block Vb, through the caller's len(Vb) x N buffers X
+    and Y: the fold x_s, one GEMM ``y = x_s Ks``, then ``Re conj(x_s).y`` into out."""
+    return _re_dot(_fold(K, Vb, X, Y), np.matmul(X, K[3], out=Y), out)
 
 
 def _values_batch(K: tuple, V: np.ndarray) -> np.ndarray:
     """The quartic ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` per row v
-    of V, for K = ``_quartic_matrix(R)``.
-
-    Each block is one N x N GEMM ``x_s Ks`` followed by ``Re conj(x_s).y``
-    per row; the quartic is real because R is Hermitian-symmetric.
-    """
-    return _by_blocks(K, V, np.empty(len(V)), lambda _, X: _re_dot(X @ K[3], X))
+    of V, for K = ``_quartic_matrix(R)``, one ``_block_values`` per block."""
+    return _by_blocks(K, V, np.empty(len(V)), lambda *block: _block_values(K, *block))
 
 
 def _value_and_gradient(K: tuple, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,8 +320,8 @@ def _value_and_gradient(K: tuple, V: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     m, n = V.shape
     Yv = np.empty((m, n), dtype=complex)
-    _by_blocks(K, V, Yv, lambda Vb, X: ((X @ K[2]).reshape(-1, n, n) * Vb.conj()[:, None, :]).sum(axis=2))
-    return (V.conj() * Yv).sum(axis=1).real, 4.0 * Yv
+    _by_blocks(K, V, Yv, lambda Vb, X, Y: np.vecdot(Vb[:, None, :], (_fold(K, Vb, X, Y) @ K[2]).reshape(-1, n, n)))
+    return _re_dot(V, Yv), 4.0 * Yv
 
 
 def hsc(tensor: KahlerCurvatureTensor, v) -> float:

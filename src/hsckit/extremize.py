@@ -35,7 +35,8 @@ merge is an index-ordered reduction.  Which rows are still running at
 each step, and so the shape of every product, depends only on the inputs,
 and the kernel cuts large batches into blocks of a fixed size; so
 identical configs give bitwise-identical results on a given BLAS build.
-A brute-force sphere-sampling oracle is provided for cross-checks.
+The brute-force cross-check oracle evaluates Gaussian rows z in block
+buffers allocated once per call, as f(z) / |z|^4 = f(z / |z|).
 
 ``distinguished_frame`` needs no optimizer: for a unit v in C^2, ``v v^H =
 (I + s.sigma) / 2`` with s on the Bloch sphere, so HSC is ``c + b.s + s^T Q
@@ -58,6 +59,7 @@ from .curvature import (
     Direction,
     EinsteinFramePoint,
     KahlerCurvatureTensor,
+    _block_values,
     _quartic_matrix,
     _re_dot,
     _value_and_gradient,
@@ -143,24 +145,32 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
     """HSC extremes and mean over m uniform unit-sphere samples (values
     only, no directions).
 
-    A brute-force oracle, deterministic per seed: rows are drawn, evaluated
-    and reduced to their min, max and sum one kernel block of
-    ``_KERNEL_ROWS`` at a time, so memory stays at one block and results do
-    not depend on memory pressure or parallelism.
+    A brute-force oracle, deterministic per seed: unnormalized rows z of
+    ``_sample_unit_sphere``'s stream are evaluated as f(z) / |z|^4 = f(z / |z|)
+    and reduced to their min, max and sum one ``_KERNEL_ROWS`` block at a
+    time, in buffers allocated once per call, so memory stays at one block
+    and results do not depend on memory pressure or parallelism.  Overflow
+    raises FloatingPointError.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
-    K = _quartic_matrix(tensor.array)
     rng = np.random.default_rng(seed)
-    lo, hi, total = np.inf, -np.inf, 0.0
-    for done in range(0, m, _KERNEL_ROWS):
-        vals = _values_batch(K, _sample_unit_sphere(tensor.n, min(_KERNEL_ROWS, m - done), rng))
-        # argmin/argmax pick the first extreme entry; np.min and np.max may
-        # return either zero when 0.0 and -0.0 tie
-        lo = min(lo, float(vals[vals.argmin()]))
-        hi = max(hi, float(vals[vals.argmax()]))
-        total += float(vals.sum())
-    return SampleResult(min_value=lo, max_value=hi, mean=total / m, samples=m)
+    lo, hi, total = np.inf, -np.inf, np.float64(0.0)
+    with np.errstate(over="raise", invalid="raise"):  # total is a numpy scalar, so its overflow raises too
+        K = _quartic_matrix(tensor.array)
+        X, Y = np.empty((2, min(m, _KERNEL_ROWS), len(K[0])), dtype=complex)
+        Z, vals, q = np.empty((len(X), 2 * tensor.n)), np.empty(len(X)), np.empty(len(X))
+        for done in range(0, m, _KERNEL_ROWS):
+            k = min(_KERNEL_ROWS, m - done)
+            z, v, qk = rng.standard_normal(out=Z[:k]), vals[:k], q[:k]
+            _block_values(K, z.view(complex), X[:k], Y[:k], v)
+            v /= np.square(np.vecdot(z, z, out=qk), out=qk)
+            # argmin/argmax pick the first extreme entry; np.min and np.max may
+            # return either zero when 0.0 and -0.0 tie
+            lo = min(lo, float(v[v.argmin()]))
+            hi = max(hi, float(v[v.argmax()]))
+            total += v.sum()
+    return SampleResult(min_value=lo, max_value=hi, mean=float(total) / m, samples=m)
 
 
 def _normalize_phase(v: np.ndarray) -> np.ndarray:
@@ -222,6 +232,11 @@ def _trig_argopt(g: np.ndarray) -> np.ndarray:
     return candidates[np.arange(m), best]
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """|a| per row of a complex array."""
+    return np.sqrt(_re_dot(a, a))
+
+
 def _ascend(
     K: np.ndarray, V0: np.ndarray, signs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -246,7 +261,7 @@ def _ascend(
     Returns per-row (s f, v, iters, converged, capped), where capped rows
     were still running after ``_MAX_ITERS`` steps.
     """
-    V = V0 / np.linalg.norm(V0, axis=1, keepdims=True)
+    V = V0 / _norms(V0)[:, None]
     F, G = _value_and_gradient(K, V)
     F, G = signs * F, signs[:, None] * G
     iters = np.zeros(len(V), dtype=int)
@@ -264,7 +279,7 @@ def _ascend(
         v, f, g = V[rows], F[rows], G[rows]
         # Re<v, g> = 4 f by Euler's rule for the degree-4 f, and scaling by 4 is exact
         gt = g - 4.0 * f[:, None] * v
-        gn = np.linalg.norm(gt, axis=1)
+        gn = _norms(gt)
         scale = np.maximum(1.0, np.abs(f))
         moving = gn > _STEP_TOLERANCE * scale
         converged[rows[~moving]] = True
@@ -277,15 +292,15 @@ def _ascend(
         g_prev = np.where((since == 0)[:, None], gt, g_prev)
         beta = np.maximum(0.0, _re_dot(gt, gt - g_prev) / _re_dot(g_prev, g_prev))
         d = gt + beta[:, None] * d_carried
-        d -= (v.conj() * d).sum(axis=1)[:, None] * v
+        d -= np.vecdot(v, d)[:, None] * v
         gradient = (beta == 0.0) | (_re_dot(gt, d) <= 0.0)
         d = np.where(gradient[:, None], gt, d)
-        dn = np.linalg.norm(d, axis=1)[:, None]
+        dn = _norms(d)[:, None]
         u = d / dn
         s = signs[rows]
         theta = _trig_argopt(_circle_coefficients(K, v, u, f, _re_dot(gt, u), s))[:, None]
         w = np.cos(theta) * v + np.sin(theta) * u
-        w = w / np.linalg.norm(w, axis=1, keepdims=True)
+        w = w / _norms(w)[:, None]
         fw, gw = _value_and_gradient(K, w)
         fw, gw = s * fw, s[:, None] * gw
         # the best step on the circle (theta = 0 included) gives no
@@ -355,8 +370,7 @@ def extremize_hsc(
         max_value, argmax, max_conv, max_ties = _best_of_starts(values[m:], V[m:], converged[m:])
         if cfg.oracle_samples > 0:
             oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
-            oracle_min = oracle.min_value
-            oracle_max = oracle.max_value
+            oracle_min, oracle_max = oracle.min_value, oracle.max_value
     return ExtremizeResult(
         min_value=0.0 - neg_min,
         max_value=max_value,

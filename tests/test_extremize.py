@@ -34,6 +34,7 @@ from hsckit.extremize import (
     _ascend,
     _best_of_starts,
     _circle_coefficients,
+    _norms,
     _sample_unit_sphere,
     _start_directions,
     _trig_argopt,
@@ -42,6 +43,7 @@ from hsckit.extremize import (
 from helpers import (
     best_of_starts_serial,
     grassmannian_tensor,
+    hsc_bruteforce,
     product_tensor,
     quadric_tensor,
     quartic_values_einsum,
@@ -248,6 +250,24 @@ def test_values_batch_matches_einsum_across_blocks(n):
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize("rows", [1, 16, _KERNEL_ROWS, _KERNEL_ROWS + 1])
+def test_row_reductions_match_explicit_sums_at_block_edges(rows):
+    n = 4
+    R = random_kahler_tensor(n, seed=510).array
+    rng = np.random.default_rng(610)
+    a, b = (rng.standard_normal((rows, 2 * n)).view(complex) for _ in range(2))
+    norm_a, norm_b = (np.sqrt((x.conj() * x).sum(axis=1).real) for x in (a, b))
+    want = (a.conj() * b).sum(axis=1).real
+    assert np.all(np.abs(_re_dot(a, b) - want) <= 1e-13 * norm_a * norm_b)
+    assert np.all(np.abs(_norms(a) - norm_a) <= 1e-13 * norm_a)
+    # Y conj(v) with Y = (v (x) v) K read as an n x n matrix, summed explicitly
+    W = np.einsum("ijkl,ri,rk->rjl", R, a, a)
+    Yv = (W * a.conj()[:, None, :]).sum(axis=2)
+    f, grad = _value_and_gradient(_quartic_matrix(R), a)
+    for got, ref in ((f, (a.conj() * Yv).sum(axis=1).real), (grad, 4.0 * Yv)):
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_starts_are_distinct_points_of_cpn(n, seed):
@@ -401,6 +421,28 @@ def test_sample_bit_identical_across_kernel_blocks():
     b = sample_hsc(T, 5 * 8192 + 17, seed=6)
     for x, y in ((a.min_value, b.min_value), (a.max_value, b.max_value), (a.mean, b.mean)):
         assert np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def test_sample_matches_explicit_unit_rows():
+    # 2,100 rows are two full blocks and a partial one: the sampler reads the
+    # prefix of one normal stream and divides f(z) by |z|^4, which must agree
+    # with the brute-force HSC at each row normalized first
+    n, m, seed = 3, 2_100, 8
+    T = random_kahler_tensor(n, seed=14)
+    Z = np.random.default_rng(seed).standard_normal((m, 2 * n)).view(complex)
+    vals = np.array([hsc_bruteforce(T, z) for z in Z / np.linalg.norm(Z, axis=1, keepdims=True)])
+    res = sample_hsc(T, m, seed=seed)
+    assert res.samples == m
+    for got, want in ((res.min_value, vals.min()), (res.max_value, vals.max()), (res.mean, vals.mean())):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e305, 1e308])
+def test_sample_overflow_raises(scale):
+    # at 1e305 every value fits but the sum of 65,536 does not; at 1e308 the
+    # fold of the quartic matrix overflows
+    with pytest.raises(FloatingPointError):
+        sample_hsc(KahlerCurvatureTensor(constant_hsc_tensor(3, 1.0).array * scale), 65_536)
 
 
 def test_sample_memory_stays_at_one_kernel_block():
