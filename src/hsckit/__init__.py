@@ -4,8 +4,9 @@ Three computation surfaces:
 
 * root systems and the marked-node positivity criterion for homogeneous
   Kähler-Einstein metrics (``rootsys``, ``cspace``),
-* pointwise Kähler curvature tensors, distinguished-frame closed forms and
-  numerical HSC extremization (``curvature``, ``extremize``),
+* the distinguished-frame closed forms at a Kähler-Einstein surface point
+  (``surface``), pointwise Kähler curvature tensors and numerical HSC
+  extremization (``curvature``, ``extremize``),
 * Chern-number geography of surfaces of general type against the bound
   ``c2 <= 3 c1^2`` (``geography``).
 
@@ -14,7 +15,8 @@ functions, safe for concurrent use.
 
 ``import hsckit`` loads none of these modules.  Each public name imports its
 module on first use, so only the numeric ones (``curvature``,
-``extremize``) load numpy.
+``extremize``) load numpy.  ``hsckit.cli`` finds the same names by the same
+lookup.
 """
 
 from importlib import import_module
@@ -22,7 +24,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # numpy-free modules first, so that looking up one of their names loads no numpy
-_MODULES = ("errors", "rootsys", "cspace", "geography", "curvature", "extremize")
+_MODULES = ("errors", "rootsys", "cspace", "geography", "surface", "curvature", "extremize")
 _HOMES: dict = {}  # public name -> the submodule listing it, for the modules imported so far
 
 

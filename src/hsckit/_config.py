@@ -2,7 +2,8 @@
 
 ``curvature`` re-exports ``SYMMETRY_TOL`` and ``extremize`` re-exports
 ``ExtremizeConfig``, which is where they are public; they live here so that
-building the parser of a cspace or geography command loads no numeric code.
+building the parser of a cspace, surface or geography command loads no
+numeric code.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import __getattr__  # hsckit.cli.<name> finds a public name as hsckit.<name> does (PEP 562)
 from . import __version__
 from ._config import SYMMETRY_TOL, ExtremizeConfig
 from .cspace import AuditEntry, CSpaceDescriptor, classify_all, itoh_positive
@@ -43,6 +44,7 @@ from .geography import (
     records_from_json,
 )
 from .rootsys import FAMILIES, LieType, highest_root, positive_roots
+from .surface import EinsteinFramePoint, chern_weil, max_hsc_surface, sufficient_negativity
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,20 +57,6 @@ __all__ = ["SCHEMAS", "build_parser", "dispatch", "main", "schema_text"]
 # option, and so are -inf, -infinity and -nan in any case; Python before 3.13
 # matches only plain decimals such as -0.5
 _NEGATIVE_NUMBER = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
-
-
-def __getattr__(name: str):
-    """A public name of ``curvature`` or ``extremize`` (PEP 562).  Those
-    modules, and numpy with them, load only when a surface or tensor runner
-    or a name read here needs them, so cspace and geography commands start
-    without them."""
-    if not name.startswith("_"):  # probes such as __path__ load nothing
-        from . import curvature, extremize
-
-        for module in (curvature, extremize):
-            if name in module.__all__:
-                return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def schema_text(command: str) -> str:
@@ -176,8 +164,6 @@ def _run_cspace_classify(args) -> tuple[dict, list[str]]:
 
 
 def _run_surface_analyze(args) -> tuple[dict, list[str]]:
-    from .curvature import EinsteinFramePoint, chern_weil, max_hsc_surface, sufficient_negativity
-
     point = EinsteinFramePoint(H=args.H, A=args.A, B=complex(args.b_re, args.b_im))
     gamma1, gamma2 = chern_weil(point)
     surface_max = max_hsc_surface(point)

@@ -17,52 +17,35 @@ the residual is recorded as the tensor's reported asymmetry.  All values are
 immutable after construction and every operation is a pure function, so
 concurrent reads are safe.
 
-For Kähler-Einstein surfaces the distinguished frame puts the HSC minimizer
-at ``e_1``, leaving only components with two indices equal to 1 and two equal
-to 2: ``H = R_{1 1bar 1 1bar}``, ``A = R_{1 1bar 2 2bar}``, ``B = R_{1 2bar 1
-2bar}``.  In that frame
-
-    HSC(v) = H + 2 (2A - H) |v1 conj(v2)|^2 + 2 Re(B (v1 conj(v2))^2)
-
-with maximum ``H + (2A - H + |B|) / 2`` and minimum ``H``, and the
-Chern-Weil functions are ``gamma1 = H + A`` and ``gamma2 = (H^2 + 2 A^2 +
-|B|^2) / 2``.
+The closed forms for Kähler-Einstein surfaces, in the distinguished-frame
+data (H, A, B), are in ``surface``; ``assemble_einstein_surface`` builds the
+n = 2 tensor those data carry, and ``hsc_surface_closed_form`` evaluates
+the HSC formula along a direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import reduce
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._config import SYMMETRY_TOL
-from .errors import (
-    DimensionMismatch,
-    FrameConstraintViolated,
-    NotUnitary,
-    RegimeViolation,
-    TensorFormatError,
-)
+from .errors import DimensionMismatch, NotUnitary, TensorFormatError
+from .surface import EinsteinFramePoint
 
 __all__ = [
     "Direction",
-    "EinsteinFramePoint",
     "KahlerCurvatureTensor",
     "SYMMETRY_TOL",
-    "SurfaceMax",
     "SymmetryViolation",
     "ValidationReport",
     "assemble_einstein_surface",
-    "chern_weil",
     "constant_hsc_tensor",
     "hsc",
     "hsc_surface_closed_form",
-    "max_hsc_surface",
     "ricci",
     "scalar",
-    "sufficient_negativity",
     "tensor_from_dict",
     "tensor_to_dict",
     "transform_frame",
@@ -367,39 +350,6 @@ def transform_frame(tensor: KahlerCurvatureTensor, U: np.ndarray) -> KahlerCurva
     return KahlerCurvatureTensor(Rp)
 
 
-@dataclass(frozen=True)
-class EinsteinFramePoint:
-    """Distinguished-frame data (H, A, B) of a Kähler-Einstein surface point.
-
-    ``H`` is the HSC minimum ``R_{1 1bar 1 1bar}``, ``A = R_{1 1bar 2 2bar}``
-    and ``B = R_{1 2bar 1 2bar}``.  Minimality of ``e_1`` forces
-    ``2A >= H + |B|``; the Einstein constant is ``H + A``.  Non-finite
-    values raise ValueError.
-    """
-
-    H: float
-    A: float
-    B: complex = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "H", float(self.H))
-        object.__setattr__(self, "A", float(self.A))
-        object.__setattr__(self, "B", complex(self.B))
-        if not np.isfinite([self.H, self.A, self.B]).all():
-            raise ValueError(
-                f"frame data must be finite: H={self.H}, A={self.A}, B={self.B}"
-            )
-        slack = 1e-12 * max(1.0, abs(self.H), abs(self.A), abs(self.B))
-        if 2 * self.A + slack < self.H + abs(self.B):
-            raise FrameConstraintViolated(
-                f"2A >= H + |B| fails: H={self.H}, A={self.A}, |B|={abs(self.B)}"
-            )
-
-    @property
-    def einstein_constant(self) -> float:
-        return self.H + self.A
-
-
 def assemble_einstein_surface(point: EinsteinFramePoint) -> KahlerCurvatureTensor:
     """Build the n=2 curvature tensor carried by distinguished-frame data.
 
@@ -421,51 +371,6 @@ def hsc_surface_closed_form(point: EinsteinFramePoint, v) -> float:
     return float(
         point.H + 2.0 * (2.0 * point.A - point.H) * t + 2.0 * (point.B * cross**2).real
     )
-
-
-class SurfaceMax(NamedTuple):
-    """Maximum HSC of a Kähler-Einstein surface and whether it is negative."""
-
-    value: float
-    negative: bool
-
-
-def max_hsc_surface(point: EinsteinFramePoint) -> SurfaceMax:
-    """Maximum of the surface HSC and its negativity verdict.
-
-    The maximum is ``H + (2A - H + |B|) / 2`` (attained at |v1| = |v2| with
-    the phase aligned to B); the minimum is H by frame construction.
-    """
-    value = point.H + 0.5 * (2.0 * point.A - point.H + abs(point.B))
-    return SurfaceMax(value=value, negative=value < 0.0)
-
-
-def chern_weil(point: EinsteinFramePoint) -> tuple[float, float]:
-    """The Chern-Weil functions (gamma1, gamma2) at the point.  gamma2 sums
-    products, which overflow to inf where ``**`` would raise; frame data that
-    large raises ValueError, and gamma1 cannot overflow without it."""
-    gamma1 = point.H + point.A
-    gamma2 = 0.5 * (point.H * point.H + 2.0 * point.A * point.A + abs(point.B) * abs(point.B))
-    if gamma2 == np.inf:  # not np.isinf, which rejects the sympy symbols tests/test_symbolic.py passes
-        raise ValueError(f"frame data too large: gamma2 overflows at H={point.H}, A={point.A}, B={point.B}")
-    return gamma1, gamma2
-
-
-def sufficient_negativity(point: EinsteinFramePoint) -> bool:
-    """Sufficient test for everywhere-negative HSC: gamma2 < gamma1^2.
-
-    Only meaningful in the negative-Einstein regime; raises RegimeViolation
-    when the Einstein constant gamma1 is non-negative.  The test is
-    sufficient, not necessary: False does not certify a sign.  That it is
-    sufficient, and sharp at (H, A, |B|) = (-1, 0, 1), is proved in
-    ``tests/test_symbolic.py``.
-    """
-    gamma1, gamma2 = chern_weil(point)
-    if gamma1 >= 0.0:
-        raise RegimeViolation(
-            f"sufficiency test requires a negative Einstein constant, got gamma1={gamma1}"
-        )
-    return gamma2 < gamma1 * gamma1  # an overflowing gamma1^2 is inf, above every finite gamma2
 
 
 def constant_hsc_tensor(n: int, c: float) -> KahlerCurvatureTensor:

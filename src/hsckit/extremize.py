@@ -53,11 +53,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._config import _MAX_ORACLE_SAMPLES, _MAX_STARTS, ExtremizeConfig  # re-exported with its limits
+from ._config import ExtremizeConfig
 from .curvature import (
     _KERNEL_ROWS,
     Direction,
-    EinsteinFramePoint,
     KahlerCurvatureTensor,
     _block_values,
     _quartic_matrix,
@@ -68,6 +67,7 @@ from .curvature import (
     transform_frame,
 )
 from .errors import NotEinstein, NotSurface
+from .surface import EinsteinFramePoint
 
 __all__ = [
     "DistinguishedFrame",

@@ -10,7 +10,7 @@ pg) - K^2`` (with ``c1^2 = K^2``), and models point blow-ups ``(c1^2, c2) ->
 
 The 3 of the Chern bound is ``_C2_BOUND``.  At each point, in the
 distinguished frame (H, A, B), negative HSC gives ``gamma2 < 3 gamma1^2``
-for the Chern-Weil functions of ``curvature.chern_weil``, and 3 is the
+for the Chern-Weil functions of ``surface.chern_weil``, and 3 is the
 supremum, approached toward (H, A, B) = (-2, 1, 0), where the maximum HSC
 is 0.  On a ball quotient
 ``gamma1^2 = 3 gamma2`` at every point and ``c1^2 = 3 c2``, which fixes the

@@ -543,6 +543,8 @@ NUMPY_FREE_COMMANDS = [
     ["geography", "blowup", "--c1sq", "9", "--c2", "3", "--k", "2"],
     ["geography", "scan-horikawa", "--pg", "3..20"],
     ["geography", "plotdata", "--format", "tsv"],
+    ["surface", "analyze", "--H", "-1", "--A", "0.25", "--B-re", "0.1", "--B-im", "-0.2"],
+    ["surface", "analyze", "--H", "-1", "--A", "0", "--B-re", "1", "--format", "tsv"],
 ]
 
 
@@ -553,6 +555,21 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_namespace_finds_public_names_as_the_package_does():
+    assert hsckit.cli.validate is hsckit.validate
+    assert hsckit.cli.extremize_hsc is hsckit.extremize.extremize_hsc
+    # a dunder probe misses without loading a module
+    script = (
+        "import sys, hsckit.cli; print(hasattr(hsckit.cli, '__path__'), "
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False []\n"
 
 
 @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
@@ -593,6 +610,11 @@ HUGE_VIOLATION = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0
             ["surface", "analyze", "--H", "1e200", "--A", "1e200"],
             "ValueError: frame data too large: gamma2 overflows at H=1e+200, A=1e+200, B=0j",
             id="argv4-ValueError",
+        ),
+        pytest.param(
+            ["surface", "analyze", "--H", "0", "--A", "1", "--B-re", "1.5e308", "--B-im", "1.5e308"],  # |B| = inf
+            "ValueError: frame data too large: |B| overflows at H=0.0, A=1.0, B=(1.5e+308+1.5e+308j)",
+            id="argv5-ValueError",
         ),
     ],
 )

@@ -306,11 +306,31 @@ def test_frame_constraint_enforced():
 
 
 @pytest.mark.parametrize(
-    "H, A, B", [(float("nan"), 0.0, 0.0), (-1.0, float("inf"), 0.0), (-1.0, 0.0, complex(0, float("nan")))]
+    "H, A, B",
+    [
+        (float("nan"), 0.0, 0.0),
+        (-1.0, float("inf"), 0.0),
+        (-1.0, 0.0, complex(0, float("nan"))),
+        pytest.param(np.float64("nan"), 0.0, 0.0, id="numpy-nan"),
+        pytest.param(-1.0, 0.0, np.complex128(complex(0, float("nan"))), id="numpy-nanj"),
+    ],
 )
 def test_frame_point_rejects_non_finite(H, A, B):
     with pytest.raises(ValueError, match="finite"):
         EinsteinFramePoint(H, A, B)
+
+
+def test_frame_point_takes_numpy_scalars():
+    point = EinsteinFramePoint(np.float64(-1.0), np.float64(0.25), np.complex128(0.1 - 0.2j))
+    assert point == EinsteinFramePoint(-1.0, 0.25, 0.1 - 0.2j)
+    assert (type(point.H), type(point.A), type(point.B)) == (float, float, complex)
+
+
+def test_frame_point_rejects_an_overflowing_modulus():
+    # both parts are finite, but |B| is past the float range
+    error = "frame data too large: |B| overflows at H=0.0, A=1.0, B=(1.5e+308+1.5e+308j)"
+    with pytest.raises(ValueError, match=re.escape(error)):
+        EinsteinFramePoint(0, 1, 1.5e308 + 1.5e308j)
 
 
 def test_closed_form_examples():

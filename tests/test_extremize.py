@@ -26,11 +26,10 @@ from hsckit import (
     sample_hsc,
     transform_frame,
 )
+from hsckit._config import _MAX_ORACLE_SAMPLES, _MAX_STARTS
 from hsckit.curvature import _KERNEL_ROWS, _quartic_matrix, _re_dot, _value_and_gradient, _values_batch
 from hsckit.extremize import (
     _MAX_ITERS,
-    _MAX_ORACLE_SAMPLES,
-    _MAX_STARTS,
     _ascend,
     _best_of_starts,
     _circle_coefficients,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import os
@@ -13,7 +14,8 @@ import pytest
 
 import hsckit
 
-MODULES = ("errors", "rootsys", "cspace", "curvature", "extremize", "geography")
+MODULES = ("errors", "rootsys", "cspace", "surface", "curvature", "extremize", "geography")
+SOURCES = sorted(Path(hsckit.__file__).resolve().parent.glob("*.py"))
 
 
 def test_package_exports_the_union_of_module_names():
@@ -35,6 +37,21 @@ def test_module_lists_every_public_definition(short):
         if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__
     }
     assert defined <= set(module.__all__)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_every_imported_name_is_used_or_exported(path):
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module("hsckit" if path.stem == "__init__" else f"hsckit.{path.stem}")
+    unused = imported - used - set(getattr(module, "__all__", ()))
+    assert {name for name in unused if not (name.startswith("__") and name.endswith("__"))} == set()
 
 
 @pytest.mark.parametrize(
