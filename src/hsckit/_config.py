@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 SYMMETRY_TOL = 1e-9
-# 4,096 starts ascend as 8,192 rows, one per sign; at n = 32 they peak at 45 MiB
-# in ``_value_and_gradient`` and 37 MiB in ``_circle_coefficients`` (tracemalloc)
+# 4,096 starts ascend as 8,192 rows, one per sign; a whole ``extremize_hsc`` call
+# peaks at 100.5 MiB at n = 32 and at 47.6 MiB at n = 6, where the Newton
+# systems add 30.7 MiB (tracemalloc)
 _MAX_STARTS = 4096
 _MAX_ORACLE_SAMPLES = 1 << 24  # 16,384 kernel blocks: about 16 s at n = 6
 

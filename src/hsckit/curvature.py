@@ -292,19 +292,38 @@ def _values_batch(K: tuple, V: np.ndarray) -> np.ndarray:
     return _by_blocks(K, V, np.empty(len(V)), lambda *block: _block_values(K, *block))
 
 
-def _value_and_gradient(K: tuple, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _value_and_gradient(K: tuple, V: np.ndarray, keep_y: bool = False) -> tuple[np.ndarray, ...]:
     """f and its Euclidean gradient at every row v of V, from one product.
 
     With Y = x_s Kc = (v (x) v) K read as an n x n matrix, ``Y conj(v)`` is
     the cubic contraction ``sum R[i,m,k,l] v_i v_k conj(v_l)``: the gradient
     in R^{2n} coordinates, as a complex vector, is 4 Y conj(v) (2 d f /
     d conj(v), doubled again by the two barred slots), and ``f = Re
-    conj(v).Y conj(v)``.
+    conj(v).Y conj(v)``.  With ``keep_y``, the len(V) x n x n array of Ys
+    is returned third, for the Hessian's 4 Y conj(xi) term.
     """
     m, n = V.shape
+    if keep_y:
+        Ys = _by_blocks(K, V, np.empty((m, n * n), dtype=complex), lambda Vb, X, Y: _fold(K, Vb, X, Y) @ K[2])
+        Ys = Ys.reshape(m, n, n)
+        Yv = np.vecdot(V[:, None, :], Ys)
+        return _re_dot(V, Yv), 4.0 * Yv, Ys
     Yv = np.empty((m, n), dtype=complex)
     _by_blocks(K, V, Yv, lambda Vb, X, Y: np.vecdot(Vb[:, None, :], (_fold(K, Vb, X, Y) @ K[2]).reshape(-1, n, n)))
     return _re_dot(V, Yv), 4.0 * Yv
+
+
+def _hessian_matrix(K: tuple) -> np.ndarray:
+    """The n^2 x n^2 matrix Q with ``(v (x) conj(v)) Q = 2 conj(P)``, read
+    as n x n, for ``P[m,i] = sum R[i,m,k,l] v_k conj(v_l)``, the first term
+    of the Hessian.  R is rebuilt from Kc: the row of Kc for i <= k is row
+    (i,k) of ``K[(i,k),(j,l)] = R[i,j,k,l]``, doubled off the diagonal."""
+    I, J, Kc = K[0], K[1], K[2]
+    n = int(I[-1]) + 1
+    row = np.empty((n, n), dtype=int)
+    row[I, J] = row[J, I] = np.arange(len(I))
+    R = (Kc[row] * np.where(np.eye(n, dtype=bool), 1.0, 0.5)[..., None]).reshape((n,) * 4).transpose(0, 2, 1, 3)
+    return 2.0 * R.reshape(n * n, n * n).T
 
 
 def hsc(tensor: KahlerCurvatureTensor, v) -> float:

@@ -24,15 +24,26 @@ from hsckit import (
     max_hsc_surface,
     ricci,
     sample_hsc,
+    tensor_from_dict,
     transform_frame,
 )
 from hsckit._config import _MAX_ORACLE_SAMPLES, _MAX_STARTS
-from hsckit.curvature import _KERNEL_ROWS, _quartic_matrix, _re_dot, _value_and_gradient, _values_batch
+from hsckit.curvature import (
+    _KERNEL_ROWS,
+    _hessian_matrix,
+    _quartic_matrix,
+    _re_dot,
+    _value_and_gradient,
+    _values_batch,
+)
 from hsckit.extremize import (
     _MAX_ITERS,
+    _NEWTON_MAX_N,
     _ascend,
     _best_of_starts,
+    _bordered_hessian,
     _circle_coefficients,
+    _newton_direction,
     _norms,
     _sample_unit_sphere,
     _start_directions,
@@ -84,6 +95,111 @@ def test_gradient_matches_finite_differences():
             num = (plus - minus) / (2 * h)
             ana = float((g * np.conj(e)).sum().real)
             assert num == pytest.approx(ana, rel=1e-5, abs=1e-6)
+
+
+def _newton_inputs(n: int, seed: int, rows: int = 4):
+    """K, unit rows V, f, the tangent gradients and Y of a random tensor."""
+    K = _quartic_matrix(random_kahler_tensor(n, seed=seed).array)
+    V = _sample_unit_sphere(n, rows, np.random.default_rng(seed + 1))
+    f, g, Y = _value_and_gradient(K, V, keep_y=True)
+    return K, V, f, g - 4.0 * f[:, None] * V, Y
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_hessian_matches_finite_differences_of_the_gradient(n):
+    # H_E (the bordered block plus f, times 4) against central differences
+    # of the gradient's float view, column by column
+    K, V, f, _, Y = _newton_inputs(n, seed=80 + n)
+    M = _bordered_hessian(_hessian_matrix(K), V, f, Y)
+    h = 1e-5
+    for v, f_v, M_v in zip(V, f, M):
+        H = 4.0 * (M_v[: 2 * n, : 2 * n] + f_v * np.eye(2 * n))
+        for col in range(2 * n):
+            e = np.zeros(2 * n)
+            e[col] = h
+            ends = np.array([v + e.view(complex), v - e.view(complex)])
+            grad = _value_and_gradient(K, ends)[1].view(float)
+            numeric = (grad[0] - grad[1]) / (2 * h)
+            assert np.abs(H[:, col] - numeric).max() <= 1e-7 * max(1.0, np.abs(H).max())
+        assert np.array_equal(M_v[2 * n :, 2 * n :], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_newton_direction_is_horizontal_and_solves_the_projected_system(n):
+    K, V, f, gt, Y = _newton_inputs(n, seed=90 + n)
+    M = _bordered_hessian(_hessian_matrix(K), V, f, Y)
+    xi = _newton_direction(_hessian_matrix(K), V, f, gt, Y)
+    for v, g, M_v, x in zip(V, gt, M, xi):
+        assert abs(np.vdot(v, x)) <= 1e-12 * np.linalg.norm(x)
+        # Pi (H_E - 4 f) xi = -g, with Pi the projection onto <v, .> = 0
+        Hx = 4.0 * (M_v[: 2 * n, : 2 * n] @ x.view(float)).view(complex)
+        residual = Hx - np.vdot(v, Hx) * v + g
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(g)
+
+
+KNOWN_RANGES = [
+    (constant_hsc_tensor(4, -2.0), -2.0, -2.0),
+    (grassmannian_tensor(2, 2), 0.5, 1.0),
+    (grassmannian_tensor(2, 3), 0.5, 1.0),
+    (quadric_tensor(3), 0.5, 1.0),
+    (quadric_tensor(5), 0.5, 1.0),
+    # HSC of a product is c1 c2 / (c1 + c2) at best: 1/3 for c1 = 1, c2 = 1/2
+    (product_tensor(constant_hsc_tensor(2, 1.0), quadric_tensor(3)), 1.0 / 3.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("tensor, low, high", KNOWN_RANGES)
+def test_newton_ascent_reaches_known_ranges(tensor, low, high):
+    # their optima are not isolated, so the Hessian is singular there
+    assert 3 <= tensor.n <= _NEWTON_MAX_N
+    res = extremize_hsc(tensor)
+    assert res.min_value == pytest.approx(low, abs=1e-12)
+    assert res.max_value == pytest.approx(high, abs=1e-12)
+    assert res.min_capped == res.max_capped == 0
+    assert res.converged
+
+
+def test_singular_newton_system_falls_back_to_conjugate_gradient():
+    # only the orbit of R[0,1,0,0] = 1: HSC is 4 Re(|v_0|^2 v_0 conj(v_1)),
+    # with range [-3 sqrt(3) / 4, 3 sqrt(3) / 4].  At the start e_1 the
+    # gradient is not 0, but nothing couples e_3, so the bordered matrix is
+    # exactly singular, and the batched solve fails for every row with it
+    T = tensor_from_dict({"n": 3, "entries": [{"i": 0, "j": 1, "k": 0, "l": 0, "re": 1.0}]})
+    K = _quartic_matrix(T.array)
+    V = np.concatenate((np.eye(3, dtype=complex)[:1], _sample_unit_sphere(3, 2, np.random.default_rng(3))))
+    f, g, Y = _value_and_gradient(K, V, keep_y=True)
+    with pytest.raises(np.linalg.LinAlgError):
+        _newton_direction(_hessian_matrix(K), V, f, g - 4.0 * f[:, None] * V, Y)
+    res = extremize_hsc(T, ExtremizeConfig(starts=16))
+    assert res.max_value == pytest.approx(0.75 * np.sqrt(3.0), abs=1e-12)
+    assert res.min_value == pytest.approx(-0.75 * np.sqrt(3.0), abs=1e-12)
+    assert res.min_capped == res.max_capped == 0
+
+
+def test_newton_keeps_the_lockstep_loop_short():
+    # the summed loop lengths over seeds 0-9 at the benchmark's start
+    # counts were 132, 166 and 222 with Newton directions at n = 3, 4 and 6;
+    # with conjugate gradient alone they were 219, 314 and 456
+    for n, starts, bound in ((3, 16, 145), (4, 16, 185), (6, 8, 245)):
+        steps = [
+            extremize_hsc(random_kahler_tensor(n, seed=seed), ExtremizeConfig(starts=starts, seed=seed)).steps
+            for seed in range(10)
+        ]
+        assert sum(steps) <= bound
+
+
+def test_newton_memory_stays_below_the_largest_n():
+    # with _MAX_STARTS starts the whole call peaked at 47.6 MiB at n = 6 with
+    # Newton directions (16.9 MiB without), and at 100.5 MiB at n = 32,
+    # where Newton is off
+    T = random_kahler_tensor(6, seed=1)
+    tracemalloc.start()
+    try:
+        extremize_hsc(T, ExtremizeConfig(starts=_MAX_STARTS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100.5 * 2**20
 
 
 def _coefficient_rows(c0, c1, c2) -> np.ndarray:
@@ -243,8 +359,11 @@ def test_values_batch_matches_einsum_across_blocks(n):
         V = _sample_unit_sphere(n, m, rng)
         ref = quartic_values_einsum(T.array, V)
         grad_ref = 4.0 * np.einsum("ijkl,ri,rk,rl->rj", T.array, V, V, V.conj())
+        y_ref = np.einsum("ijkl,ri,rk->rjl", T.array, V, V)
         f, grad = _value_and_gradient(K, V)
-        for got, want in ((_values_batch(K, V), ref), (f, ref), (grad, grad_ref)):
+        f_y, grad_y, Y = _value_and_gradient(K, V, keep_y=True)
+        pairs = ((_values_batch(K, V), ref), (f, ref), (grad, grad_ref), (f_y, ref), (grad_y, grad_ref), (Y, y_ref))
+        for got, want in pairs:
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -445,8 +564,9 @@ def test_sample_overflow_raises(scale):
 
 
 def test_sample_memory_stays_at_one_kernel_block():
-    # drawn one 1,024-row block at a time, 65,536 samples at n = 8 peak at
-    # 1.9 MiB; drawn as one 65,536-row chunk they peaked at 17.1 MiB
+    # drawn one 1,024-row block at a time into buffers allocated once per
+    # call, 65,536 samples at n = 8 peak at 1.33 MiB; drawn as one
+    # 65,536-row chunk they peaked at 17.1 MiB
     T = random_kahler_tensor(8, seed=13)
     tracemalloc.start()
     try:
