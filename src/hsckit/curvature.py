@@ -243,20 +243,22 @@ _KERNEL_ROWS = 1024
 
 
 def _quartic_matrix(R: np.ndarray) -> tuple[np.ndarray, ...]:
-    """R folded onto Sym^2(C^n), as the tuple (I, J, Kc, Ks) the kernels take.
+    """R folded onto Sym^2(C^n), as the tuple (I, J, Kc, Ks, Rt) the kernels take.
 
     With ``K[(i,k),(j,l)] = R[i,j,k,l]`` and ``x = v (x) v``, ``f(v) = Re
     conj(x).(x K)``.  x is symmetric, so its N = n (n + 1) / 2 entries on
     i <= k, ``x_s = v[I] v[J]``, carry it: Kc (N x n^2) adds row (k,i) of K
     to row (i,k), so ``x_s Kc = x K``; R's barred pair symmetry makes that
     product symmetric too, and Ks (N x N) folds Kc's columns the same way,
-    so ``f = Re conj(x_s).(x_s Ks)``."""
+    so ``f = Re conj(x_s).(x_s Ks)``.  Rt, a view of R, has ``(v (x)
+    conj(v)) Rt = conj(P)`` read as n x n, for the Hessian term ``P[m,i] =
+    sum R[i,m,k,l] v_k conj(v_l)``."""
     n = R.shape[0]
     I, J = np.triu_indices(n)
     a, b, off = I * n + J, J * n + I, I != J
     K = R.transpose(0, 2, 1, 3).reshape(n * n, n * n)
     Kc = K[a] + off[:, None] * K[b]
-    return I, J, Kc, Kc[:, a] + off * Kc[:, b]
+    return I, J, Kc, Kc[:, a] + off * Kc[:, b], R.reshape(n * n, n * n).T
 
 
 def _by_blocks(K: tuple, V: np.ndarray, out: np.ndarray, kernel) -> np.ndarray:
@@ -311,19 +313,6 @@ def _value_and_gradient(K: tuple, V: np.ndarray, keep_y: bool = False) -> tuple[
     Yv = np.empty((m, n), dtype=complex)
     _by_blocks(K, V, Yv, lambda Vb, X, Y: np.vecdot(Vb[:, None, :], (_fold(K, Vb, X, Y) @ K[2]).reshape(-1, n, n)))
     return _re_dot(V, Yv), 4.0 * Yv
-
-
-def _hessian_matrix(K: tuple) -> np.ndarray:
-    """The n^2 x n^2 matrix Q with ``(v (x) conj(v)) Q = 2 conj(P)``, read
-    as n x n, for ``P[m,i] = sum R[i,m,k,l] v_k conj(v_l)``, the first term
-    of the Hessian.  R is rebuilt from Kc: the row of Kc for i <= k is row
-    (i,k) of ``K[(i,k),(j,l)] = R[i,j,k,l]``, doubled off the diagonal."""
-    I, J, Kc = K[0], K[1], K[2]
-    n = int(I[-1]) + 1
-    row = np.empty((n, n), dtype=int)
-    row[I, J] = row[J, I] = np.arange(len(I))
-    R = (Kc[row] * np.where(np.eye(n, dtype=bool), 1.0, 0.5)[..., None]).reshape((n,) * 4).transpose(0, 2, 1, 3)
-    return 2.0 * R.reshape(n * n, n * n).T
 
 
 def hsc(tensor: KahlerCurvatureTensor, v) -> float:

@@ -19,12 +19,16 @@ search is exact: every stationary angle t is a real root of a quartic in
 tan t or in cot t (or t = pi/2), and the best of those angles is the
 circle's global optimum, with no grid and no noise floor.  For 3 <= n <= 6
 a row searches instead along the Riemannian Newton direction (ibid., ch. 6)
-whenever that is finite and ascends: one batched solve per step of real
-(2n + 2)-square bordered Hessian systems, built from one GEMM and the
-product the gradient already formed.  It about halves the lockstep steps
-and takes an ``extremize_hsc`` call to 0.75-0.78 of its time at n = 3, 4
-and 6 (the table is in ``_ascend``).  Past n = 6 the gain fades as the
-starts grow, and at n = 2 the solves cost more than the steps they save.
+where the Hessian of its objective, on the tangents less the phase
+direction, is negative definite, so that the local quadratic model has a
+maximum: per step one batched Cholesky test and one batched solve of real
+2n-square systems, built from one GEMM and the product the gradient already
+formed.  It about halves the lockstep steps and takes an ``extremize_hsc``
+call to 0.69-0.78 of its time at n = 3, 4 and 6 (the table is in
+``_ascend``).  Newton seeks any critical point: taken wherever it merely
+ascended, it ended rows at saddles, which the definiteness test rules out.
+6 is the largest n the benchmark runs, so the gain past it is unverified,
+and at n = 2 the solves cost more than the steps they save.
 
 Every evaluation is one product with the quartic matrix K of ``curvature``,
 folded onto Sym^2(C^n), which gives f alone (``_values_batch``) or f and
@@ -59,6 +63,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._config import ExtremizeConfig
 from .curvature import (
@@ -66,7 +71,6 @@ from .curvature import (
     Direction,
     KahlerCurvatureTensor,
     _block_values,
-    _hessian_matrix,
     _quartic_matrix,
     _re_dot,
     _value_and_gradient,
@@ -246,42 +250,65 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_re_dot(a, a))
 
 
-def _bordered_hessian(Q: np.ndarray, V: np.ndarray, f: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per row, the real (2n + 2) x (2n + 2) matrix [[H_E / 4 - f, q_1, q_2],
-    [q_1^T, 0, 0], [q_2^T, 0, 0]], with complex vectors as their interleaved
-    float views, q_1 = v and q_2 = i v.
+def _newton_matrix(
+    K: tuple, V: np.ndarray, f: np.ndarray, w: np.ndarray, Y: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """Per row, the real 2n x 2n matrix X = c (q_1 q_1^T + q_2 q_2^T) - Pi M
+    Pi for the objective s f, with complex vectors as their interleaved
+    float views: f and 4 w are its value and tangent gradient, M = H / 4 -
+    f for its Euclidean Hessian H, q_1 = v, q_2 = i v, Pi the projection
+    off both, and c the largest |entry| of M.
 
-    The Euclidean Hessian is H_E xi = 8 P xi + 4 Y conj(xi), with P from
-    ``_hessian_matrix`` and Y from ``_value_and_gradient``.  Row 2a of the
-    real matrix of xi -> A xi + B conj(xi) is the float view of row a of
-    conj(A) + B, and row 2a + 1 that of i (conj(A) - B); here A = 2 P - f
-    and B = Y.  On the horizontal space <v, xi> = 0, the tangents of the
-    sphere less the phase direction i v, along which f is flat, Pi (H_E - 4
-    f) Pi is the Riemannian Hessian of f (Absil, Mahony & Sepulchre 2008,
-    ch. 5), with 4 f = Re<v, grad f> by Euler's rule; the border confines
-    the solution to that space."""
+    H xi = s (8 P xi + 4 Y conj(xi)), with P from ``K[4]`` and Y from
+    ``_value_and_gradient``.  Row 2a of the real matrix of xi -> A xi + B
+    conj(xi) is the float view of row a of conj(A) + B, and row 2a + 1 that
+    of i (conj(A) - B); for M, A = 2 s P - f and B = s Y.  On the
+    horizontal space <v, xi> = 0, the tangents of the sphere less the phase
+    direction i v, along which f is flat, Pi M Pi is a quarter of the
+    Riemannian Hessian of s f (Absil, Mahony & Sepulchre 2008, ch. 5), with
+    4 f = Re<v, grad> by Euler's rule.  By Euler's rule again M v = 3 w + 2
+    f v, and M i v = i w; so with Q = (q_1, q_2), X = E Q^T + Q E^T - M for
+    E = (3 w + (f + c / 2) v, i (w + c v / 2)).  X is c on the plane of v
+    and i v, and minus the Riemannian Hessian on the horizontal space, so it
+    is positive definite exactly where that Hessian is negative definite."""
     m, n = V.shape
-    S = ((V[:, :, None] * V.conj()[:, None, :]).reshape(m, n * n) @ Q).reshape(m, n, n)
-    S.reshape(m, n * n)[:, :: n + 1] -= f[:, None]
-    M = np.zeros((m, 2 * n + 2, 2 * n + 2))
-    rows = M[:, :, : 2 * n].reshape(m, n + 1, 2, 2 * n)
-    rows[:, :n, 0] = (S + Y).view(float)
-    rows[:, :n, 1] = (1j * (S - Y)).view(float)
-    rows[:, n, 0] = V.view(float)
-    rows[:, n, 1] = (1j * V).view(float)
-    M[:, : 2 * n, 2 * n :] = M[:, 2 * n :, : 2 * n].transpose(0, 2, 1)
-    return M
+    S = (((-2.0 * s)[:, None] * V)[:, :, None] * V.conj()[:, None, :]).reshape(m, n * n) @ K[4]
+    S[:, :: n + 1] += f[:, None]
+    S = S.reshape(m, n, n)  # -conj(A)
+    B = s[:, None, None] * Y
+    X = np.empty((m, 2 * n, 2 * n))
+    rows = X.reshape(m, n, 2, 2 * n)
+    rows[:, :, 0] = (S - B).view(float)
+    rows[:, :, 1] = (1j * (S + B)).view(float)
+    half_cv = (0.5 * np.abs(X).max(axis=(1, 2)))[:, None] * V
+    EQ = np.stack((3.0 * w + f[:, None] * V + half_cv, 1j * (w + half_cv), V, 1j * V), axis=1).view(float)
+    EQ = EQ[:, :2].transpose(0, 2, 1) @ EQ[:, 2:]
+    X += EQ
+    X += EQ.transpose(0, 2, 1)
+    return X
 
 
-def _newton_direction(Q: np.ndarray, V: np.ndarray, f: np.ndarray, g: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The Riemannian Newton direction of f per row: the horizontal xi with
-    Pi (H_E - 4 f) Pi xi = -g, for the tangent gradient g of f at v, from
-    one batched solve of the bordered matrices, all quartered.  Raises
-    LinAlgError if any row's matrix is exactly singular."""
-    n = V.shape[1]
-    rhs = np.zeros((len(V), 2 * n + 2, 1))
-    rhs[:, : 2 * n, 0] = -0.25 * g.view(float)
-    return np.linalg.solve(_bordered_hessian(Q, V, f, Y), rhs)[:, : 2 * n, 0].view(complex)
+def _newton_direction(
+    K: tuple, V: np.ndarray, f: np.ndarray, g: np.ndarray, Y: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """The Riemannian Newton direction of s f per row, the horizontal xi with
+    Pi (H - 4 f) Pi xi = -g for the value f, tangent gradient g and
+    Euclidean Hessian H of s f, where Pi (H - 4 f) Pi is negative definite
+    on the horizontal space, and 0 elsewhere.
+
+    Numpy's batched Cholesky gufunc, which ``np.linalg.cholesky`` wraps and
+    then raises for the whole stack, writes NaN for each matrix that is not
+    positive definite; so one call sorts the rows, and those that fail
+    solve as the identity and give 0.  Raises LinAlgError if a definite row is singular to
+    working precision: its Cholesky pivots can stay positive where the LU
+    of ``np.linalg.solve`` meets an exact zero."""
+    w = 0.25 * g
+    X = _newton_matrix(K, V, f, w, Y, s)
+    with np.errstate(all="ignore"):
+        definite = np.isfinite(_umath_linalg.cholesky_lo(X)[:, 0, 0])
+    X[~definite] = np.eye(X.shape[1])
+    xi = np.linalg.solve(X, w.view(float)[:, :, None])[:, :, 0].view(complex)
+    return np.where(definite[:, None], xi, 0.0)
 
 
 def _ascend(
@@ -307,37 +334,38 @@ def _ascend(
     exact, so a row with s = -1 descends f exactly as a row of -K would.
 
     For 3 <= n <= ``_NEWTON_MAX_N`` a row instead searches along the
-    Riemannian Newton direction xi (``_newton_direction``) when xi is finite
-    (and below 1e100, so that no square of it overflows) and ascends,
-    Re<g, xi> > 1e-3 |g| |xi|, unless the row stalled on the step before; its circle is then the one through the critical point of
-    the local quadratic model, which halves the steps.  Newton seeks a
-    critical point of f itself, so xi is solved from the unsigned f, P, Y
-    and gradient s g, and only the ascent test sees the sign.  A Newton step
-    that does not improve counts as a conjugate one: the row restarts along
-    g.  If some row's bordered matrix is exactly singular, as at points
-    where nothing couples a coordinate, the batched solve fails, and every
-    row of that step keeps its conjugate direction.  Far from an optimum
-    the Hessian is indefinite, which is why Newton rides on conjugate
-    gradient rather than replacing it.
+    Riemannian Newton direction xi of s f (``_newton_direction``) where the
+    Hessian of s f on the horizontal space is negative definite, xi is below
+    1e100 (so that no square of it overflows) and ascends, Re<g, xi> > 1e-3
+    |g| |xi|, unless the row stalled on the step before; its circle is then
+    the one through the maximum of the local quadratic model, which halves
+    the steps.  Newton seeks any critical point, and the definiteness test
+    keeps it off saddles: with the ascent test alone, 40 of the 1,600 rows
+    of the ``tensor-oracle`` inputs below ended at saddles of s f, and with
+    the determinant's sign in place of definiteness, rows still ended at
+    saddles of index 2 (``test_ascent_ends_at_local_optima_not_saddles``).
+    A Newton step that does not improve counts as a conjugate one: the row
+    restarts along g.  Far from an optimum the Hessian is indefinite, which
+    is why Newton rides on conjugate gradient rather than replacing it.
     Measured on the 60 ``tensor-oracle`` inputs of seeds 1-2 (16, 16 and 8
     starts), with the time ratio of ``extremize_hsc`` the median over 7
-    alternating rounds in one process (one pinned CPU, 1 BLAS thread):
+    rounds of each input, alternated in one process (CPU time, one pinned
+    CPU, 1 BLAS thread):
 
         n   lockstep steps, mean   time ratio
-        3   23.3 -> 12.9           0.78
-        4   30.7 -> 16.9           0.75
-        6   40.9 -> 21.4           0.75
+        3   23.3 -> 12.0           0.78
+        4   30.7 -> 15.7           0.74
+        6   40.9 -> 17.9           0.69
 
-    P costs n^4 per row, against about n^4 / 2 for the folded gradient, and
-    the solve one LAPACK call per row.  Paired per call (6 Gaussian tensors
-    per n, 3 alternations each, one pinned CPU), the time ratio with 16, 32
-    and 256 starts was 0.82, 0.83 and 0.95 at n = 7 and 0.78, 0.84 and 1.02
-    at n = 8, where 4,096 starts peaked at 77 MiB against 47.6 MiB at n = 6;
-    with 8 and 256 starts it was 0.71 and 0.72 at n = 3, 0.76 and 0.76 at
-    n = 4, and 0.66 and 0.89 at n = 6.  So the cutoff is 6, below which
-    every start count gains.  At n = 2 the steps fell 7.9 -> 6.8 on 64
-    ``surface-sweep`` points, but the time rose 1.06 times.  Below n = 3 and
-    past the cutoff a step does exactly the work it does without Newton.
+    No extreme of those 120 moved by more than 1e-9.  The cutoff 6 is the
+    largest n the benchmark runs; past it the gain is unverified.  Paired
+    per call on 6 tensors ``random_kahler_tensor(n, seed)``, the time ratio
+    with 16, 32 and 256 starts was 0.74, 0.70 and 0.84 at n = 7 and 0.76,
+    0.78 and 0.84 at n = 8, where 4,096 starts peaked at 92.5 MiB against
+    56.1 MiB at n = 6.  At n = 2 the steps fell 7.9 -> 6.5 on 64
+    ``surface-sweep`` points, but the time rose 1.23 times.  Below n = 3
+    and past the cutoff a step does exactly the work it does without
+    Newton.
 
     Returns per-row (s f, v, iters, converged, capped), where capped rows
     were still running after ``_MAX_ITERS`` steps.
@@ -347,7 +375,7 @@ def _ascend(
     if newton:
         # per row: Y of its last accepted product, and whether its last step improved
         F, G, Y = _value_and_gradient(K, V, keep_y=True)
-        Q, fresh = _hessian_matrix(K), np.ones(len(V), dtype=bool)
+        fresh = np.ones(len(V), dtype=bool)
     else:
         F, G = _value_and_gradient(K, V)
     F, G = signs * F, signs[:, None] * G
@@ -386,10 +414,10 @@ def _ascend(
         if newton:
             fresh = fresh[moving]
             try:
-                xi = _newton_direction(Q, v, s * f, s[:, None] * gt, Y[rows])
-            except np.linalg.LinAlgError:  # one exactly singular row fails the whole batch
+                xi = _newton_direction(K, v, f, gt, Y[rows], s)
+            except np.linalg.LinAlgError:  # a definite row singular to working precision fails the batch
                 xi = np.zeros_like(v)
-            # an all but singular solve may give inf or nan, or a length whose square overflows
+            # an all but singular solve may give a length whose square overflows
             xi = np.where((np.abs(xi).max(axis=1) < 1e100)[:, None], xi, 0.0)
             take = fresh & (_re_dot(gt, xi) > 1e-3 * gn * _norms(xi))
             d = np.where(take[:, None], xi, d)

@@ -201,13 +201,11 @@ def test_extremize_warns_when_one_start_reaches_a_side(capsys, tensor_file):
     assert code == 0
     assert min(envelope["payload"]["min_starts_at_best"], envelope["payload"]["max_starts_at_best"]) > 1
     assert envelope["warnings"] == []
-    # each tensor is the first of its family, over seeds 0, 1, 2, ..., where
-    # exactly one of the 8 starts reaches the minimum and several the
-    # maximum: only the first random start reaches the first minimum, and
-    # only the second random start the second, a real tensor, where a start
-    # and its conjugate would tie and hide the warning
-    real = KahlerCurvatureTensor(np.random.default_rng(0).standard_normal((4,) * 4))
-    for tensor in (random_kahler_tensor(4, seed=31), real):
+    # only the axis start e_3 reaches the first minimum, and only the last
+    # random start the second: a real tensor, where a start and its
+    # conjugate would tie and hide the warning
+    real = KahlerCurvatureTensor(np.random.default_rng(1).standard_normal((4,) * 4))
+    for tensor in (random_kahler_tensor(4, seed=62), real):
         tensor_file.write_text(json.dumps(tensor_to_dict(tensor)))
         argv = ["tensor", "extremize", "--input", str(tensor_file), "--starts", "8", "--seed", "0"]
         code, envelope = run_json(capsys, argv)

@@ -30,7 +30,6 @@ from hsckit import (
 from hsckit._config import _MAX_ORACLE_SAMPLES, _MAX_STARTS
 from hsckit.curvature import (
     _KERNEL_ROWS,
-    _hessian_matrix,
     _quartic_matrix,
     _re_dot,
     _value_and_gradient,
@@ -41,9 +40,9 @@ from hsckit.extremize import (
     _NEWTON_MAX_N,
     _ascend,
     _best_of_starts,
-    _bordered_hessian,
     _circle_coefficients,
     _newton_direction,
+    _newton_matrix,
     _norms,
     _sample_unit_sphere,
     _start_directions,
@@ -97,44 +96,76 @@ def test_gradient_matches_finite_differences():
             assert num == pytest.approx(ana, rel=1e-5, abs=1e-6)
 
 
+def _reduced_hessians(K: tuple, V: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Per row, Pi (H_E - 4 f) Pi from central differences of the gradient's
+    float view, with Pi the projection off v and i v."""
+    m, n = V.shape
+    H = np.empty((m, 2 * n, 2 * n))
+    for col in range(2 * n):
+        e = np.zeros(2 * n)
+        e[col] = h
+        grad = _value_and_gradient(K, np.concatenate((V + e.view(complex), V - e.view(complex))))[1].view(float)
+        H[:, :, col] = (grad[:m] - grad[m:]) / (2 * h)
+    H = 0.5 * (H + H.transpose(0, 2, 1)) - 4.0 * _value_and_gradient(K, V)[0][:, None, None] * np.eye(2 * n)
+    Q = np.stack((V, 1j * V), axis=1).view(float)
+    Pi = np.eye(2 * n) - Q.transpose(0, 2, 1) @ Q
+    return Pi @ H @ Pi
+
+
+def _horizontal_eigenvalues(R: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric R on the complement of v and i v."""
+    Z = np.linalg.svd(np.stack((v, 1j * v)).view(float))[2][2:]
+    return np.linalg.eigvalsh(Z @ R @ Z.T)
+
+
 def _newton_inputs(n: int, seed: int, rows: int = 4):
-    """K, unit rows V, f, the tangent gradients and Y of a random tensor."""
+    """K, unit rows V, then f, the tangent gradient and Y of s f for s = -1
+    on the first half of the rows and +1 on the rest, and s."""
     K = _quartic_matrix(random_kahler_tensor(n, seed=seed).array)
     V = _sample_unit_sphere(n, rows, np.random.default_rng(seed + 1))
+    # half the rows near a start's optimum of s f, where the Hessian is definite
+    s = np.repeat([-1.0, 1.0], rows // 2)
+    W = _ascend(K, V, s)[1] + 0.01 * _sample_unit_sphere(n, rows, np.random.default_rng(seed + 2))
+    V = np.concatenate((V, W / np.linalg.norm(W, axis=1)[:, None]))
+    s = np.concatenate((s, s))
     f, g, Y = _value_and_gradient(K, V, keep_y=True)
-    return K, V, f, g - 4.0 * f[:, None] * V, Y
+    return K, V, s * f, s[:, None] * (g - 4.0 * f[:, None] * V), Y, s
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_hessian_matches_finite_differences_of_the_gradient(n):
-    # H_E (the bordered block plus f, times 4) against central differences
-    # of the gradient's float view, column by column
-    K, V, f, _, Y = _newton_inputs(n, seed=80 + n)
-    M = _bordered_hessian(_hessian_matrix(K), V, f, Y)
-    h = 1e-5
-    for v, f_v, M_v in zip(V, f, M):
-        H = 4.0 * (M_v[: 2 * n, : 2 * n] + f_v * np.eye(2 * n))
-        for col in range(2 * n):
-            e = np.zeros(2 * n)
-            e[col] = h
-            ends = np.array([v + e.view(complex), v - e.view(complex)])
-            grad = _value_and_gradient(K, ends)[1].view(float)
-            numeric = (grad[0] - grad[1]) / (2 * h)
-            assert np.abs(H[:, col] - numeric).max() <= 1e-7 * max(1.0, np.abs(H).max())
-        assert np.array_equal(M_v[2 * n :, 2 * n :], np.zeros((2, 2)))
+    # the Newton matrix is c on the plane of v and i v and minus a quarter
+    # of the projected Hessian of s f on its complement, with that Hessian
+    # from central differences of the gradient
+    K, V, f, gt, Y, s = _newton_inputs(n, seed=80 + n)
+    X = _newton_matrix(K, V, f, 0.25 * gt, Y, s)
+    Q = np.stack((V, 1j * V), axis=1).view(float)
+    c = np.abs(Q @ X @ Q.transpose(0, 2, 1))
+    assert np.allclose(c, c[:, :1, :1] * np.eye(2), rtol=1e-13, atol=1e-13 * c.max())
+    reduced = -0.25 * s[:, None, None] * _reduced_hessians(K, V)
+    expected = reduced + c[:, :1, :1] * Q.transpose(0, 2, 1) @ Q
+    for X_v, expected_v in zip(X, expected):
+        assert np.abs(X_v - expected_v).max() <= 1e-7 * max(1.0, np.abs(expected_v).max())
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_newton_direction_is_horizontal_and_solves_the_projected_system(n):
-    K, V, f, gt, Y = _newton_inputs(n, seed=90 + n)
-    M = _bordered_hessian(_hessian_matrix(K), V, f, Y)
-    xi = _newton_direction(_hessian_matrix(K), V, f, gt, Y)
-    for v, g, M_v, x in zip(V, gt, M, xi):
+    # xi is the Newton direction where the projected Hessian of s f is
+    # negative definite, and 0 elsewhere; the rows near an optimum give the
+    # first case and the random ones mostly the second
+    K, V, f, gt, Y, s = _newton_inputs(n, seed=90 + n)
+    xi = _newton_direction(K, V, f, gt, Y, s)
+    kinds = set()
+    for v, g, sign, R_v, x in zip(V, gt, s, _reduced_hessians(K, V), xi):
+        definite = _horizontal_eigenvalues(sign * R_v, v).max() < 0.0
+        kinds.add(definite)
+        if not definite:
+            assert np.array_equal(x, np.zeros(n, dtype=complex))
+            continue
         assert abs(np.vdot(v, x)) <= 1e-12 * np.linalg.norm(x)
-        # Pi (H_E - 4 f) xi = -g, with Pi the projection onto <v, .> = 0
-        Hx = 4.0 * (M_v[: 2 * n, : 2 * n] @ x.view(float)).view(complex)
-        residual = Hx - np.vdot(v, Hx) * v + g
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(g)
+        Hx = (sign * R_v @ x.view(float)).view(complex)
+        assert np.linalg.norm(Hx + g) <= 1e-6 * np.linalg.norm(g)
+    assert kinds == {False, True}
 
 
 KNOWN_RANGES = [
@@ -159,28 +190,63 @@ def test_newton_ascent_reaches_known_ranges(tensor, low, high):
     assert res.converged
 
 
-def test_singular_newton_system_falls_back_to_conjugate_gradient():
+def test_singular_newton_rows_keep_conjugate_directions(monkeypatch):
     # only the orbit of R[0,1,0,0] = 1: HSC is 4 Re(|v_0|^2 v_0 conj(v_1)),
     # with range [-3 sqrt(3) / 4, 3 sqrt(3) / 4].  At the start e_1 the
-    # gradient is not 0, but nothing couples e_3, so the bordered matrix is
-    # exactly singular, and the batched solve fails for every row with it
+    # gradient is not 0, but nothing couples e_3, so the Newton matrix is
+    # exactly singular there and that row alone keeps its conjugate direction
     T = tensor_from_dict({"n": 3, "entries": [{"i": 0, "j": 1, "k": 0, "l": 0, "re": 1.0}]})
     K = _quartic_matrix(T.array)
     V = np.concatenate((np.eye(3, dtype=complex)[:1], _sample_unit_sphere(3, 2, np.random.default_rng(3))))
     f, g, Y = _value_and_gradient(K, V, keep_y=True)
-    with pytest.raises(np.linalg.LinAlgError):
-        _newton_direction(_hessian_matrix(K), V, f, g - 4.0 * f[:, None] * V, Y)
+    xi = _newton_direction(K, V, f, g - 4.0 * f[:, None] * V, Y, np.ones(3))
+    assert np.array_equal(xi[0], np.zeros(3, dtype=complex))
     res = extremize_hsc(T, ExtremizeConfig(starts=16))
     assert res.max_value == pytest.approx(0.75 * np.sqrt(3.0), abs=1e-12)
     assert res.min_value == pytest.approx(-0.75 * np.sqrt(3.0), abs=1e-12)
     assert res.min_capped == res.max_capped == 0
+    # only the orbit of R[0,0,5,5] = 1, with range [0, 1]: near the torus of
+    # maxima |v_0| = |v_5| a row's matrix passes the Cholesky test with a
+    # pivot of rounding size, the LU of the batched solve meets an exact
+    # zero and raises, and every row of that step keeps its conjugate direction
+    raised = []
+
+    def newton(*args):
+        try:
+            return _newton_direction(*args)
+        except np.linalg.LinAlgError:
+            raised.append(True)
+            raise
+
+    monkeypatch.setattr("hsckit.extremize._newton_direction", newton)
+    T = tensor_from_dict({"n": 6, "entries": [{"i": 0, "j": 0, "k": 5, "l": 5, "re": 1.0}]})
+    res = extremize_hsc(T, ExtremizeConfig(starts=8, seed=0))
+    assert raised
+    assert (res.min_value, res.max_value) == pytest.approx((0.0, 1.0), abs=1e-12)
+    assert res.min_capped == res.max_capped == 0
+
+
+@pytest.mark.parametrize("n, seed, starts", [(3, 4, 16), (4, 0, 16), (6, 1, 8)])
+def test_ascent_ends_at_local_optima_not_saddles(n, seed, starts):
+    # Newton seeks any critical point.  Taken wherever it ascended, it ended
+    # one row here at a saddle of index 1 at n = 3 and 4; taken wherever the
+    # projected Hessian had the determinant of a definite one, it ended one
+    # at n = 6 at a saddle of index 2.  The projected Hessian of s f at every
+    # row's end has no positive eigenvalue off the plane of v and i v.
+    K = _quartic_matrix(random_kahler_tensor(n, seed=seed).array)
+    V0 = _start_directions(n, ExtremizeConfig(starts=starts, seed=seed))
+    s = np.repeat([-1.0, 1.0], len(V0))
+    _, V, _, converged, _ = _ascend(K, np.concatenate((V0, V0)), s)
+    assert converged.all()
+    for v, sign, R_v in zip(V, s, _reduced_hessians(K, V)):
+        assert _horizontal_eigenvalues(sign * R_v, v).max() <= 1e-5 * np.abs(R_v).max()
 
 
 def test_newton_keeps_the_lockstep_loop_short():
     # the summed loop lengths over seeds 0-9 at the benchmark's start
-    # counts were 132, 166 and 222 with Newton directions at n = 3, 4 and 6;
+    # counts were 132, 144 and 223 with Newton directions at n = 3, 4 and 6;
     # with conjugate gradient alone they were 219, 314 and 456
-    for n, starts, bound in ((3, 16, 145), (4, 16, 185), (6, 8, 245)):
+    for n, starts, bound in ((3, 16, 145), (4, 16, 160), (6, 8, 245)):
         steps = [
             extremize_hsc(random_kahler_tensor(n, seed=seed), ExtremizeConfig(starts=starts, seed=seed)).steps
             for seed in range(10)
@@ -189,8 +255,8 @@ def test_newton_keeps_the_lockstep_loop_short():
 
 
 def test_newton_memory_stays_below_the_largest_n():
-    # with _MAX_STARTS starts the whole call peaked at 47.6 MiB at n = 6 with
-    # Newton directions (16.9 MiB without), and at 100.5 MiB at n = 32,
+    # with _MAX_STARTS starts the whole call peaked at 56.1 MiB at n = 6 with
+    # Newton directions (16.9 MiB without), and at 100.4 MiB at n = 32,
     # where Newton is off
     T = random_kahler_tensor(6, seed=1)
     tracemalloc.start()
