@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 SYMMETRY_TOL = 1e-9
 # 4,096 starts ascend as 8,192 rows, one per sign; a whole ``extremize_hsc`` call
-# peaks at 100.4 MiB at n = 32 and at 56.1 MiB at n = 6, where the Newton
-# systems add 39.2 MiB (tracemalloc)
+# peaks at 100.46 MiB at n = 32 and at 42.6 MiB at n = 6, where the Newton
+# systems add 25.7 MiB (tracemalloc)
 _MAX_STARTS = 4096
 _MAX_ORACLE_SAMPLES = 1 << 24  # 16,384 kernel blocks: about 16 s at n = 6
 

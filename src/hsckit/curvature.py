@@ -294,22 +294,16 @@ def _values_batch(K: tuple, V: np.ndarray) -> np.ndarray:
     return _by_blocks(K, V, np.empty(len(V)), lambda *block: _block_values(K, *block))
 
 
-def _value_and_gradient(K: tuple, V: np.ndarray, keep_y: bool = False) -> tuple[np.ndarray, ...]:
+def _value_and_gradient(K: tuple, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f and its Euclidean gradient at every row v of V, from one product.
 
     With Y = x_s Kc = (v (x) v) K read as an n x n matrix, ``Y conj(v)`` is
     the cubic contraction ``sum R[i,m,k,l] v_i v_k conj(v_l)``: the gradient
     in R^{2n} coordinates, as a complex vector, is 4 Y conj(v) (2 d f /
     d conj(v), doubled again by the two barred slots), and ``f = Re
-    conj(v).Y conj(v)``.  With ``keep_y``, the len(V) x n x n array of Ys
-    is returned third, for the Hessian's 4 Y conj(xi) term.
+    conj(v).Y conj(v)``.
     """
     m, n = V.shape
-    if keep_y:
-        Ys = _by_blocks(K, V, np.empty((m, n * n), dtype=complex), lambda Vb, X, Y: _fold(K, Vb, X, Y) @ K[2])
-        Ys = Ys.reshape(m, n, n)
-        Yv = np.vecdot(V[:, None, :], Ys)
-        return _re_dot(V, Yv), 4.0 * Yv, Ys
     Yv = np.empty((m, n), dtype=complex)
     _by_blocks(K, V, Yv, lambda Vb, X, Y: np.vecdot(Vb[:, None, :], (_fold(K, Vb, X, Y) @ K[2]).reshape(-1, n, n)))
     return _re_dot(V, Yv), 4.0 * Yv

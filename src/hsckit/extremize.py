@@ -22,13 +22,8 @@ a row searches instead along the Riemannian Newton direction (ibid., ch. 6)
 where the Hessian of its objective, on the tangents less the phase
 direction, is negative definite, so that the local quadratic model has a
 maximum: per step one batched Cholesky test and one batched solve of real
-2n-square systems, built from one GEMM and the product the gradient already
-formed.  It about halves the lockstep steps and takes an ``extremize_hsc``
-call to 0.69-0.78 of its time at n = 3, 4 and 6 (the table is in
-``_ascend``).  Newton seeks any critical point: taken wherever it merely
-ascended, it ended rows at saddles, which the definiteness test rules out.
-6 is the largest n the benchmark runs, so the gain past it is unverified,
-and at n = 2 the solves cost more than the steps they save.
+2n-square systems, built from two GEMMs on v.  It about halves the lockstep
+steps; ``_ascend`` gives the measurements and the reasons for the cutoffs.
 
 Every evaluation is one product with the quartic matrix K of ``curvature``,
 folded onto Sym^2(C^n), which gives f alone (``_values_batch``) or f and
@@ -250,19 +245,18 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_re_dot(a, a))
 
 
-def _newton_matrix(
-    K: tuple, V: np.ndarray, f: np.ndarray, w: np.ndarray, Y: np.ndarray, s: np.ndarray
-) -> np.ndarray:
+def _newton_matrix(K: tuple, V: np.ndarray, f: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Per row, the real 2n x 2n matrix X = c (q_1 q_1^T + q_2 q_2^T) - Pi M
     Pi for the objective s f, with complex vectors as their interleaved
     float views: f and 4 w are its value and tangent gradient, M = H / 4 -
     f for its Euclidean Hessian H, q_1 = v, q_2 = i v, Pi the projection
     off both, and c the largest |entry| of M.
 
-    H xi = s (8 P xi + 4 Y conj(xi)), with P from ``K[4]`` and Y from
-    ``_value_and_gradient``.  Row 2a of the real matrix of xi -> A xi + B
-    conj(xi) is the float view of row a of conj(A) + B, and row 2a + 1 that
-    of i (conj(A) - B); for M, A = 2 s P - f and B = s Y.  On the
+    H xi = s (8 P xi + 4 Y conj(xi)), with P from one GEMM of v (x) conj(v)
+    against ``K[4]`` and Y = (v (x) v) K from one of x_s against ``K[2]``,
+    both unblocked.  Row 2a of the real matrix of xi -> A xi + B conj(xi) is
+    the float view of row a of conj(A) + B, and row 2a + 1 that of i
+    (conj(A) - B); for M, A = 2 s P - f and B = s Y.  On the
     horizontal space <v, xi> = 0, the tangents of the sphere less the phase
     direction i v, along which f is flat, Pi M Pi is a quarter of the
     Riemannian Hessian of s f (Absil, Mahony & Sepulchre 2008, ch. 5), with
@@ -275,7 +269,7 @@ def _newton_matrix(
     S = (((-2.0 * s)[:, None] * V)[:, :, None] * V.conj()[:, None, :]).reshape(m, n * n) @ K[4]
     S[:, :: n + 1] += f[:, None]
     S = S.reshape(m, n, n)  # -conj(A)
-    B = s[:, None, None] * Y
+    B = s[:, None, None] * ((V[:, K[0]] * V[:, K[1]]) @ K[2]).reshape(m, n, n)
     X = np.empty((m, 2 * n, 2 * n))
     rows = X.reshape(m, n, 2, 2 * n)
     rows[:, :, 0] = (S - B).view(float)
@@ -288,9 +282,7 @@ def _newton_matrix(
     return X
 
 
-def _newton_direction(
-    K: tuple, V: np.ndarray, f: np.ndarray, g: np.ndarray, Y: np.ndarray, s: np.ndarray
-) -> np.ndarray:
+def _newton_direction(K: tuple, V: np.ndarray, f: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The Riemannian Newton direction of s f per row, the horizontal xi with
     Pi (H - 4 f) Pi xi = -g for the value f, tangent gradient g and
     Euclidean Hessian H of s f, where Pi (H - 4 f) Pi is negative definite
@@ -303,7 +295,7 @@ def _newton_direction(
     working precision: its Cholesky pivots can stay positive where the LU
     of ``np.linalg.solve`` meets an exact zero."""
     w = 0.25 * g
-    X = _newton_matrix(K, V, f, w, Y, s)
+    X = _newton_matrix(K, V, f, w, s)
     with np.errstate(all="ignore"):
         definite = np.isfinite(_umath_linalg.cholesky_lo(X)[:, 0, 0])
     X[~definite] = np.eye(X.shape[1])
@@ -339,14 +331,12 @@ def _ascend(
     1e100 (so that no square of it overflows) and ascends, Re<g, xi> > 1e-3
     |g| |xi|, unless the row stalled on the step before; its circle is then
     the one through the maximum of the local quadratic model, which halves
-    the steps.  Newton seeks any critical point, and the definiteness test
-    keeps it off saddles: with the ascent test alone, 40 of the 1,600 rows
-    of the ``tensor-oracle`` inputs below ended at saddles of s f, and with
-    the determinant's sign in place of definiteness, rows still ended at
-    saddles of index 2 (``test_ascent_ends_at_local_optima_not_saddles``).
-    A Newton step that does not improve counts as a conjugate one: the row
-    restarts along g.  Far from an optimum the Hessian is indefinite, which
-    is why Newton rides on conjugate gradient rather than replacing it.
+    the steps.  Newton seeks any critical point, saddles included, and the
+    definiteness test keeps it off them
+    (``test_ascent_ends_at_local_optima_not_saddles``).  A Newton step that
+    does not improve counts as a conjugate one: the row restarts along g.
+    Far from an optimum the Hessian is indefinite, which is why Newton rides
+    on conjugate gradient rather than replacing it.
     Measured on the 60 ``tensor-oracle`` inputs of seeds 1-2 (16, 16 and 8
     starts), with the time ratio of ``extremize_hsc`` the median over 7
     rounds of each input, alternated in one process (CPU time, one pinned
@@ -361,32 +351,27 @@ def _ascend(
     largest n the benchmark runs; past it the gain is unverified.  Paired
     per call on 6 tensors ``random_kahler_tensor(n, seed)``, the time ratio
     with 16, 32 and 256 starts was 0.74, 0.70 and 0.84 at n = 7 and 0.76,
-    0.78 and 0.84 at n = 8, where 4,096 starts peaked at 92.5 MiB against
-    56.1 MiB at n = 6.  At n = 2 the steps fell 7.9 -> 6.5 on 64
+    0.78 and 0.84 at n = 8, where 4,096 starts peak at 68.5 MiB against
+    42.6 MiB at n = 6.  At n = 2 the steps fell 7.9 -> 6.5 on 64
     ``surface-sweep`` points, but the time rose 1.23 times.  Below n = 3
-    and past the cutoff a step does exactly the work it does without
-    Newton.
+    and past the cutoff no Newton system is built.
 
     Returns per-row (s f, v, iters, converged, capped), where capped rows
     were still running after ``_MAX_ITERS`` steps.
     """
     V = V0 / _norms(V0)[:, None]
     newton = 3 <= V.shape[1] <= _NEWTON_MAX_N
-    if newton:
-        # per row: Y of its last accepted product, and whether its last step improved
-        F, G, Y = _value_and_gradient(K, V, keep_y=True)
-        fresh = np.ones(len(V), dtype=bool)
-    else:
-        F, G = _value_and_gradient(K, V)
+    F, G = _value_and_gradient(K, V)
     F, G = signs * F, signs[:, None] * G
     iters = np.zeros(len(V), dtype=int)
     converged = np.zeros(len(V), dtype=bool)
     rows = np.arange(len(V))
     # per running row: its steps since it last restarted along g (0: it
-    # restarts now), its previous tangent gradient and its previous direction
-    # carried to the current point
+    # restarts now), whether its last step improved, its previous tangent
+    # gradient and its previous direction carried to the current point
     period = 2 * V.shape[1] - 2  # real dimension of CP^{n-1}
     since = np.zeros(len(V), dtype=int)
+    fresh = np.ones(len(V), dtype=bool)
     g_prev = np.zeros_like(V)
     d_carried = np.zeros_like(V)
     for step in range(1, _MAX_ITERS + 1):
@@ -402,7 +387,7 @@ def _ascend(
         if not rows.size:
             break
         v, f, gt, gn, scale = v[moving], f[moving], gt[moving], gn[moving], scale[moving]
-        since, g_prev, d_carried = since[moving], g_prev[moving], d_carried[moving]
+        since, fresh, g_prev, d_carried = since[moving], fresh[moving], g_prev[moving], d_carried[moving]
         s = signs[rows]
         # a restarting row compares g with itself, so its beta is exactly 0
         g_prev = np.where((since == 0)[:, None], gt, g_prev)
@@ -412,9 +397,8 @@ def _ascend(
         gradient = (beta == 0.0) | (_re_dot(gt, d) <= 0.0)
         d = np.where(gradient[:, None], gt, d)
         if newton:
-            fresh = fresh[moving]
             try:
-                xi = _newton_direction(K, v, f, gt, Y[rows], s)
+                xi = _newton_direction(K, v, f, gt, s)
             except np.linalg.LinAlgError:  # a definite row singular to working precision fails the batch
                 xi = np.zeros_like(v)
             # an all but singular solve may give a length whose square overflows
@@ -427,10 +411,7 @@ def _ascend(
         theta = _trig_argopt(_circle_coefficients(K, v, u, f, _re_dot(gt, u), s))[:, None]
         w = np.cos(theta) * v + np.sin(theta) * u
         w = w / _norms(w)[:, None]
-        if newton:
-            fw, gw, yw = _value_and_gradient(K, w, keep_y=True)
-        else:
-            fw, gw = _value_and_gradient(K, w)
+        fw, gw = _value_and_gradient(K, w)
         fw, gw = s * fw, s[:, None] * gw
         # the best step on the circle (theta = 0 included) gives no
         # floating-point improvement: along g, that row is at the numerical
@@ -442,10 +423,8 @@ def _ascend(
         moved = rows[up]
         V[moved], F[moved], G[moved] = w[up], fw[up], gw[up]
         keep = ~stop
-        if newton:
-            Y[moved], fresh = yw[up], up[keep]
         since = np.where(stalled | (since + 1 >= period), 0, since + 1)
-        rows, since, g_prev = rows[keep], since[keep], gt[keep]
+        rows, since, fresh, g_prev = rows[keep], since[keep], up[keep], gt[keep]
         d_carried = (dn * (np.cos(theta) * u - np.sin(theta) * v))[keep]
     capped = np.zeros(len(V), dtype=bool)
     capped[rows] = True

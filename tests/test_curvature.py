@@ -83,6 +83,7 @@ def test_canonicalization_records_residual():
     T = KahlerCurvatureTensor(R)
     assert T.asymmetry > 0.1
     assert validate(T).ok  # canonicalized result is symmetric
+    assert repr(T) == "KahlerCurvatureTensor(n=2, asymmetry=0.25)"
 
 
 def test_tensor_is_readonly():

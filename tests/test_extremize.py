@@ -119,8 +119,8 @@ def _horizontal_eigenvalues(R: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _newton_inputs(n: int, seed: int, rows: int = 4):
-    """K, unit rows V, then f, the tangent gradient and Y of s f for s = -1
-    on the first half of the rows and +1 on the rest, and s."""
+    """K, unit rows V, then f and the tangent gradient of s f for s = -1 on
+    the first half of the rows and +1 on the rest, and s."""
     K = _quartic_matrix(random_kahler_tensor(n, seed=seed).array)
     V = _sample_unit_sphere(n, rows, np.random.default_rng(seed + 1))
     # half the rows near a start's optimum of s f, where the Hessian is definite
@@ -128,8 +128,8 @@ def _newton_inputs(n: int, seed: int, rows: int = 4):
     W = _ascend(K, V, s)[1] + 0.01 * _sample_unit_sphere(n, rows, np.random.default_rng(seed + 2))
     V = np.concatenate((V, W / np.linalg.norm(W, axis=1)[:, None]))
     s = np.concatenate((s, s))
-    f, g, Y = _value_and_gradient(K, V, keep_y=True)
-    return K, V, s * f, s[:, None] * (g - 4.0 * f[:, None] * V), Y, s
+    f, g = _value_and_gradient(K, V)
+    return K, V, s * f, s[:, None] * (g - 4.0 * f[:, None] * V), s
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -137,8 +137,8 @@ def test_hessian_matches_finite_differences_of_the_gradient(n):
     # the Newton matrix is c on the plane of v and i v and minus a quarter
     # of the projected Hessian of s f on its complement, with that Hessian
     # from central differences of the gradient
-    K, V, f, gt, Y, s = _newton_inputs(n, seed=80 + n)
-    X = _newton_matrix(K, V, f, 0.25 * gt, Y, s)
+    K, V, f, gt, s = _newton_inputs(n, seed=80 + n)
+    X = _newton_matrix(K, V, f, 0.25 * gt, s)
     Q = np.stack((V, 1j * V), axis=1).view(float)
     c = np.abs(Q @ X @ Q.transpose(0, 2, 1))
     assert np.allclose(c, c[:, :1, :1] * np.eye(2), rtol=1e-13, atol=1e-13 * c.max())
@@ -153,8 +153,8 @@ def test_newton_direction_is_horizontal_and_solves_the_projected_system(n):
     # xi is the Newton direction where the projected Hessian of s f is
     # negative definite, and 0 elsewhere; the rows near an optimum give the
     # first case and the random ones mostly the second
-    K, V, f, gt, Y, s = _newton_inputs(n, seed=90 + n)
-    xi = _newton_direction(K, V, f, gt, Y, s)
+    K, V, f, gt, s = _newton_inputs(n, seed=90 + n)
+    xi = _newton_direction(K, V, f, gt, s)
     kinds = set()
     for v, g, sign, R_v, x in zip(V, gt, s, _reduced_hessians(K, V), xi):
         definite = _horizontal_eigenvalues(sign * R_v, v).max() < 0.0
@@ -198,8 +198,8 @@ def test_singular_newton_rows_keep_conjugate_directions(monkeypatch):
     T = tensor_from_dict({"n": 3, "entries": [{"i": 0, "j": 1, "k": 0, "l": 0, "re": 1.0}]})
     K = _quartic_matrix(T.array)
     V = np.concatenate((np.eye(3, dtype=complex)[:1], _sample_unit_sphere(3, 2, np.random.default_rng(3))))
-    f, g, Y = _value_and_gradient(K, V, keep_y=True)
-    xi = _newton_direction(K, V, f, g - 4.0 * f[:, None] * V, Y, np.ones(3))
+    f, g = _value_and_gradient(K, V)
+    xi = _newton_direction(K, V, f, g - 4.0 * f[:, None] * V, np.ones(3))
     assert np.array_equal(xi[0], np.zeros(3, dtype=complex))
     res = extremize_hsc(T, ExtremizeConfig(starts=16))
     assert res.max_value == pytest.approx(0.75 * np.sqrt(3.0), abs=1e-12)
@@ -255,8 +255,8 @@ def test_newton_keeps_the_lockstep_loop_short():
 
 
 def test_newton_memory_stays_below_the_largest_n():
-    # with _MAX_STARTS starts the whole call peaked at 56.1 MiB at n = 6 with
-    # Newton directions (16.9 MiB without), and at 100.4 MiB at n = 32,
+    # with _MAX_STARTS starts the whole call peaked at 42.6 MiB at n = 6 with
+    # Newton directions (16.9 MiB without), and at 100.46 MiB at n = 32,
     # where Newton is off
     T = random_kahler_tensor(6, seed=1)
     tracemalloc.start()
@@ -425,11 +425,8 @@ def test_values_batch_matches_einsum_across_blocks(n):
         V = _sample_unit_sphere(n, m, rng)
         ref = quartic_values_einsum(T.array, V)
         grad_ref = 4.0 * np.einsum("ijkl,ri,rk,rl->rj", T.array, V, V, V.conj())
-        y_ref = np.einsum("ijkl,ri,rk->rjl", T.array, V, V)
         f, grad = _value_and_gradient(K, V)
-        f_y, grad_y, Y = _value_and_gradient(K, V, keep_y=True)
-        pairs = ((_values_batch(K, V), ref), (f, ref), (grad, grad_ref), (f_y, ref), (grad_y, grad_ref), (Y, y_ref))
-        for got, want in pairs:
+        for got, want in ((_values_batch(K, V), ref), (f, ref), (grad, grad_ref)):
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
