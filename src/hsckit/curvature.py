@@ -234,9 +234,10 @@ def validate(
     return ValidationReport(ok=not violations, tolerance=tol, violations=violations)
 
 
-# rows per product and per ``sample_hsc`` draw, in buffers allocated once per call: 590 kB
-# per N-column buffer at n = 6, inside a 4 MiB L2 cache, and 17 MB at n = 32, where 8,192
-# rows peak at 45 MiB in ``_value_and_gradient`` and 37 MiB in the circle fit (tracemalloc);
+# rows per product and per ``sample_hsc`` draw, through N-column buffers allocated once per
+# call: 344 kB each at n = 6 and 8.7 MB at n = 32; a block's n^2-column gradient product is
+# 590 kB at n = 6, inside a 4 MiB L2 cache, and 17 MB at n = 32, where 8,192 rows peak at
+# 37.0 MiB in ``_value_and_gradient`` and 28.8 MiB in the circle fit (tracemalloc, Gaussian R);
 # 1,024 and 8,192 rows gave bitwise equal values at n = 1 to 32 (OpenBLAS), but a one-row
 # block is a matrix-vector product that may differ in the last bits
 _KERNEL_ROWS = 1024

@@ -20,10 +20,13 @@ tan t or in cot t (or t = pi/2), and the best of those angles is the
 circle's global optimum, with no grid and no noise floor.  For 3 <= n <= 6
 a row searches instead along the Riemannian Newton direction (ibid., ch. 6)
 where the Hessian of its objective, on the tangents less the phase
-direction, is negative definite, so that the local quadratic model has a
-maximum: per step one batched Cholesky test and one batched solve of real
-2n-square systems, built from two GEMMs on v.  It about halves the lockstep
-steps; ``_ascend`` gives the measurements and the reasons for the cutoffs.
+direction, is negative definite with a margin, so that the local quadratic
+model has a maximum: the Newton matrix X must stay positive definite less
+1e-10 max |X_ij| on its diagonal, which bounds its condition number, so the
+direction is finite and ascends.  Per step that is one batched Cholesky test
+and one batched solve of real 2n-square systems, built from two GEMMs on v.
+It about halves the lockstep steps; ``_ascend`` gives the reasons for the
+cutoffs.
 
 Every evaluation is one product with the quartic matrix K of ``curvature``,
 folded onto Sym^2(C^n), which gives f alone (``_values_batch``) or f and
@@ -91,6 +94,7 @@ _VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
 _EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor
 _MAX_ITERS = 500  # ascent steps per start before it is reported unconverged
 _NEWTON_MAX_N = 6  # the ascent takes Newton directions for 3 <= n <= this
+_NEWTON_MARGIN = 1e-10  # relative eigenvalue margin of a Newton matrix; bounds its condition number
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -285,20 +289,31 @@ def _newton_matrix(K: tuple, V: np.ndarray, f: np.ndarray, w: np.ndarray, s: np.
 def _newton_direction(K: tuple, V: np.ndarray, f: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The Riemannian Newton direction of s f per row, the horizontal xi with
     Pi (H - 4 f) Pi xi = -g for the value f, tangent gradient g and
-    Euclidean Hessian H of s f, where Pi (H - 4 f) Pi is negative definite
-    on the horizontal space, and 0 elsewhere.
+    Euclidean Hessian H of s f, on the rows whose Newton matrix X keeps a
+    margin: X - delta a I is positive definite, for a = max |X_ij| of the row
+    and delta = ``_NEWTON_MARGIN``; 0 on the other rows.  So Pi (H - 4 f) Pi
+    is negative definite on the horizontal space there.
 
     Numpy's batched Cholesky gufunc, which ``np.linalg.cholesky`` wraps and
     then raises for the whole stack, writes NaN for each matrix that is not
-    positive definite; so one call sorts the rows, and those that fail
-    solve as the identity and give 0.  Raises LinAlgError if a definite row is singular to
-    working precision: its Cholesky pivots can stay positive where the LU
-    of ``np.linalg.solve`` meets an exact zero."""
+    positive definite; so one call on the shifted matrices sorts the rows,
+    and the unshifted X xi = g / 4 is solved, with the identity on the rows
+    that fail.  On an accepted row of size 2n, n <= 6:
+
+    - lambda_max(X) <= 2n a and lambda_min(X) > delta a, so cond(X) < 2n /
+      delta <= 1.2e11, far from 1 / eps, and the partial-pivoting LU of
+      ``np.linalg.solve`` meets no zero pivot.
+    - X is c on the plane of v and i v, so a >= c / (2n), and 3 g / 4 = Pi M
+      v gives |g| / 4 <= 2n c / 3; so |xi| < 4 n^2 / (3 delta), about 5e11,
+      and no square of it overflows.
+    - Re<g, xi> = 4 xi^T X xi > 0: the direction ascends."""
     w = 0.25 * g
     X = _newton_matrix(K, V, f, w, s)
+    eye = np.eye(X.shape[1])
     with np.errstate(all="ignore"):
-        definite = np.isfinite(_umath_linalg.cholesky_lo(X)[:, 0, 0])
-    X[~definite] = np.eye(X.shape[1])
+        shifted = X - (_NEWTON_MARGIN * np.abs(X).max(axis=(1, 2)))[:, None, None] * eye
+        definite = np.isfinite(_umath_linalg.cholesky_lo(shifted)[:, 0, 0])
+    X[~definite] = eye
     xi = np.linalg.solve(X, w.view(float)[:, :, None])[:, :, 0].view(complex)
     return np.where(definite[:, None], xi, 0.0)
 
@@ -327,34 +342,17 @@ def _ascend(
 
     For 3 <= n <= ``_NEWTON_MAX_N`` a row instead searches along the
     Riemannian Newton direction xi of s f (``_newton_direction``) where the
-    Hessian of s f on the horizontal space is negative definite, xi is below
-    1e100 (so that no square of it overflows) and ascends, Re<g, xi> > 1e-3
-    |g| |xi|, unless the row stalled on the step before; its circle is then
-    the one through the maximum of the local quadratic model, which halves
-    the steps.  Newton seeks any critical point, saddles included, and the
-    definiteness test keeps it off them
-    (``test_ascent_ends_at_local_optima_not_saddles``).  A Newton step that
-    does not improve counts as a conjugate one: the row restarts along g.
-    Far from an optimum the Hessian is indefinite, which is why Newton rides
-    on conjugate gradient rather than replacing it.
-    Measured on the 60 ``tensor-oracle`` inputs of seeds 1-2 (16, 16 and 8
-    starts), with the time ratio of ``extremize_hsc`` the median over 7
-    rounds of each input, alternated in one process (CPU time, one pinned
-    CPU, 1 BLAS thread):
-
-        n   lockstep steps, mean   time ratio
-        3   23.3 -> 12.0           0.78
-        4   30.7 -> 15.7           0.74
-        6   40.9 -> 17.9           0.69
-
-    No extreme of those 120 moved by more than 1e-9.  The cutoff 6 is the
-    largest n the benchmark runs; past it the gain is unverified.  Paired
-    per call on 6 tensors ``random_kahler_tensor(n, seed)``, the time ratio
-    with 16, 32 and 256 starts was 0.74, 0.70 and 0.84 at n = 7 and 0.76,
-    0.78 and 0.84 at n = 8, where 4,096 starts peak at 68.5 MiB against
-    42.6 MiB at n = 6.  At n = 2 the steps fell 7.9 -> 6.5 on 64
-    ``surface-sweep`` points, but the time rose 1.23 times.  Below n = 3
-    and past the cutoff no Newton system is built.
+    Hessian of s f on the horizontal space is negative definite with the
+    margin ``_NEWTON_MARGIN``, which makes xi finite and ascending, unless
+    the row stalled on the step before; its circle is then the one through
+    the maximum of the local quadratic model, which about halves the steps.
+    Newton seeks any critical point, saddles included, and the definiteness
+    test keeps it off them (``test_ascent_ends_at_local_optima_not_saddles``).
+    A Newton step that does not improve counts as a conjugate one: the row
+    restarts along g.  Far from an optimum the Hessian is indefinite, which
+    is why Newton rides on conjugate gradient rather than replacing it.
+    At n = 2 Newton saves steps but not time, and past 6, the largest n the
+    benchmark runs, its gain is unverified; there no Newton system is built.
 
     Returns per-row (s f, v, iters, converged, capped), where capped rows
     were still running after ``_MAX_ITERS`` steps.
@@ -397,13 +395,8 @@ def _ascend(
         gradient = (beta == 0.0) | (_re_dot(gt, d) <= 0.0)
         d = np.where(gradient[:, None], gt, d)
         if newton:
-            try:
-                xi = _newton_direction(K, v, f, gt, s)
-            except np.linalg.LinAlgError:  # a definite row singular to working precision fails the batch
-                xi = np.zeros_like(v)
-            # an all but singular solve may give a length whose square overflows
-            xi = np.where((np.abs(xi).max(axis=1) < 1e100)[:, None], xi, 0.0)
-            take = fresh & (_re_dot(gt, xi) > 1e-3 * gn * _norms(xi))
+            xi = _newton_direction(K, v, f, gt, s)
+            take = fresh & xi.any(axis=1)
             d = np.where(take[:, None], xi, d)
             gradient &= ~take
         dn = _norms(d)[:, None]

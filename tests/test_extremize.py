@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from hsckit import (
     CSpaceDescriptor,
@@ -37,6 +38,7 @@ from hsckit.curvature import (
 )
 from hsckit.extremize import (
     _MAX_ITERS,
+    _NEWTON_MARGIN,
     _NEWTON_MAX_N,
     _ascend,
     _best_of_starts,
@@ -190,7 +192,7 @@ def test_newton_ascent_reaches_known_ranges(tensor, low, high):
     assert res.converged
 
 
-def test_singular_newton_rows_keep_conjugate_directions(monkeypatch):
+def test_singular_newton_rows_keep_conjugate_directions():
     # only the orbit of R[0,1,0,0] = 1: HSC is 4 Re(|v_0|^2 v_0 conj(v_1)),
     # with range [-3 sqrt(3) / 4, 3 sqrt(3) / 4].  At the start e_1 the
     # gradient is not 0, but nothing couples e_3, so the Newton matrix is
@@ -205,25 +207,56 @@ def test_singular_newton_rows_keep_conjugate_directions(monkeypatch):
     assert res.max_value == pytest.approx(0.75 * np.sqrt(3.0), abs=1e-12)
     assert res.min_value == pytest.approx(-0.75 * np.sqrt(3.0), abs=1e-12)
     assert res.min_capped == res.max_capped == 0
-    # only the orbit of R[0,0,5,5] = 1, with range [0, 1]: near the torus of
-    # maxima |v_0| = |v_5| a row's matrix passes the Cholesky test with a
-    # pivot of rounding size, the LU of the batched solve meets an exact
-    # zero and raises, and every row of that step keeps its conjugate direction
-    raised = []
-
-    def newton(*args):
-        try:
-            return _newton_direction(*args)
-        except np.linalg.LinAlgError:
-            raised.append(True)
-            raise
-
-    monkeypatch.setattr("hsckit.extremize._newton_direction", newton)
+    # only the orbit of R[0,0,5,5] = 1, with range [0, 1]: the maxima form the
+    # torus |v_0| = |v_5|, where the Newton matrix is singular.  Near it a
+    # row's matrix can pass an unshifted Cholesky test with a pivot of
+    # rounding size while the LU of the batched solve meets an exact zero and
+    # raises for the whole batch; the margin refuses such rows, so they give 0
     T = tensor_from_dict({"n": 6, "entries": [{"i": 0, "j": 0, "k": 5, "l": 5, "re": 1.0}]})
-    res = extremize_hsc(T, ExtremizeConfig(starts=8, seed=0))
-    assert raised
-    assert (res.min_value, res.max_value) == pytest.approx((0.0, 1.0), abs=1e-12)
-    assert res.min_capped == res.max_capped == 0
+    K = _quartic_matrix(T.array)
+    rng = np.random.default_rng(2)
+    V = np.zeros((64, 6), dtype=complex)
+    V[:, [0, 5]] = np.exp(2j * np.pi * rng.random((64, 2)))
+    V += 1e-9 * rng.standard_normal((64, 12)).view(complex)
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    f, g = _value_and_gradient(K, V)
+    assert not _newton_direction(K, V, f, g - 4.0 * f[:, None] * V, np.ones(64)).any()
+    for seed in range(6):
+        res = extremize_hsc(T, ExtremizeConfig(starts=8, seed=seed))
+        assert (res.min_value, res.max_value) == pytest.approx((0.0, 1.0), abs=1e-12)
+        assert res.min_capped == res.max_capped == 0
+
+
+def test_newton_margin_sorts_rows_by_their_smallest_eigenvalue(monkeypatch):
+    # two positive definite matrices whose smallest eigenvalue sits 1% above
+    # and 1% below the margin times their largest |entry|: the first is
+    # solved, the second gives 0; with the right side along that eigenvector
+    # the accepted direction is as long as the margin allows, and still
+    # ascends and stays below the bound 4 n^2 / (3 delta)
+    n = 3
+    Q = np.linalg.qr(np.random.default_rng(5).standard_normal((2 * n, 2 * n)))[0]
+    spectrum = np.linspace(0.0, 1.0, 2 * n)
+    base = np.abs(Q @ np.diag(spectrum) @ Q.T).max()
+    X = np.stack([Q @ np.diag(spectrum + k * _NEWTON_MARGIN * base * (spectrum == 0)) @ Q.T for k in (1.01, 0.99)])
+    assert np.linalg.eigvalsh(X).min() > 0.0
+    monkeypatch.setattr("hsckit.extremize._newton_matrix", lambda *args: X.copy())
+    g = np.stack((4.0 * Q[:, 0], 4.0 * Q[:, 0])).view(complex)
+    xi = _newton_direction(None, None, None, g, None)
+    assert xi[0].any() and not xi[1].any()
+    assert np.abs(X[0] @ xi[0].view(float) - 0.25 * g[0].view(float)).max() <= 1e-14 * np.linalg.norm(xi[0])
+    assert _re_dot(g[:1], xi[:1])[0] > 0.0
+    assert 1e9 < _norms(xi[:1])[0] < 4 * n * n / (3 * _NEWTON_MARGIN)
+
+
+def test_cholesky_gufunc_writes_nan_where_a_matrix_is_not_positive_definite():
+    # _newton_direction sorts its rows by this private numpy gufunc, which
+    # np.linalg.cholesky wraps; a numpy release that changes it fails here
+    A = np.array([[4.0, 2.0], [2.0, 3.0]])
+    stack = np.stack((A, [[1.0, 2.0], [2.0, 1.0]], np.zeros((2, 2)), np.full((2, 2), np.nan)))
+    with np.errstate(all="ignore"):
+        L = _umath_linalg.cholesky_lo(stack)
+    assert np.array_equal(L[0], np.linalg.cholesky(A))
+    assert np.isnan(L[1:, 0, 0]).all()
 
 
 @pytest.mark.parametrize("n, seed, starts", [(3, 4, 16), (4, 0, 16), (6, 1, 8)])
