@@ -346,10 +346,11 @@ def transform_frame(tensor: KahlerCurvatureTensor, U: np.ndarray) -> KahlerCurva
     defect = float(np.max(np.abs(U.conj().T @ U - np.eye(n))))
     if defect > SYMMETRY_TOL:
         raise NotUnitary(f"matrix is not unitary (defect {defect:.3g})")
-    # one factor at a time, O(n^5): each contracts the leading axis and appends the new one
+    # one factor at a time, O(n^5): each contracts the leading axis and appends
+    # the new one, one matmul on the (n, n^3) view
     Rp = tensor.array
     for M in (U, U.conj(), U, U.conj()):
-        Rp = np.tensordot(Rp, M, axes=(0, 0))
+        Rp = (Rp.reshape(n, -1).T @ M).reshape((n,) * 4)
     return KahlerCurvatureTensor(Rp)
 
 

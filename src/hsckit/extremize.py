@@ -35,8 +35,12 @@ is the next step's gradient.  The minimum of f is minus the maximum of -f,
 and negating f, its gradient and its circle coefficients is exact, so every
 start ascends twice, once per sign, and all those ascents run in lockstep
 as the rows of one array: each step is one fused product for the rows still
-running, one product that fits all their circles and one batch of real
-4 x 4 companion-matrix eigenvalues, and each row stops on its own rule.
+running, one product that fits all their circles and one call of LAPACK's
+eigenvalue routine on all their real 4 x 4 companion matrices, and each row
+stops on its own rule.  That call goes to numpy's batched gufunc directly,
+since at n = 2 a step's arrays hold a few dozen numbers and the cost is
+numpy's per-call overhead; the guards of ``np.linalg.eigvals`` are kept
+explicit, so a non-finite circle raises rather than giving a NaN step.
 
 Determinism: the random starts are the rows of one stream seeded by a
 child of ``seed``, the ascent is deterministic, and the best-of-starts
@@ -95,6 +99,9 @@ _EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein ten
 _MAX_ITERS = 500  # ascent steps per start before it is reported unconverged
 _NEWTON_MAX_N = 6  # the ascent takes Newton directions for 3 <= n <= this
 _NEWTON_MARGIN = 1e-10  # relative eigenvalue margin of a Newton matrix; bounds its condition number
+_SUBDIAGONAL = np.eye(4, k=-1)  # the companion matrix of a monic quartic, less its top row
+# the components of an n = 2 tensor with three equal indices: those with an odd index sum
+_ODD_INDEX_SUM = np.indices((2,) * 4).sum(axis=0) % 2 == 1
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -185,11 +192,15 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
     return SampleResult(min_value=lo, max_value=hi, mean=float(total) / m, samples=m)
 
 
-def _normalize_phase(v: np.ndarray) -> np.ndarray:
-    """The unit vector v with its first component above 1e-12 in modulus
-    made real and positive."""
-    x = next(x for x in v if abs(x) > 1e-12)
-    return v * (np.conj(x) / abs(x))
+def _normalize_phases(V: np.ndarray) -> np.ndarray:
+    """The unit rows of V, each with its first component x above 1e-12 in
+    modulus made real and positive.  Moduli are ``np.hypot``, which matches
+    Python's abs of a complex scalar bit for bit, where numpy's SIMD complex
+    abs does not."""
+    modulus = np.hypot(V.real, V.imag)
+    first = np.argmax(modulus > 1e-12, axis=1)
+    rows = np.arange(len(V))
+    return V * (V[rows, first].conj() / modulus[rows, first])[:, None]
 
 
 def _circle_coefficients(K: tuple, V: np.ndarray, U: np.ndarray, f, slope, s) -> np.ndarray:
@@ -199,31 +210,44 @@ def _circle_coefficients(K: tuple, V: np.ndarray, U: np.ndarray, f, slope, s) ->
     call on the rows u and v +- u gives g_4 = s f(u), and the even and odd
     parts of s f(v +- u) give g_2 and g_3."""
     fu, fp, fm = s * _values_batch(K, np.concatenate((U, V + U, V - U))).reshape(3, len(V))
-    return np.column_stack((f, slope, 0.5 * (fp + fm) - f - fu, 0.5 * (fp - fm) - slope, fu))
+    g = np.empty((5, len(V)))
+    g[0], g[1], g[4] = f, slope, fu
+    g[2] = 0.5 * (fp + fm) - f - fu
+    g[3] = 0.5 * (fp - fm) - slope
+    return g.T
 
 
 def _trig_eval(g: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Row r of the binary quartics g at (cos, sin) of the angles theta[r, :]."""
-    k = np.arange(5)
-    return (g[:, None, :] * np.cos(theta)[..., None] ** (4 - k) * np.sin(theta)[..., None] ** k).sum(axis=2)
+    """Row r of the binary quartics g at (c, s) = (cos, sin) of the angles
+    theta[r, :], as (g_0 c^2 + g_1 cs + g_2 s^2) c^2 + (g_3 cs + g_4 s^2) s^2:
+    every product has |c|, |s| <= 1, so no term exceeds its |g_k|."""
+    c, s = np.cos(theta), np.sin(theta)
+    cc, cs, ss = c * c, c * s, s * s
+    g0, g1, g2, g3, g4 = g.T[:, :, None]
+    return (g0 * cc + g1 * cs + g2 * ss) * cc + (g3 * cs + g4 * ss) * ss
 
 
-def _trig_argopt(g: np.ndarray) -> np.ndarray:
-    """Angle theta of the global maximum of g(cos theta, sin theta) per row.
+def _companions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 4 x 4 companion matrices whose eigenvalues t are the stationary
+    angles of the binary quartics g as tan or cot, and per row whether cot.
 
     With t = tan(theta), dg/dtheta / cos^4 is the real quartic (-g_3, 4 g_4
     - 2 g_2, 3 g_3 - 3 g_1, 2 g_2 - 4 g_0, g_1) in t, highest power first.
-    Where |g_3| < |g_1| its reverse, the quartic in cot(theta), is solved, so
+    Where |g_3| < |g_1| its reverse, the quartic in cot(theta), is taken, so
     the lead is the larger end one (never 0 in the ascent, where g_1 > 0)
-    and no rounding-level lead blows up the companion matrix.  The real part
-    t of each eigenvalue of the 4 x 4 companion matrices, all rows in one
-    call, gives the candidate arctan(t) (pi/2 - arctan(t) for cot); pi/2 and
-    0 come last, and the first best one wins.  Each zero lead is shifted out,
-    multiplying by t and adding the root t = 0; an all-zero row takes lead
-    1, so its roots are all 0.
+    and no rounding-level lead blows up the companion matrix.  Each zero
+    lead is shifted out, multiplying by t and adding the root t = 0; an
+    all-zero row takes lead 1, so its roots are all 0.  A non-finite
+    coefficient or companion entry raises LinAlgError.
     """
     g0, g1, g2, g3, g4 = g.T
-    coeffs = np.column_stack((-g3, 4.0 * g4 - 2.0 * g2, 3.0 * g3 - 3.0 * g1, 2.0 * g2 - 4.0 * g0, g1))
+    m = len(g)
+    coeffs = np.empty((m, 5))
+    coeffs[:, 0] = -g3
+    coeffs[:, 1] = 4.0 * g4 - 2.0 * g2
+    coeffs[:, 2] = 3.0 * g3 - 3.0 * g1
+    coeffs[:, 3] = 2.0 * g2 - 4.0 * g0
+    coeffs[:, 4] = g1
     cot = np.abs(g3) < np.abs(g1)
     coeffs[cot] = coeffs[cot, ::-1]
     for _ in range(4):
@@ -232,16 +256,38 @@ def _trig_argopt(g: np.ndarray) -> np.ndarray:
             break
         coeffs[low] = np.roll(coeffs[low], -1, axis=1)
     coeffs[coeffs[:, 0] == 0, 0] = 1.0
-    m = len(coeffs)
-    companion = np.zeros((m, 4, 4))
-    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    companion[:, np.arange(1, 4), np.arange(3)] = 1.0
-    candidates = np.zeros((m, 6))
-    roots = np.arctan(np.linalg.eigvals(companion).real)
+    companion = np.empty((m, 4, 4))
+    companion[:] = _SUBDIAGONAL
+    top = companion[:, 0]
+    np.divide(coeffs[:, 1:], coeffs[:, :1], out=top)
+    np.negative(top, out=top)
+    # a finite lead and top row make every coefficient, so every g_k, finite
+    if not (np.isfinite(coeffs[:, 0]).all() and np.isfinite(top).all()):
+        raise np.linalg.LinAlgError("a circle's quartic has a non-finite coefficient")
+    return companion, cot
+
+
+def _trig_argopt(g: np.ndarray) -> np.ndarray:
+    """Angle theta of the global maximum of g(cos theta, sin theta) per row.
+
+    The real part t of each eigenvalue of the rows' companion matrices
+    (``_companions``) gives the candidate arctan(t) (pi/2 - arctan(t) for
+    cot); pi/2 and 0 come last, and the first best one wins.  All rows
+    reach LAPACK in one call of the batched gufunc that
+    ``np.linalg.eigvals`` wraps, which returns the same roots bit for bit
+    without the wrapper's checks and conversions.  So the wrapper's guards
+    are explicit: ``_companions`` raises on a non-finite entry, and a stack
+    that does not converge, which the gufunc flags as an invalid value,
+    raises FloatingPointError.  No row yields a NaN angle.
+    """
+    companion, cot = _companions(g)
+    with np.errstate(invalid="raise"):
+        roots = np.arctan(_umath_linalg.eigvals(companion, signature="d->D").real)
+    candidates = np.zeros((len(g), 6))
     candidates[:, :4] = np.where(cot[:, None], 0.5 * np.pi - roots, roots)
     candidates[:, 4] = 0.5 * np.pi
     best = np.argmax(_trig_eval(g, candidates), axis=1)
-    return candidates[np.arange(m), best]
+    return candidates[np.arange(len(g)), best]
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -402,7 +448,8 @@ def _ascend(
         dn = _norms(d)[:, None]
         u = d / dn
         theta = _trig_argopt(_circle_coefficients(K, v, u, f, _re_dot(gt, u), s))[:, None]
-        w = np.cos(theta) * v + np.sin(theta) * u
+        cos, sin = np.cos(theta), np.sin(theta)
+        w = cos * v + sin * u
         w = w / _norms(w)[:, None]
         fw, gw = _value_and_gradient(K, w)
         fw, gw = s * fw, s[:, None] * gw
@@ -418,7 +465,7 @@ def _ascend(
         keep = ~stop
         since = np.where(stalled | (since + 1 >= period), 0, since + 1)
         rows, since, fresh, g_prev = rows[keep], since[keep], up[keep], gt[keep]
-        d_carried = (dn * (np.cos(theta) * u - np.sin(theta) * v))[keep]
+        d_carried = (dn * (cos * u - sin * v))[keep]
     capped = np.zeros(len(V), dtype=bool)
     capped[rows] = True
     return F, V, iters, converged, capped
@@ -442,8 +489,10 @@ def _best_of_starts(
     lexicographically first one is reported."""
     best = float(values.max())
     ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
-    argbest = min((_normalize_phase(V[i]) for i in ties), key=lambda v: v.view(float).tolist())
-    return best, Direction(argbest), bool(converged[ties].any()), len(ties)
+    W = _normalize_phases(V[ties])
+    # lexsort's last key is its first: the stable order of the rows' real views
+    first = np.lexsort(W.view(float).T[::-1])[0]
+    return best, Direction(W[first]), bool(converged[ties].any()), len(ties)
 
 
 def extremize_hsc(
@@ -529,7 +578,7 @@ def distinguished_frame(tensor: KahlerCurvatureTensor) -> DistinguishedFrame:
     # part, zero here, so the minimizing s is the bottom eigenvector of T[1:, 1:]
     T = 0.25 * np.einsum("ijkl,aij,bkl->ab", tensor.array, _PAULI, _PAULI).real
     s = np.linalg.eigh(T[1:, 1:])[1][:, 0]
-    v1 = _normalize_phase(np.linalg.eigh(np.einsum("a,aij->ij", s, _PAULI[1:]))[1][:, 1])
+    v1 = _normalize_phases(np.linalg.eigh(np.einsum("a,aij->ij", s, _PAULI[1:]))[1][None, :, 1])[0]
     v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
     U = np.column_stack([v1, v2])
     Rp = transform_frame(tensor, U).array
@@ -540,8 +589,6 @@ def distinguished_frame(tensor: KahlerCurvatureTensor) -> DistinguishedFrame:
         phase = np.exp(1j * np.angle(B) / 2.0)
         U = U @ np.diag([1.0, phase])
         B = abs(B)
-    # components with three equal indices have an odd index sum when n = 2
-    odd_mask = (np.indices(Rp.shape).sum(axis=0) % 2).astype(bool)
-    residual = float(np.max(np.abs(Rp[odd_mask])))
+    residual = float(np.max(np.abs(Rp[_ODD_INDEX_SUM])))
     U.setflags(write=False)
     return DistinguishedFrame(U, EinsteinFramePoint(H=H, A=A, B=B), residual)

@@ -258,6 +258,19 @@ def test_transform_matches_einsum_reference(n):
     assert np.max(np.abs(transform_frame(T, U).array - reference)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_transform_matches_tensordot_bit_for_bit(n):
+    # each factor is one matmul on the (n, n^3) view, the product that
+    # np.tensordot(R, M, axes=(0, 0)) forms
+    for seed in range(4):
+        T = random_kahler_tensor(n, seed=100 + 10 * n + seed)
+        U = random_unitary(n, seed=200 + 10 * n + seed)
+        R = T.array
+        for M in (U, U.conj(), U, U.conj()):
+            R = np.tensordot(R, M, axes=(0, 0))
+        assert transform_frame(T, U).array.tobytes() == KahlerCurvatureTensor(R).array.tobytes()
+
+
 def test_transform_at_n16_is_fast():
     T = random_kahler_tensor(16, seed=60)
     U = random_unitary(16, seed=61)

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from hsckit import (
     CSpaceDescriptor,
+    Direction,
     EinsteinFramePoint,
     ExtremizeConfig,
     KahlerCurvatureTensor,
@@ -40,9 +44,11 @@ from hsckit.extremize import (
     _MAX_ITERS,
     _NEWTON_MARGIN,
     _NEWTON_MAX_N,
+    _VALUE_TOLERANCE,
     _ascend,
     _best_of_starts,
     _circle_coefficients,
+    _companions,
     _newton_direction,
     _newton_matrix,
     _norms,
@@ -407,6 +413,136 @@ def test_trig_argopt_mixed_degrees_reach_the_roots_optimum(sign):
         best = sign * trig_eval_serial(a, b, trig_argopt_roots(a, b, sign))
         assert sign * trig_eval_serial(a, b, theta) == pytest.approx(best, abs=1e-12)
     assert thetas[0] == 0.0
+
+
+def _shifted_rows(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Rows that reach every lead shift: g_1 = g_3 = 0 zeroes the t^4 lead
+    (one shift), g_2 = 2 g_4 too zeroes t^3 (two), and (a, 0, 2a, 0, a), the
+    constant a (cos^2 + sin^2)^2, zeroes every coefficient (lead 1)."""
+    g = rng.standard_normal((3 * m, 5))
+    g[:, [1, 3]] = 0.0
+    g[m:, 2] = 2.0 * g[m:, 4]
+    g[2 * m :, 0] = g[2 * m :, 4]
+    return np.concatenate((g, np.zeros((1, 5))))
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["generic", "c2 = 0", "lead zero", "two lead zeros", "c1 = c2 = 0", "c1 = 0", "real", "shifted"]
+    + [f"near two lead zeros, delta={delta}" for delta in ("1e-17", "1e-13")],
+)
+def test_eigvals_gufunc_matches_the_wrapper_bit_for_bit(family):
+    # _trig_argopt calls the batched gufunc under np.linalg.eigvals directly;
+    # on the same companion stack both give the same roots, so only the
+    # evaluation of the candidate angles can move an angle's bits
+    rng = np.random.default_rng(13)
+    C = _shifted_rows(rng, 32) if family == "shifted" else _family_rows(family, rng, 96)
+    companion, cot = _companions(C)
+    if family == "generic":
+        assert cot.any() and not cot.all()
+    if family == "shifted":  # two shifts leave a t^2 and no shift a zero row: all roots 0
+        assert not cot.any() and (companion[:, 0] == 0.0).all(axis=1).sum() == 2 * 32 + 1
+    direct = _umath_linalg.eigvals(companion, signature="d->D").real
+    assert direct.tobytes() == np.linalg.eigvals(companion).real.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 6),
+    zeros=st.lists(st.integers(0, 4), max_size=4),
+    bad=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 4), st.sampled_from([np.nan, np.inf, -np.inf])),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(seed=0, m=1, zeros=[1, 3], bad=[(0, 4, np.inf)])
+def test_trig_argopt_raises_on_a_non_finite_coefficient(seed, m, zeros, bad):
+    # the explicit guard of the direct gufunc call: zeroed columns send rows
+    # through the cot and shifted paths, and any NaN or +-inf raises there
+    # rather than reaching LAPACK or yielding an angle.  The example shifts
+    # in an infinite lead 4 g_4 over finite entries, a companion of zeros
+    g = np.random.default_rng(seed).standard_normal((m, 5))
+    g[:, zeros] = 0.0
+    for row, k, x in bad:
+        g[row % m, k] = x
+    with np.errstate(all="ignore"), pytest.raises((LinAlgError, FloatingPointError)):
+        _trig_argopt(g)
+
+
+@pytest.mark.parametrize("over, error", [("ignore", LinAlgError), ("raise", FloatingPointError)])
+def test_trig_argopt_raises_where_a_companion_entry_overflows(over, error):
+    # finite coefficients whose ratio to a subnormal lead g_1 passes the
+    # float range; extremize_hsc runs with overflow raising
+    g = np.array([[1.0, 0.5, 2.0, -0.25, 1.0], [0.0, 1e-310, 1e300, 0.0, 0.0]])
+    with np.errstate(over=over), pytest.raises(error):
+        _trig_argopt(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+    exponent=st.sampled_from([-300, 0, 300]),
+    angle=st.floats(-np.pi, np.pi),
+)
+def test_trig_eval_is_within_a_few_ulp_of_the_exact_sum(g, exponent, angle):
+    # against sum g_k c^(4-k) s^k in exact rationals on the same float c and
+    # s, at rows scaled to 1e+-300 and at angles where c or s is 0 or tiny
+    row = np.array(g) * 10.0**exponent
+    theta = np.array([[angle, 0.0, 0.5 * np.pi, 0.5 * np.pi - 1e-12]])
+    got = _trig_eval(row[None], theta)[0]
+    assert np.isfinite(got).all()
+    weight = sum(Fraction(abs(float(x))) for x in row)
+    # a few ulp of sum |g_k|, plus a few subnormal steps for gradual underflow
+    bound = 4 * Fraction(float(np.finfo(float).eps)) * weight + 16 * Fraction(2.0**-1074)
+    for value, c, s in zip(got, np.cos(theta)[0], np.sin(theta)[0]):
+        c, s = Fraction(float(c)), Fraction(float(s))
+        exact = sum(Fraction(float(x)) * c ** (4 - k) * s**k for k, x in enumerate(row))
+        assert abs(Fraction(float(value)) - exact) <= bound
+
+
+def _best_of_starts_loop(values: np.ndarray, V: np.ndarray, converged: np.ndarray):
+    """The per-row merge that ``_best_of_starts`` replaced, as its reference:
+    each tied row phase-normalized on its own, then the first least of their
+    real views as Python lists."""
+    best = float(values.max())
+    ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
+
+    def normalize(v):
+        x = next(x for x in v if abs(x) > 1e-12)
+        return v * (np.conj(x) / abs(x))
+
+    argbest = min((normalize(V[i]) for i in ties), key=lambda v: v.view(float).tolist())
+    return best, Direction(argbest), bool(converged[ties].any()), len(ties)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    pool=st.integers(1, 6),
+    best=st.sampled_from([0.0, 1e-13, 1.0, -3.5, 2.0e5]),
+    gaps=st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.999, 1.0, 1.001, 5.0]), min_size=1, max_size=8),
+    heads=st.lists(st.sampled_from([1.0, 0.0, 1e-13, 1e-12, 1.0000000000000002e-12, 3e-12]), min_size=1, max_size=8),
+)
+def test_best_of_starts_matches_the_per_row_loop(n, seed, pool, best, gaps, heads):
+    # values tie exactly (gap 0) or within _VALUE_TOLERANCE (gaps below 1
+    # in its units); rows repeat from a small pool, some with a turned
+    # phase, and for n > 1 some first components fall below 1e-12
+    rng = np.random.default_rng(seed)
+    k = len(gaps)
+    P = rng.standard_normal((pool, n)) + 1j * rng.standard_normal((pool, n))
+    V = P[rng.integers(0, pool, k)]
+    V[rng.random(k) < 0.5] *= 1j
+    if n > 1:
+        V[:, 0] *= np.resize(heads, k)
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    values = best - np.array(gaps) * _VALUE_TOLERANCE * max(1.0, abs(best))
+    converged = rng.random(k) < 0.5
+    got, expected = _best_of_starts(values, V, converged), _best_of_starts_loop(values, V, converged)
+    assert got[0] == expected[0] and got[2:] == expected[2:]
+    assert got[1].vector.tobytes() == expected[1].vector.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
