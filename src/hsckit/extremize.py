@@ -100,6 +100,8 @@ _MAX_ITERS = 500  # ascent steps per start before it is reported unconverged
 _NEWTON_MAX_N = 6  # the ascent takes Newton directions for 3 <= n <= this
 _NEWTON_MARGIN = 1e-10  # relative eigenvalue margin of a Newton matrix; bounds its condition number
 _SUBDIAGONAL = np.eye(4, k=-1)  # the companion matrix of a monic quartic, less its top row
+# t^j of a circle's tan quartic (``_companions``) is (j + 1) g_(j+1) - (5 - j) g_(j-1): j + 1 for j = 3, 2, 1
+_DEGREES = np.array([4.0, 3.0, 2.0])
 # the components of an n = 2 tensor with three equal indices: those with an odd index sum
 _ODD_INDEX_SUM = np.indices((2,) * 4).sum(axis=0) % 2 == 1
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -235,34 +237,37 @@ def _companions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     - 2 g_2, 3 g_3 - 3 g_1, 2 g_2 - 4 g_0, g_1) in t, highest power first.
     Where |g_3| < |g_1| its reverse, the quartic in cot(theta), is taken, so
     the lead is the larger end one (never 0 in the ascent, where g_1 > 0)
-    and no rounding-level lead blows up the companion matrix.  Each zero
-    lead is shifted out, multiplying by t and adding the root t = 0; an
-    all-zero row takes lead 1, so its roots are all 0.  A non-finite
-    coefficient or companion entry raises LinAlgError.
+    and no rounding-level lead blows up the companion matrix.  That reverse
+    is minus the tan quartic of g reversed, whose companion matrix is the
+    same bit for bit (but for the sign of a zero entry), so a cot row is
+    read as g reversed.  Each zero lead is shifted out, multiplying by t and
+    adding the root t = 0; an all-zero row takes lead 1, so its roots are
+    all 0.  A non-finite coefficient or companion entry raises LinAlgError.
     """
-    g0, g1, g2, g3, g4 = g.T
+    cot = np.abs(g[:, 3]) < np.abs(g[:, 1])
+    g = np.where(cot[:, None], g[:, ::-1], g)
     m = len(g)
     coeffs = np.empty((m, 5))
-    coeffs[:, 0] = -g3
-    coeffs[:, 1] = 4.0 * g4 - 2.0 * g2
-    coeffs[:, 2] = 3.0 * g3 - 3.0 * g1
-    coeffs[:, 3] = 2.0 * g2 - 4.0 * g0
-    coeffs[:, 4] = g1
-    cot = np.abs(g3) < np.abs(g1)
-    coeffs[cot] = coeffs[cot, ::-1]
+    np.negative(g[:, 3], out=coeffs[:, 0])
+    np.subtract(_DEGREES * g[:, 4:1:-1], _DEGREES[::-1] * g[:, 2::-1], out=coeffs[:, 1:4])
+    coeffs[:, 4] = g[:, 1]
+    shifted = False
     for _ in range(4):
         low = coeffs[:, 0] == 0
         if not low.any():
             break
+        shifted = True
         coeffs[low] = np.roll(coeffs[low], -1, axis=1)
-    coeffs[coeffs[:, 0] == 0, 0] = 1.0
+    else:  # only a row of zeros keeps a zero lead after four shifts
+        coeffs[coeffs[:, 0] == 0, 0] = 1.0
     companion = np.empty((m, 4, 4))
     companion[:] = _SUBDIAGONAL
     top = companion[:, 0]
     np.divide(coeffs[:, 1:], coeffs[:, :1], out=top)
     np.negative(top, out=top)
-    # a finite lead and top row make every coefficient, so every g_k, finite
-    if not (np.isfinite(coeffs[:, 0]).all() and np.isfinite(top).all()):
+    # a finite lead and top row make every g_k finite; an infinite unshifted lead (-g_3 or
+    # -g_1) makes 3 g_3 - 3 g_1 infinite or NaN and the top row NaN, so only a shifted one is checked
+    if not np.isfinite(top).all() or (shifted and not np.isfinite(coeffs[:, 0]).all()):
         raise np.linalg.LinAlgError("a circle's quartic has a non-finite coefficient")
     return companion, cot
 
@@ -386,6 +391,15 @@ def _ascend(
     companion eigenvalues.  Negating f, g and the circle coefficients is
     exact, so a row with s = -1 descends f exactly as a row of -K would.
 
+    At a few dozen numbers per array a step costs numpy calls, not
+    arithmetic, so it works only on what changes.  Running rows carry their
+    point, value and gradient, written back with their step count only when
+    they leave (at the top test, at a stop or at the cap), and the carried
+    arrays are cut down only on a step where a row leaves.  When every row
+    restarts (every other step at n = 2) the Polak-Ribiere algebra is
+    skipped, its beta being exactly 0; when no row stalls, every row takes
+    its new point as it is.
+
     For 3 <= n <= ``_NEWTON_MAX_N`` a row instead searches along the
     Riemannian Newton direction xi of s f (``_newton_direction``) where the
     Hessian of s f on the horizontal space is negative definite with the
@@ -405,41 +419,45 @@ def _ascend(
     """
     V = V0 / _norms(V0)[:, None]
     newton = 3 <= V.shape[1] <= _NEWTON_MAX_N
-    F, G = _value_and_gradient(K, V)
-    F, G = signs * F, signs[:, None] * G
+    F, g = _value_and_gradient(K, V)
+    F, g = signs * F, signs[:, None] * g
     iters = np.zeros(len(V), dtype=int)
     converged = np.zeros(len(V), dtype=bool)
-    rows = np.arange(len(V))
-    # per running row: its steps since it last restarted along g (0: it
-    # restarts now), whether its last step improved, its previous tangent
-    # gradient and its previous direction carried to the current point
+    # per running row: its index, point, value, gradient and sign, its steps
+    # since it last restarted along g (0: it restarts now), whether its last
+    # step improved, its previous tangent gradient and its previous direction
+    # carried to the current point; V, F and iters take a row when it leaves
+    rows, v, f, s = np.arange(len(V)), V, F, signs
     period = 2 * V.shape[1] - 2  # real dimension of CP^{n-1}
     since = np.zeros(len(V), dtype=int)
     fresh = np.ones(len(V), dtype=bool)
     g_prev = np.zeros_like(V)
     d_carried = np.zeros_like(V)
     for step in range(1, _MAX_ITERS + 1):
-        iters[rows] = step
-        v, f, g = V[rows], F[rows], G[rows]
         # Re<v, g> = 4 f by Euler's rule for the degree-4 f, and scaling by 4 is exact
         gt = g - 4.0 * f[:, None] * v
         gn = _norms(gt)
         scale = np.maximum(1.0, np.abs(f))
         moving = gn > _STEP_TOLERANCE * scale
-        converged[rows[~moving]] = True
-        rows = rows[moving]
-        if not rows.size:
-            break
-        v, f, gt, gn, scale = v[moving], f[moving], gt[moving], gn[moving], scale[moving]
-        since, fresh, g_prev, d_carried = since[moving], fresh[moving], g_prev[moving], d_carried[moving]
-        s = signs[rows]
-        # a restarting row compares g with itself, so its beta is exactly 0
-        g_prev = np.where((since == 0)[:, None], gt, g_prev)
-        beta = np.maximum(0.0, _re_dot(gt, gt - g_prev) / _re_dot(g_prev, g_prev))
-        d = gt + beta[:, None] * d_carried
-        d -= np.vecdot(v, d)[:, None] * v
-        gradient = (beta == 0.0) | (_re_dot(gt, d) <= 0.0)
-        d = np.where(gradient[:, None], gt, d)
+        if not moving.all():
+            left = rows[~moving]
+            V[left], F[left], iters[left], converged[left] = v[~moving], f[~moving], step, True
+            rows = rows[moving]
+            if not rows.size:
+                break
+            v, f, g, s, gt, gn, scale, since, fresh, g_prev, d_carried = (
+                a[moving] for a in (v, f, g, s, gt, gn, scale, since, fresh, g_prev, d_carried)
+            )
+        if not since.any():  # every row restarts: each beta below would be exactly 0, so d = gt
+            d, gradient = gt, True
+        else:
+            # a restarting row compares g with itself, so its beta is exactly 0
+            g_prev = np.where((since == 0)[:, None], gt, g_prev)
+            beta = np.maximum(0.0, _re_dot(gt, gt - g_prev) / _re_dot(g_prev, g_prev))
+            d = gt + beta[:, None] * d_carried
+            d -= np.vecdot(v, d)[:, None] * v
+            gradient = (beta == 0.0) | (_re_dot(gt, d) <= 0.0)
+            d = np.where(gradient[:, None], gt, d)
         if newton:
             xi = _newton_direction(K, v, f, gt, s)
             take = fresh & xi.any(axis=1)
@@ -457,15 +475,26 @@ def _ascend(
         # floating-point improvement: along g, that row is at the numerical
         # optimum; along a conjugate direction, it retries along g
         stalled = fw <= f
-        stop = stalled & gradient
-        converged[rows[stop]] = gn[stop] <= 1e3 * _STEP_TOLERANCE * scale[stop]
-        up = ~stalled
-        moved = rows[up]
-        V[moved], F[moved], G[moved] = w[up], fw[up], gw[up]
-        keep = ~stop
         since = np.where(stalled | (since + 1 >= period), 0, since + 1)
-        rows, since, fresh, g_prev = rows[keep], since[keep], up[keep], gt[keep]
-        d_carried = (dn * (cos * u - sin * v))[keep]
+        fresh, g_prev, d_carried = ~stalled, gt, dn * (cos * u - sin * v)
+        if not stalled.any():  # no row stalls, so none stops: each takes its step as it is
+            v, f, g = w, fw, gw
+            continue
+        v, f, g = np.where(stalled[:, None], v, w), np.where(stalled, f, fw), np.where(stalled[:, None], g, gw)
+        stop = stalled & gradient
+        if stop.any():
+            left = rows[stop]
+            V[left], F[left], iters[left] = v[stop], f[stop], step
+            converged[left] = gn[stop] <= 1e3 * _STEP_TOLERANCE * scale[stop]
+            keep = ~stop
+            rows = rows[keep]
+            if not rows.size:
+                break
+            v, f, g, s, since, fresh, g_prev, d_carried = (
+                a[keep] for a in (v, f, g, s, since, fresh, g_prev, d_carried)
+            )
+    else:  # the rows still running after _MAX_ITERS steps
+        V[rows], F[rows], iters[rows] = v, f, _MAX_ITERS
     capped = np.zeros(len(V), dtype=bool)
     capped[rows] = True
     return F, V, iters, converged, capped

@@ -480,6 +480,50 @@ def test_trig_argopt_raises_where_a_companion_entry_overflows(over, error):
         _trig_argopt(g)
 
 
+_TAN_ROW = (1.0, 0.5, 2.0, 3.0, 0.7)  # |g_3| >= |g_1|: the tan quartic, lead -g_3
+_COT_ROW = (1.0, 3.0, 2.0, 0.5, 0.7)  # |g_3| < |g_1|: the cot quartic, lead g_1
+_ZERO_LEAD_ROW = (1.0, 0.0, 3.0, 0.0, 0.5)  # g_1 = g_3 = 0: the t^4 lead is shifted out
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["unshifted", "shifted"])
+@pytest.mark.parametrize("side", ["tan", "cot"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("k", range(5))
+def test_trig_argopt_raises_on_every_non_finite_slot(k, bad, side, shifted):
+    # _companions checks the lead only on a stack where a zero lead was
+    # shifted out: there g_4 = +-inf makes the shifted lead 4 g_4 - 2 g_2
+    # infinite over finite entries, a top row of zeros.  A cot row never has
+    # a zero lead, so its shifted stack adds a second, zero-lead row
+    if side == "tan":
+        g = np.array([_ZERO_LEAD_ROW if shifted else _TAN_ROW])
+    else:
+        g = np.array([_COT_ROW, _ZERO_LEAD_ROW] if shifted else [_COT_ROW])
+    _trig_argopt(g)  # finite, it has its angles
+    g[0, k] = bad
+    with np.errstate(all="ignore"), pytest.raises((LinAlgError, FloatingPointError)):
+        _trig_argopt(g)
+
+
+def test_companions_match_the_explicit_tan_and_cot_quartics():
+    # _companions reads a cot row as g reversed; against the quartics written
+    # out, tan (-g_3, 4 g_4 - 2 g_2, 3 g_3 - 3 g_1, 2 g_2 - 4 g_0, g_1) and
+    # cot (g_1, 2 g_2 - 4 g_0, 3 g_3 - 3 g_1, 4 g_4 - 2 g_2, -g_3), at scales
+    # 1e+-100 and with g_2 = 2 g_0 or 2 g_4, which zeroes an inner coefficient
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal((96, 5)) * 10.0 ** rng.choice([-100, 0, 100], size=(96, 1))
+    g[::3, 2] = 2.0 * g[::3, 0]
+    g[1::3, 2] = 2.0 * g[1::3, 4]
+    companion, cot = _companions(g)
+    assert cot.sum() >= 24 and (~cot).sum() >= 24
+    g0, g1, g2, g3, g4 = g.T
+    tan_quartic = np.stack((-g3, 4.0 * g4 - 2.0 * g2, 3.0 * g3 - 3.0 * g1, 2.0 * g2 - 4.0 * g0, g1), axis=1)
+    cot_quartic = np.stack((g1, 2.0 * g2 - 4.0 * g0, 3.0 * g3 - 3.0 * g1, 4.0 * g4 - 2.0 * g2, -g3), axis=1)
+    quartic = np.where(cot[:, None], cot_quartic, tan_quartic)
+    expected = np.tile(np.eye(4, k=-1), (len(g), 1, 1))
+    expected[:, 0] = -(quartic[:, 1:] / quartic[:, :1])
+    assert np.array_equal(companion, expected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     g=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
@@ -692,6 +736,57 @@ def test_steps_is_the_longest_ascent(n, monkeypatch):
     monkeypatch.setattr("hsckit.extremize._MAX_ITERS", 2)
     res = extremize_hsc(random_kahler_tensor(n, seed=0), ExtremizeConfig(starts=8))
     assert res.steps <= 2
+
+
+def _exit_case(name: str) -> KahlerCurvatureTensor:
+    if name == "constant":  # every point is critical: each row leaves at its first top test
+        return constant_hsc_tensor(3, 2.0)
+    if name == "surface axes":  # e_1 and e_2 are exact critical points of a frame-form surface
+        return assemble_einstein_surface(EinsteinFramePoint(H=-1.0, A=0.25, B=0.5))
+    if name == "last stalls":  # the last row to leave stops after a stall, at step 11
+        return random_kahler_tensor(2, seed=43)
+    return random_kahler_tensor(int(name[-1]), seed=40 + int(name[-1]))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, _MAX_ITERS])
+@pytest.mark.parametrize(
+    "case", ["constant", "surface axes", "last stalls", "gaussian n=2", "gaussian n=3", "gaussian n=4", "gaussian n=6"]
+)
+def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
+    # a row leaves at its top test, after a stall along g, or at the cap,
+    # and takes its point, value and step count with it whichever way
+    tensor = _exit_case(case)
+    monkeypatch.setattr("hsckit.extremize._MAX_ITERS", cap)
+    searched, ascended = [], []  # rows per line search; _ascend's outputs
+    monkeypatch.setattr("hsckit.extremize._trig_argopt", lambda g: searched.append(len(g)) or _trig_argopt(g))
+    monkeypatch.setattr("hsckit.extremize._ascend", lambda *args: ascended.append(_ascend(*args)) or ascended[0])
+    res = extremize_hsc(tensor, ExtremizeConfig(starts=8, seed=3))
+    F, V, iters, converged, capped = ascended[0]
+    signs = np.repeat([-1.0, 1.0], 8)
+    K = _quartic_matrix(tensor.array)
+    assert np.all(np.abs(F - signs * _values_batch(K, V)) <= 1e-12 * np.maximum(1.0, np.abs(F)))
+    assert np.all(iters[capped] == cap) and not converged[capped].any()
+    assert np.all((1 <= iters) & (iters <= cap))
+    assert res.steps == iters.max() and res.iterations_used == iters.sum()
+    assert (res.min_capped, res.max_capped) == (capped[:8].sum(), capped[8:].sum())
+    # step k searches every row with iters > k, and of those with iters = k
+    # the ones that did not leave at its top test; so no step runs once the
+    # last row has left, and only the last may end at the top test
+    assert len(searched) in (res.steps - 1, res.steps) and min(searched, default=1) >= 1
+    for k, rows in enumerate(searched, start=1):
+        assert (iters > k).sum() <= rows <= (iters >= k).sum()
+    at_top = iters.sum() - sum(searched)
+    stalled = len(iters) - at_top - capped.sum()
+    if case == "constant":
+        assert at_top == 16 and np.all(iters == 1) and converged.all()
+    if case == "surface axes":  # e_1 and e_2, each for both signs, leave at step 1
+        assert at_top >= 4 and np.sum(iters == 1) >= 4
+    if case.startswith("gaussian") and cap == _MAX_ITERS:
+        assert stalled > 0 and not capped.any()
+    if case == "last stalls" and cap == _MAX_ITERS:
+        assert len(searched) == res.steps == 11 and not capped.any()
+    if case.startswith("gaussian") and cap <= 2:
+        assert capped.all()
 
 
 def test_starts_at_best_counts_the_tie_set():
