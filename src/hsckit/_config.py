@@ -1,9 +1,9 @@
 """Settings the CLI parser reads for every command, kept free of numpy.
 
-``curvature`` re-exports ``SYMMETRY_TOL`` and ``extremize`` re-exports
-``ExtremizeConfig``, which is where they are public; they live here so that
-building the parser of a cspace, surface or geography command loads no
-numeric code.
+``curvature`` re-exports ``SYMMETRY_TOL``, ``extremize`` ``ExtremizeConfig``
+and ``rootsys`` ``FAMILIES``, which is where they are public, and
+``geography`` reads ``_C2_BOUND``; they live here so that building the parser
+loads none of those modules, and a command loads only the ones it runs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 SYMMETRY_TOL = 1e-9
+FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+_C2_BOUND = 3  # the Chern bound c2 <= 3 c1^2 of the ``geography`` docstring
 # 4,096 starts ascend as 8,192 rows, one per sign; a whole ``extremize_hsc`` call
 # peaks at 100.46 MiB at n = 32 and at 42.6 MiB at n = 6, where the Newton
 # systems add 25.7 MiB (tracemalloc)

@@ -23,33 +23,19 @@ import json
 import re
 import sys
 from dataclasses import fields
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __getattr__  # hsckit.cli.<name> finds a public name as hsckit.<name> does (PEP 562)
 from . import __version__
-from ._config import SYMMETRY_TOL, ExtremizeConfig
-from .cspace import AuditEntry, CSpaceDescriptor, classify_all, itoh_positive
+from ._config import _C2_BOUND, FAMILIES, SYMMETRY_TOL, ExtremizeConfig
 from .errors import HsckitError, RegimeViolation, TensorFormatError
-from .geography import (
-    _C2_BOUND,
-    GeographyVerdict,
-    SurfaceRecord,
-    blowup_transform,
-    builtin_surface_table,
-    check_inequality,
-    horikawa_scan,
-    plot_columns,
-    records_from_json,
-)
-from .rootsys import FAMILIES, LieType, highest_root, positive_roots
-from .surface import EinsteinFramePoint, chern_weil, max_hsc_surface, sufficient_negativity
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # runners import the modules they use, so a process loads only those
     import numpy as np
 
     from .curvature import KahlerCurvatureTensor
+    from .geography import GeographyVerdict, SurfaceRecord
 
 __all__ = ["SCHEMAS", "build_parser", "dispatch", "main", "schema_text"]
 
@@ -61,6 +47,8 @@ _NEGATIVE_NUMBER = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 def schema_text(command: str) -> str:
     """The published JSON schema for a subcommand's payload (or 'envelope')."""
+    from importlib import resources
+
     return resources.files("hsckit.schemas").joinpath(SCHEMAS[command]).read_text()
 
 
@@ -124,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_cspace_roots(args) -> tuple[dict, list[str]]:
+    from .rootsys import LieType, highest_root, positive_roots
+
     lie_type = LieType(args.family, args.rank)
     rs = positive_roots(lie_type)
     payload = {
@@ -138,6 +128,9 @@ def _run_cspace_roots(args) -> tuple[dict, list[str]]:
 
 
 def _run_cspace_classify(args) -> tuple[dict, list[str]]:
+    from .cspace import AuditEntry, CSpaceDescriptor, classify_all, itoh_positive
+    from .rootsys import LieType
+
     lie_type = LieType(args.family, args.rank)
     if args.node is None:
         verdicts = classify_all(lie_type)
@@ -164,6 +157,8 @@ def _run_cspace_classify(args) -> tuple[dict, list[str]]:
 
 
 def _run_surface_analyze(args) -> tuple[dict, list[str]]:
+    from .surface import EinsteinFramePoint, chern_weil, max_hsc_surface, sufficient_negativity
+
     point = EinsteinFramePoint(H=args.H, A=args.A, B=complex(args.b_re, args.b_im))
     gamma1, gamma2 = chern_weil(point)
     surface_max = max_hsc_surface(point)
@@ -242,29 +237,30 @@ def _run_tensor_extremize(args) -> tuple[dict, list[str]]:
 
 
 def _geography_verdict_payloads(verdicts: list[GeographyVerdict]) -> tuple[list[dict], list[str]]:
-    payloads = []
-    warnings = []
-    for verdict in verdicts:
-        payloads.append(verdict.to_payload())
-        for flag in verdict.record.flags:
-            warnings.append(f"{verdict.record.name}: {flag}")
-    return payloads, warnings
+    warnings = [f"{verdict.record.name}: {flag}" for verdict in verdicts for flag in verdict.record.flags]
+    return [verdict.to_payload() for verdict in verdicts], warnings
 
 
 def _surface_records(args) -> list[SurfaceRecord]:
     """Records from ``--input``, or the builtin catalog when it is absent."""
+    from .geography import builtin_surface_table, records_from_json
+
     if args.input is None:
         return list(builtin_surface_table())
     return _parse_file(args.input, records_from_json, ValueError)
 
 
 def _run_geography_check(args) -> tuple[dict, list[str]]:
+    from .geography import check_inequality
+
     verdicts = [check_inequality(r) for r in _surface_records(args)]
     items, warnings = _geography_verdict_payloads(verdicts)
     return {"verdicts": items}, warnings
 
 
 def _run_geography_blowup(args) -> tuple[dict, list[str]]:
+    from .geography import blowup_transform
+
     c1sq, c2 = blowup_transform(args.c1sq, args.c2, args.k)
     payload = {
         "input": {"c1sq": args.c1sq, "c2": args.c2},
@@ -286,6 +282,8 @@ def _parse_pg_range(text: str) -> tuple[int, int]:
 
 
 def _run_geography_scan(args) -> tuple[dict, list[str]]:
+    from .geography import horikawa_scan
+
     pg_min, pg_max = _parse_pg_range(args.pg)
     verdicts = horikawa_scan(pg_min, pg_max)
     items, warnings = _geography_verdict_payloads(verdicts)
@@ -293,6 +291,8 @@ def _run_geography_scan(args) -> tuple[dict, list[str]]:
 
 
 def _run_geography_plotdata(args) -> tuple[dict, list[str]]:
+    from .geography import plot_columns
+
     return {"rows": plot_columns(_surface_records(args))}, []
 
 

@@ -26,7 +26,7 @@ the HSC formula along a direction.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -74,13 +74,18 @@ def _symmetrize(R: np.ndarray) -> np.ndarray:
     return _fill_orbits(avg, linear, rep)
 
 
+@lru_cache(maxsize=4)  # at n = 32 an entry keeps 16 MiB: linear and rep, int64, 8 MiB each
 def _orbit_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n^4 arrays of the smallest flat index among each index's 4 linear
-    images, its 4 conjugating images, and all 8 (its orbit representative)."""
+    """n^4 read-only arrays of the smallest flat index among each index's 4
+    linear images, its 4 conjugating images, and all 8 (its orbit
+    representative); hermitian is a view of linear."""
     ids = np.arange(n**4).reshape((n,) * 4)
     linear = reduce(np.minimum, (ids.transpose(p) for p in _LINEAR))
+    linear.flags.writeable = False
     hermitian = linear.transpose(_HERMITIAN)
-    return linear, hermitian, np.minimum(linear, hermitian)
+    rep = np.minimum(linear, hermitian)
+    rep.flags.writeable = False
+    return linear, hermitian, rep
 
 
 def _fill_orbits(values: np.ndarray, linear: np.ndarray, rep: np.ndarray) -> np.ndarray:
@@ -255,11 +260,21 @@ def _quartic_matrix(R: np.ndarray) -> tuple[np.ndarray, ...]:
     conj(v)) Rt = conj(P)`` read as n x n, for the Hessian term ``P[m,i] =
     sum R[i,m,k,l] v_k conj(v_l)``."""
     n = R.shape[0]
-    I, J = np.triu_indices(n)
-    a, b, off = I * n + J, J * n + I, I != J
+    I, J, a, b, off = _fold_indices(n)
     K = R.transpose(0, 2, 1, 3).reshape(n * n, n * n)
     Kc = K[a] + off[:, None] * K[b]
     return I, J, Kc, Kc[:, a] + off * Kc[:, b], R.reshape(n * n, n * n).T
+
+
+@lru_cache(maxsize=4)
+def _fold_indices(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (I, J, a, b, off) of ``_quartic_matrix``: the pairs i <= k, their
+    flat indices i n + k and k n + i, and whether i != k."""
+    I, J = np.triu_indices(n)
+    indices = (I, J, I * n + J, J * n + I, I != J)
+    for x in indices:
+        x.flags.writeable = False
+    return indices
 
 
 def _by_blocks(K: tuple, V: np.ndarray, out: np.ndarray, kernel) -> np.ndarray:

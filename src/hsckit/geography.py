@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ._config import _C2_BOUND
 from .errors import MissingChernNumbers
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 _NOETHER_FLAG = "noether-mismatch"
-_C2_BOUND = 3  # the Chern bound c2 <= 3 c1^2 of the module docstring
 _MAX_SCAN_VALUES = 10_000  # largest pg range horikawa_scan sweeps: 20,000 records
 
 

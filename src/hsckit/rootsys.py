@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from ._config import FAMILIES
 from .errors import InadmissibleRank
 
 __all__ = [
@@ -44,8 +45,6 @@ __all__ = [
     "highest_root",
     "positive_roots",
 ]
-
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 # Classical families are enumerated up to this rank only, which bounds the
 # output (A12 has 78 positive roots); criterion results are rank-uniform for

@@ -584,7 +584,50 @@ def test_cspace_and_geography_commands_run_without_numpy(capsys, argv):
     assert proc.stdout == capsys.readouterr().out.encode()
 
 
-HUGE_TENSOR = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1e308}]}
+# one argv per subcommand, then the two domain errors, each with its exit code
+# and the hsckit modules it runs; errors is loaded by every command
+COMMAND_MODULES = [
+    (["cspace", "roots", "--family", "E", "--rank", "8"], 0, {"rootsys"}),
+    (["cspace", "classify", "--family", "E", "--rank", "6", "--audit"], 0, {"rootsys", "cspace"}),
+    (["surface", "analyze", "--H", "-1", "--A", "0.25", "--B-re", "0.1"], 0, {"surface"}),
+    (["tensor", "validate", "--input", "{tensor}"], 0, {"surface", "curvature"}),
+    (["tensor", "extremize", "--input", "{tensor}", "--starts", "4"], 0, {"surface", "curvature", "extremize"}),
+    (["geography", "check", "--builtin"], 0, {"geography"}),
+    (["geography", "blowup", "--c1sq", "9", "--c2", "3", "--k", "2"], 0, {"geography"}),
+    (["geography", "scan-horikawa", "--pg", "3..20"], 0, {"geography"}),
+    (["geography", "plotdata", "--format", "tsv"], 0, {"geography"}),
+    (["cspace", "classify", "--family", "A", "--rank", "3", "--node", "4"], 1, {"rootsys", "cspace"}),
+    (["cspace", "roots", "--family", "E", "--rank", "5"], 1, {"rootsys"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, needed", COMMAND_MODULES, ids=[f"{argv[0]}-{argv[1]}-exit{code}" for argv, code, _ in COMMAND_MODULES]
+)
+def test_each_command_loads_only_the_modules_it_runs(capsys, tensor_file, argv, code, needed):
+    argv = [str(tensor_file) if part == "{tensor}" else part for part in argv]
+    # a None entry in sys.modules makes every later import of that module raise ImportError
+    blocked = [f"hsckit.{m}" for m in hsckit._MODULES if m not in needed | {"errors"}]
+    script = f"import sys; sys.modules.update(dict.fromkeys({blocked})); from hsckit.cli import main; main()"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, env=_child_env(), timeout=60
+    )
+    assert dispatch(argv) == code
+    expected = capsys.readouterr()
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, expected.out, expected.err)
+
+
+def test_importing_the_cli_loads_only_its_own_modules():
+    # -S skips site, whose .pth files may import importlib.resources first
+    script = "import sys, hsckit.cli; print(sorted(m for m in sys.modules if m.startswith(('hsckit.', 'numpy', 'importlib.resources'))))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['hsckit._config', 'hsckit.cli', 'hsckit.errors']\n"
+
+
+HUGE_TENSOR ={"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1e308}]}
 # the stated value breaks the Hermitian relation by 2e308, beyond the float range
 HUGE_VIOLATION = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0, "im": 1e308}]}
 

@@ -33,7 +33,7 @@ from hsckit import (
     transform_frame,
     validate,
 )
-from hsckit.curvature import _HERMITIAN, _orbit_maps, _stated_array
+from hsckit.curvature import _HERMITIAN, _fold_indices, _orbit_maps, _stated_array
 from helpers import hsc_bruteforce, product_tensor, random_kahler_tensor, random_unitary, transform_frame_einsum
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -550,6 +550,15 @@ def test_orbit_ids_match_bruteforce_closure(n):
     for idx in np.ndindex(ids.shape):
         rep = min(_orbit_closure(idx))
         assert ids[idx] == np.ravel_multi_index(rep, ids.shape)
+
+
+@pytest.mark.parametrize("cached", [_orbit_maps, _fold_indices])
+def test_index_maps_are_cached_per_n_and_read_only(cached):
+    arrays = cached(3)
+    assert cached(3) is arrays and cached.cache_info().maxsize == 4
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0].flat[0] = 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

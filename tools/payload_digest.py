@@ -1,4 +1,4 @@
-"""One SHA-256 over ``ExtremizeResult.to_payload()`` for a fixed corpus.
+"""One SHA-256 over the CLI's output and one over ``ExtremizeResult.to_payload()``.
 
 Usage (from the root of a checkout):
 
@@ -14,18 +14,54 @@ integer values, ``default_rng(0)``).  Each tensor is extremized with 8 and
 JSON, whose floats are exact round-trip reprs, one line each, so two
 checkouts print the same digest exactly when every payload is byte-identical.
 The last line of output is the digest; the line before it counts payloads.
+
+Before those two lines come a count of CLI runs and their digest.  Each
+argv of ``CLI_ARGVS`` runs in process through ``hsckit.cli.dispatch`` in
+both formats, and each of ``CLI_ERRORS`` once; its exit code, stdout and
+stderr are hashed.  The tensor and surface files they read are written to
+a temporary directory, whose path appears in no output.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 import hsckit
 from hsckit import extremize
+from hsckit.cli import dispatch
 
 STARTS = (8, 16)
 CAPS = (None, 2, 5)  # None keeps the default cap
+
+# every subcommand; {name} is the file cli_inputs writes under that name
+CLI_ARGVS = (
+    ["cspace", "roots", "--family", "E", "--rank", "8"],
+    ["cspace", "roots", "--family", "B", "--rank", "5"],
+    ["cspace", "classify", "--family", "E", "--rank", "6", "--audit"],
+    ["cspace", "classify", "--family", "C", "--rank", "4", "--node", "2"],
+    ["surface", "analyze", "--H", "-1", "--A", "0.25", "--B-re", "0.1", "--B-im", "-0.2"],
+    ["surface", "analyze", "--H", "0", "--A", "0"],  # warns: the sufficiency test is skipped
+    ["tensor", "validate", "--input", "{asymmetric}"],
+    ["tensor", "validate", "--input", "{gaussian}", "--tolerance", "0"],
+    ["tensor", "extremize", "--input", "{surface}", "--starts", "8", "--seed", "3", "--oracle-samples", "4096"],
+    ["tensor", "extremize", "--input", "{gaussian}", "--starts", "16"],
+    ["geography", "check", "--builtin"],
+    ["geography", "check", "--input", "{records}"],
+    ["geography", "blowup", "--c1sq", "9", "--c2", "3", "--k", "2"],
+    ["geography", "scan-horikawa", "--pg", "3..40"],
+    ["geography", "plotdata"],
+    ["geography", "plotdata", "--input", "{records}"],
+)
+# the two domain errors of the benchmark's cli-mix workload
+CLI_ERRORS = (
+    ["cspace", "classify", "--family", "A", "--rank", "3", "--node", "4"],
+    ["cspace", "roots", "--family", "E", "--rank", "5"],
+)
 
 
 def unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -83,7 +119,46 @@ def corpus():
     yield from sparse_tensors(300)
 
 
+def cli_inputs(directory: Path) -> dict:
+    """The files CLI_ARGVS read, written to directory, by name."""
+    shape = (4,) * 4
+    rng = np.random.default_rng(20232)
+    gaussian = hsckit.KahlerCurvatureTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    point = hsckit.EinsteinFramePoint(H=-1.0, A=0.25, B=0.5j)
+    contents = {
+        # a non-real value on a self-conjugate orbit: a warning and a violation
+        "asymmetric": {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1.0, "im": 0.5}]},
+        "gaussian": hsckit.tensor_to_dict(gaussian),
+        "surface": hsckit.tensor_to_dict(hsckit.assemble_einstein_surface(point)),
+        "records": [record.to_payload() for record in hsckit.builtin_surface_table()[:4]],
+    }
+    paths = {}
+    for name, content in contents.items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps(content))
+    return paths
+
+
+def cli_digest() -> tuple[int, str]:
+    """Runs of CLI_ARGVS and CLI_ERRORS, and the SHA-256 of their exit codes and output."""
+    runs = [argv + ["--format", fmt] for argv in CLI_ARGVS for fmt in ("json", "tsv")] + list(CLI_ERRORS)
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = cli_inputs(Path(tmp))
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch([part.format(**paths) for part in argv])
+            if tmp in out.getvalue() + err.getvalue():
+                raise SystemExit(f"output of {argv} names the temporary directory")
+            total.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
+    return len(runs), total.hexdigest()
+
+
 def main() -> None:
+    runs, digest = cli_digest()
+    print(f"{runs} cli runs")
+    print(digest)
     default_cap = extremize._MAX_ITERS
     total, count = hashlib.sha256(), 0
     try:
