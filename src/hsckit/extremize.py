@@ -370,7 +370,7 @@ def _newton_direction(K: tuple, V: np.ndarray, f: np.ndarray, g: np.ndarray, s: 
 
 
 def _ascend(
-    K: np.ndarray, V0: np.ndarray, signs: np.ndarray
+    K: tuple, V0: np.ndarray, signs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Conjugate-gradient ascent of s f with exact great-circle line search,
     from every row of V0 in lockstep, with s = signs[row] = +-1.
@@ -391,14 +391,23 @@ def _ascend(
     companion eigenvalues.  Negating f, g and the circle coefficients is
     exact, so a row with s = -1 descends f exactly as a row of -K would.
 
+    Rows leave in one place, the top test of a step, which takes the
+    tangent gradient norm |g_t| of each running row.  On step k a row
+    leaves with step count k when |g_t| <= ``_STEP_TOLERANCE`` max(1, |f|);
+    a row that stopped on step k - 1 leaves there too, with step count
+    k - 1 and its point, value and gradient unchanged since.  A leaving row
+    has converged when |g_t| <= 1e3 ``_STEP_TOLERANCE`` max(1, |f|), which
+    the first kind always meets.  One more pass after step ``_MAX_ITERS``
+    lets the rows that stopped on it leave; the rows still running after
+    it are capped, with ``_MAX_ITERS`` steps, and unconverged.
+
     At a few dozen numbers per array a step costs numpy calls, not
     arithmetic, so it works only on what changes.  Running rows carry their
     point, value and gradient, written back with their step count only when
-    they leave (at the top test, at a stop or at the cap), and the carried
-    arrays are cut down only on a step where a row leaves.  When every row
-    restarts (every other step at n = 2) the Polak-Ribiere algebra is
-    skipped, its beta being exactly 0; when no row stalls, every row takes
-    its new point as it is.
+    they leave, and the carried arrays are cut down only on a step where a
+    row leaves.  When every row restarts (every other step at n = 2) the
+    Polak-Ribiere algebra is skipped, its beta being exactly 0; when no row
+    stalls, every row takes its new point as it is.
 
     For 3 <= n <= ``_NEWTON_MAX_N`` a row instead searches along the
     Riemannian Newton direction xi of s f (``_newton_direction``) where the
@@ -423,31 +432,37 @@ def _ascend(
     F, g = signs * F, signs[:, None] * g
     iters = np.zeros(len(V), dtype=int)
     converged = np.zeros(len(V), dtype=bool)
-    # per running row: its index, point, value, gradient and sign, its steps
-    # since it last restarted along g (0: it restarts now), whether its last
-    # step improved, its previous tangent gradient and its previous direction
-    # carried to the current point; V, F and iters take a row when it leaves
+    # per running row: its index, point, value, gradient and sign, whether it
+    # stopped on the step before, its steps since it last restarted along g
+    # (0: it restarts now), whether its last step improved, its previous
+    # tangent gradient and its previous direction carried to the current
+    # point; V, F and iters take a row when it leaves
     rows, v, f, s = np.arange(len(V)), V, F, signs
+    stopped = np.zeros(len(V), dtype=bool)
     period = 2 * V.shape[1] - 2  # real dimension of CP^{n-1}
     since = np.zeros(len(V), dtype=int)
     fresh = np.ones(len(V), dtype=bool)
     g_prev = np.zeros_like(V)
     d_carried = np.zeros_like(V)
-    for step in range(1, _MAX_ITERS + 1):
+    for step in range(1, _MAX_ITERS + 2):
         # Re<v, g> = 4 f by Euler's rule for the degree-4 f, and scaling by 4 is exact
         gt = g - 4.0 * f[:, None] * v
         gn = _norms(gt)
         scale = np.maximum(1.0, np.abs(f))
-        moving = gn > _STEP_TOLERANCE * scale
+        moving = ~stopped
+        if step <= _MAX_ITERS:  # after the last step only the rows that stopped on it leave
+            moving &= gn > _STEP_TOLERANCE * scale
         if not moving.all():
-            left = rows[~moving]
-            V[left], F[left], iters[left], converged[left] = v[~moving], f[~moving], step, True
+            out = ~moving
+            left = rows[out]
+            V[left], F[left], iters[left] = v[out], f[out], step - stopped[out]
+            converged[left] = gn[out] <= 1e3 * _STEP_TOLERANCE * scale[out]
             rows = rows[moving]
-            if not rows.size:
-                break
-            v, f, g, s, gt, gn, scale, since, fresh, g_prev, d_carried = (
-                a[moving] for a in (v, f, g, s, gt, gn, scale, since, fresh, g_prev, d_carried)
+            v, f, g, s, gt, since, fresh, g_prev, d_carried = (
+                a[moving] for a in (v, f, g, s, gt, since, fresh, g_prev, d_carried)
             )
+        if step > _MAX_ITERS or not rows.size:
+            break
         if not since.any():  # every row restarts: each beta below would be exactly 0, so d = gt
             d, gradient = gt, True
         else:
@@ -473,28 +488,18 @@ def _ascend(
         fw, gw = s * fw, s[:, None] * gw
         # the best step on the circle (theta = 0 included) gives no
         # floating-point improvement: along g, that row is at the numerical
-        # optimum; along a conjugate direction, it retries along g
+        # optimum and stops, to leave at the next top test with its point,
+        # value and gradient unchanged; along a conjugate direction, it
+        # retries along g
         stalled = fw <= f
+        stopped = stalled & gradient
         since = np.where(stalled | (since + 1 >= period), 0, since + 1)
         fresh, g_prev, d_carried = ~stalled, gt, dn * (cos * u - sin * v)
         if not stalled.any():  # no row stalls, so none stops: each takes its step as it is
             v, f, g = w, fw, gw
-            continue
-        v, f, g = np.where(stalled[:, None], v, w), np.where(stalled, f, fw), np.where(stalled[:, None], g, gw)
-        stop = stalled & gradient
-        if stop.any():
-            left = rows[stop]
-            V[left], F[left], iters[left] = v[stop], f[stop], step
-            converged[left] = gn[stop] <= 1e3 * _STEP_TOLERANCE * scale[stop]
-            keep = ~stop
-            rows = rows[keep]
-            if not rows.size:
-                break
-            v, f, g, s, since, fresh, g_prev, d_carried = (
-                a[keep] for a in (v, f, g, s, since, fresh, g_prev, d_carried)
-            )
-    else:  # the rows still running after _MAX_ITERS steps
-        V[rows], F[rows], iters[rows] = v, f, _MAX_ITERS
+        else:
+            v, f, g = np.where(stalled[:, None], v, w), np.where(stalled, f, fw), np.where(stalled[:, None], g, gw)
+    V[rows], F[rows], iters[rows] = v, f, _MAX_ITERS  # the rows still running after _MAX_ITERS steps
     capped = np.zeros(len(V), dtype=bool)
     capped[rows] = True
     return F, V, iters, converged, capped

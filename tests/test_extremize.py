@@ -44,6 +44,7 @@ from hsckit.extremize import (
     _MAX_ITERS,
     _NEWTON_MARGIN,
     _NEWTON_MAX_N,
+    _STEP_TOLERANCE,
     _VALUE_TOLERANCE,
     _ascend,
     _best_of_starts,
@@ -745,16 +746,29 @@ def _exit_case(name: str) -> KahlerCurvatureTensor:
         return assemble_einstein_surface(EinsteinFramePoint(H=-1.0, A=0.25, B=0.5))
     if name == "last stalls":  # the last row to leave stops after a stall, at step 11
         return random_kahler_tensor(2, seed=43)
+    if name == "cap boundary":  # at cap 5 one row stops on the last step, and two capped rows are stationary
+        return random_kahler_tensor(2, seed=3)
     return random_kahler_tensor(int(name[-1]), seed=40 + int(name[-1]))
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, _MAX_ITERS])
 @pytest.mark.parametrize(
-    "case", ["constant", "surface axes", "last stalls", "gaussian n=2", "gaussian n=3", "gaussian n=4", "gaussian n=6"]
+    "case",
+    [
+        "constant",
+        "surface axes",
+        "last stalls",
+        "cap boundary",
+        "gaussian n=2",
+        "gaussian n=3",
+        "gaussian n=4",
+        "gaussian n=6",
+    ],
 )
 def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
-    # a row leaves at its top test, after a stall along g, or at the cap,
-    # and takes its point, value and step count with it whichever way
+    # a row leaves at a top test, once stationary or on the step after it
+    # stops along g, or at the cap, and takes its point, value and step
+    # count with it whichever way
     tensor = _exit_case(case)
     monkeypatch.setattr("hsckit.extremize._MAX_ITERS", cap)
     searched, ascended = [], []  # rows per line search; _ascend's outputs
@@ -767,6 +781,12 @@ def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
     assert np.all(np.abs(F - signs * _values_batch(K, V)) <= 1e-12 * np.maximum(1.0, np.abs(F)))
     assert np.all(iters[capped] == cap) and not converged[capped].any()
     assert np.all((1 <= iters) & (iters <= cap))
+    # every row that leaves before the cap has converged exactly when its
+    # tangent gradient is within 1e3 times the step tolerance
+    f, g = _value_and_gradient(K, V)
+    gn = _norms(signs[:, None] * g - 4.0 * (signs * f)[:, None] * V)
+    scale = np.maximum(1.0, np.abs(F))
+    assert np.array_equal(converged[~capped], (gn <= 1e3 * _STEP_TOLERANCE * scale)[~capped])
     assert res.steps == iters.max() and res.iterations_used == iters.sum()
     assert (res.min_capped, res.max_capped) == (capped[:8].sum(), capped[8:].sum())
     # step k searches every row with iters > k, and of those with iters = k
@@ -787,6 +807,11 @@ def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
         assert len(searched) == res.steps == 11 and not capped.any()
     if case.startswith("gaussian") and cap <= 2:
         assert capped.all()
+    if case == "cap boundary" and cap == 5:
+        # a row that stops on the last step leaves uncapped, under the rule
+        # above; a row first found stationary after it stays capped
+        assert np.sum((iters == cap) & ~capped) == 1 and converged[~capped].all()
+        assert np.sum(capped & (gn <= _STEP_TOLERANCE * scale)) == 2
 
 
 def test_starts_at_best_counts_the_tie_set():

@@ -1,4 +1,4 @@
-"""One SHA-256 over the CLI's output and one over ``ExtremizeResult.to_payload()``.
+"""SHA-256 digests of the CLI's output, of every ascended row and of ``ExtremizeResult.to_payload()``.
 
 Usage (from the root of a checkout):
 
@@ -14,6 +14,12 @@ integer values, ``default_rng(0)``).  Each tensor is extremized with 8 and
 JSON, whose floats are exact round-trip reprs, one line each, so two
 checkouts print the same digest exactly when every payload is byte-identical.
 The last line of output is the digest; the line before it counts payloads.
+
+The two lines before those count the rows ``extremize._ascend`` returned
+over the same calls and give a digest of them: each call's five per-row
+arrays (value, point, steps, converged, capped) are hashed as raw bytes.
+A payload keeps only the best of its rows and their counts, so a change
+in how a single row ends, its step count or its flags, shows here first.
 
 Before those two lines come a count of CLI runs and their digest.  Each
 argv of ``CLI_ARGVS`` runs in process through ``hsckit.cli.dispatch`` in
@@ -159,8 +165,19 @@ def main() -> None:
     runs, digest = cli_digest()
     print(f"{runs} cli runs")
     print(digest)
-    default_cap = extremize._MAX_ITERS
+    default_cap, ascend = extremize._MAX_ITERS, extremize._ascend
     total, count = hashlib.sha256(), 0
+    row_total, row_count = hashlib.sha256(), 0
+
+    def recorded_ascend(*args):
+        nonlocal row_count
+        returned = ascend(*args)
+        for a in returned:
+            row_total.update(np.ascontiguousarray(a).tobytes())
+        row_count += len(returned[0])
+        return returned
+
+    extremize._ascend = recorded_ascend
     try:
         for tensor in corpus():
             for cap in CAPS:
@@ -171,7 +188,9 @@ def main() -> None:
                     total.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
                     count += 1
     finally:
-        extremize._MAX_ITERS = default_cap
+        extremize._MAX_ITERS, extremize._ascend = default_cap, ascend
+    print(f"{row_count} ascended rows")
+    print(row_total.hexdigest())
     print(f"{count} payloads")
     print(total.hexdigest())
 
