@@ -93,6 +93,7 @@ __all__ = [
     "sample_hsc",
 ]
 
+# the next two are relative to max(|f|, floor), where floor = min(1, max |R_ijkl|) for the tensor R
 _STEP_TOLERANCE = 1e-9  # relative tangent-gradient norm at which an ascent stops
 _VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
 _EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor
@@ -370,10 +371,11 @@ def _newton_direction(K: tuple, V: np.ndarray, f: np.ndarray, g: np.ndarray, s: 
 
 
 def _ascend(
-    K: tuple, V0: np.ndarray, signs: np.ndarray
+    K: tuple, V0: np.ndarray, signs: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Conjugate-gradient ascent of s f with exact great-circle line search,
-    from every row of V0 in lockstep, with s = signs[row] = +-1.
+    from every row of V0 in lockstep, with s = signs[row] = +-1, and
+    tolerances relative to max(|f|, floor).
 
     The search direction is Polak-Ribiere+: d = g + beta T(d_prev) with
     beta = max(0, Re<g, g - g_prev> / |g_prev|^2) on tangent gradients,
@@ -393,10 +395,10 @@ def _ascend(
 
     Rows leave in one place, the top test of a step, which takes the
     tangent gradient norm |g_t| of each running row.  On step k a row
-    leaves with step count k when |g_t| <= ``_STEP_TOLERANCE`` max(1, |f|);
+    leaves with step count k when |g_t| <= ``_STEP_TOLERANCE`` max(floor, |f|);
     a row that stopped on step k - 1 leaves there too, with step count
     k - 1 and its point, value and gradient unchanged since.  A leaving row
-    has converged when |g_t| <= 1e3 ``_STEP_TOLERANCE`` max(1, |f|), which
+    has converged when |g_t| <= 1e3 ``_STEP_TOLERANCE`` max(floor, |f|), which
     the first kind always meets.  One more pass after step ``_MAX_ITERS``
     lets the rows that stopped on it leave; the rows still running after
     it are capped, with ``_MAX_ITERS`` steps, and unconverged.
@@ -448,7 +450,7 @@ def _ascend(
         # Re<v, g> = 4 f by Euler's rule for the degree-4 f, and scaling by 4 is exact
         gt = g - 4.0 * f[:, None] * v
         gn = _norms(gt)
-        scale = np.maximum(1.0, np.abs(f))
+        scale = np.maximum(floor, np.abs(f))
         moving = ~stopped
         if step <= _MAX_ITERS:  # after the last step only the rows that stopped on it leave
             moving &= gn > _STEP_TOLERANCE * scale
@@ -515,14 +517,14 @@ def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
 
 
 def _best_of_starts(
-    values: np.ndarray, V: np.ndarray, converged: np.ndarray
+    values: np.ndarray, V: np.ndarray, converged: np.ndarray, floor: float
 ) -> tuple[float, Direction, bool, int]:
     """Best of the ascended values (one row per start), its direction,
     whether any start tied for it converged, and how many starts tie for it.
-    Directions tied within ``_VALUE_TOLERANCE`` are phase-normalized and the
-    lexicographically first one is reported."""
+    Directions tied within ``_VALUE_TOLERANCE`` max(floor, |best|) are
+    phase-normalized and the lexicographically first one is reported."""
     best = float(values.max())
-    ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
+    ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(floor, abs(best)))
     W = _normalize_phases(V[ties])
     # lexsort's last key is its first: the stable order of the rows' real views
     first = np.lexsort(W.view(float).T[::-1])[0]
@@ -542,18 +544,21 @@ def extremize_hsc(
     Non-convergence is flagged on the result, not raised, so batch runs keep
     going.  Reported argmin/argmax are phase-normalized (first nonzero
     component real positive) and ties within a relative 1e-12 break
-    lexicographically.  A value beyond the float range raises
-    FloatingPointError.
+    lexicographically.  The stopping and tie tests are relative to
+    max(|value|, min(1, max |R_ijkl|)), so scaling the tensor by c > 0
+    scales the extremes by c, up to rounding, at every size.  A value
+    beyond the float range raises FloatingPointError.
     """
     starts = _start_directions(tensor.n, cfg)
     m = len(starts)
     signs = np.repeat([-1.0, 1.0], m)
+    floor = min(1.0, float(np.abs(tensor.array).max()))
     oracle_min = oracle_max = None
     with np.errstate(over="raise"):  # the fold of K sums entries, so it is inside too
         K = _quartic_matrix(tensor.array)
-        values, V, iters, converged, capped = _ascend(K, np.concatenate((starts, starts)), signs)
-        neg_min, argmin, min_conv, min_ties = _best_of_starts(values[:m], V[:m], converged[:m])
-        max_value, argmax, max_conv, max_ties = _best_of_starts(values[m:], V[m:], converged[m:])
+        values, V, iters, converged, capped = _ascend(K, np.concatenate((starts, starts)), signs, floor)
+        neg_min, argmin, min_conv, min_ties = _best_of_starts(values[:m], V[:m], converged[:m], floor)
+        max_value, argmax, max_conv, max_ties = _best_of_starts(values[m:], V[m:], converged[m:], floor)
         if cfg.oracle_samples > 0:
             oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
             oracle_min, oracle_max = oracle.min_value, oracle.max_value

@@ -127,6 +127,11 @@ def _horizontal_eigenvalues(R: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(Z @ R @ Z.T)
 
 
+def _floor(K: tuple) -> float:
+    """min(1, max |R_ijkl|), the floor of ``extremize_hsc``'s relative tests; K[4] is a view of R."""
+    return min(1.0, float(np.abs(K[4]).max()))
+
+
 def _newton_inputs(n: int, seed: int, rows: int = 4):
     """K, unit rows V, then f and the tangent gradient of s f for s = -1 on
     the first half of the rows and +1 on the rest, and s."""
@@ -134,7 +139,7 @@ def _newton_inputs(n: int, seed: int, rows: int = 4):
     V = _sample_unit_sphere(n, rows, np.random.default_rng(seed + 1))
     # half the rows near a start's optimum of s f, where the Hessian is definite
     s = np.repeat([-1.0, 1.0], rows // 2)
-    W = _ascend(K, V, s)[1] + 0.01 * _sample_unit_sphere(n, rows, np.random.default_rng(seed + 2))
+    W = _ascend(K, V, s, _floor(K))[1] + 0.01 * _sample_unit_sphere(n, rows, np.random.default_rng(seed + 2))
     V = np.concatenate((V, W / np.linalg.norm(W, axis=1)[:, None]))
     s = np.concatenate((s, s))
     f, g = _value_and_gradient(K, V)
@@ -276,7 +281,7 @@ def test_ascent_ends_at_local_optima_not_saddles(n, seed, starts):
     K = _quartic_matrix(random_kahler_tensor(n, seed=seed).array)
     V0 = _start_directions(n, ExtremizeConfig(starts=starts, seed=seed))
     s = np.repeat([-1.0, 1.0], len(V0))
-    _, V, _, converged, _ = _ascend(K, np.concatenate((V0, V0)), s)
+    _, V, _, converged, _ = _ascend(K, np.concatenate((V0, V0)), s, _floor(K))
     assert converged.all()
     for v, sign, R_v in zip(V, s, _reduced_hessians(K, V)):
         assert _horizontal_eigenvalues(sign * R_v, v).max() <= 1e-5 * np.abs(R_v).max()
@@ -585,7 +590,7 @@ def test_best_of_starts_matches_the_per_row_loop(n, seed, pool, best, gaps, head
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     values = best - np.array(gaps) * _VALUE_TOLERANCE * max(1.0, abs(best))
     converged = rng.random(k) < 0.5
-    got, expected = _best_of_starts(values, V, converged), _best_of_starts_loop(values, V, converged)
+    got, expected = _best_of_starts(values, V, converged, 1.0), _best_of_starts_loop(values, V, converged)
     assert got[0] == expected[0] and got[2:] == expected[2:]
     assert got[1].vector.tobytes() == expected[1].vector.tobytes()
 
@@ -618,14 +623,13 @@ def test_ascent_stops_at_the_value_noise_floor():
     )
     cfg = ExtremizeConfig(starts=8, seed=88)
     start = _start_directions(2, cfg)[2:3]
-    values, _, iters, converged, _ = _ascend(
-        _quartic_matrix(assemble_einstein_surface(p).array), start, np.array([-1.0])
-    )
+    K = _quartic_matrix(assemble_einstein_surface(p).array)
+    values, _, iters, converged, _ = _ascend(K, start, np.array([-1.0]), _floor(K))
     assert converged[0]
     assert iters[0] < _MAX_ITERS
     assert -values[0] == pytest.approx(p.H, abs=1e-12)
     K = _quartic_matrix(random_kahler_tensor(4, seed=7).array)
-    _, _, iters, converged, _ = _ascend(K, np.eye(4, dtype=complex)[:1], np.array([-1.0]))
+    _, _, iters, converged, _ = _ascend(K, np.eye(4, dtype=complex)[:1], np.array([-1.0]), _floor(K))
     assert converged[0]
     assert iters[0] < _MAX_ITERS
 
@@ -694,8 +698,8 @@ def test_batched_starts_match_serial_ascents(n, seed):
     starts = _start_directions(n, cfg)
     K = _quartic_matrix(T.array)
     for sign in (-1.0, 1.0):
-        values, V, _, converged, _ = _ascend(K, starts, np.full(len(starts), sign))
-        best, _, _, _ = _best_of_starts(values, V, converged)
+        values, V, _, converged, _ = _ascend(K, starts, np.full(len(starts), sign), _floor(K))
+        best, _, _, _ = _best_of_starts(values, V, converged, _floor(K))
         reference = best_of_starts_serial(T.array, starts, sign, _MAX_ITERS)
         assert sign * best == pytest.approx(reference, rel=1e-12)
 
@@ -709,11 +713,12 @@ def test_joint_loop_matches_one_sign_ascents(n, seed):
     starts = _start_directions(n, ExtremizeConfig(starts=16, seed=seed))
     K = _quartic_matrix(T.array)
     m = len(starts)
-    joint, V, _, converged, _ = _ascend(K, np.concatenate((starts, starts)), np.repeat([-1.0, 1.0], m))
+    floor = _floor(K)
+    joint, V, _, converged, _ = _ascend(K, np.concatenate((starts, starts)), np.repeat([-1.0, 1.0], m), floor)
     for half, sign in ((slice(None, m), -1.0), (slice(m, None), 1.0)):
-        values, W, _, alone_converged, _ = _ascend(K, starts, np.full(m, sign))
-        best = _best_of_starts(joint[half], V[half], converged[half])[0]
-        assert best == pytest.approx(_best_of_starts(values, W, alone_converged)[0], rel=1e-12)
+        values, W, _, alone_converged, _ = _ascend(K, starts, np.full(m, sign), floor)
+        best = _best_of_starts(joint[half], V[half], converged[half], floor)[0]
+        assert best == pytest.approx(_best_of_starts(values, W, alone_converged, floor)[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
@@ -785,7 +790,7 @@ def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
     # tangent gradient is within 1e3 times the step tolerance
     f, g = _value_and_gradient(K, V)
     gn = _norms(signs[:, None] * g - 4.0 * (signs * f)[:, None] * V)
-    scale = np.maximum(1.0, np.abs(F))
+    scale = np.maximum(_floor(K), np.abs(F))
     assert np.array_equal(converged[~capped], (gn <= 1e3 * _STEP_TOLERANCE * scale)[~capped])
     assert res.steps == iters.max() and res.iterations_used == iters.sum()
     assert (res.min_capped, res.max_capped) == (capped[:8].sum(), capped[8:].sum())
@@ -812,6 +817,21 @@ def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
         # above; a row first found stationary after it stays capped
         assert np.sum((iters == cap) & ~capped) == 1 and converged[~capped].all()
         assert np.sum(capped & (gn <= _STEP_TOLERANCE * scale)) == 2
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_extremes_scale_with_the_tensor(n, c):
+    # the stopping and tie tests are relative down to the tensor's own size;
+    # relative only down to |f| = 1, every start of the 1e-12 tensors stopped
+    # at step 1, 3e-2 to 1.3 off its extreme and reported converged
+    T = random_kahler_tensor(n, seed=5)
+    cfg = ExtremizeConfig(starts=16)
+    res, scaled = extremize_hsc(T, cfg), extremize_hsc(KahlerCurvatureTensor(c * T.array), cfg)
+    assert scaled.min_value == pytest.approx(c * res.min_value, rel=1e-14, abs=0.0)
+    assert scaled.max_value == pytest.approx(c * res.max_value, rel=1e-14, abs=0.0)
+    assert (scaled.min_starts_at_best, scaled.max_starts_at_best) == (res.min_starts_at_best, res.max_starts_at_best)
+    assert scaled.converged and res.converged
 
 
 def test_starts_at_best_counts_the_tie_set():
@@ -982,8 +1002,8 @@ def test_surface_ascents_converge_within_a_few_restart_cycles(monkeypatch):
     # steps; unrestarted Polak-Ribiere+ converges linearly and took 22
     longest = []
 
-    def ascend(K, V0, signs):
-        out = _ascend(K, V0, signs)
+    def ascend(*args):
+        out = _ascend(*args)
         longest.append(int(out[2].max()))
         return out
 
