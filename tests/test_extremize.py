@@ -824,7 +824,7 @@ def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
 def test_extremes_scale_with_the_tensor(n, c):
     # the stopping and tie tests are relative down to the tensor's own size;
     # relative only down to |f| = 1, every start of the 1e-12 tensors stopped
-    # at step 1, 3e-2 to 1.3 off its extreme and reported converged
+    # at step 1, 1.7e-2 to 1.7 relative off its extreme, and reported converged
     T = random_kahler_tensor(n, seed=5)
     cfg = ExtremizeConfig(starts=16)
     res, scaled = extremize_hsc(T, cfg), extremize_hsc(KahlerCurvatureTensor(c * T.array), cfg)

@@ -173,7 +173,7 @@ def main() -> None:
         nonlocal row_count
         returned = ascend(*args)
         for a in returned:
-            row_total.update(np.ascontiguousarray(a).tobytes())
+            row_total.update(a.tobytes())
         row_count += len(returned[0])
         return returned
 
