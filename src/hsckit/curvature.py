@@ -359,7 +359,7 @@ def transform_frame(tensor: KahlerCurvatureTensor, U: np.ndarray) -> KahlerCurva
     if U.shape != (n, n):
         raise DimensionMismatch(f"expected a {n}x{n} matrix, got {U.shape}")
     defect = float(np.max(np.abs(U.conj().T @ U - np.eye(n))))
-    if defect > SYMMETRY_TOL:
+    if not defect <= SYMMETRY_TOL:  # so a NaN defect fails too
         raise NotUnitary(f"matrix is not unitary (defect {defect:.3g})")
     # one factor at a time, O(n^5): each contracts the leading axis and appends
     # the new one, one matmul on the (n, n^3) view

@@ -55,9 +55,9 @@ buffers allocated once per call, as f(z) / |z|^4 = f(z / |z|).
 (I + s.sigma) / 2`` with s on the Bloch sphere, so HSC is ``c + b.s + s^T Q
 s``, where b = 0 for Einstein tensors, and Q's bottom eigenvector gives the
 minimizer exactly.  The frame rotates it to ``e_1`` and reads off (H, A, B),
-with the phase fixed so B is real and non-negative.  Within the 1e-8 Einstein
-tolerance H may miss the true minimum by about the Ricci anisotropy, which
-the frame's residual reports.
+with the phase fixed so B is real and non-negative.  Within the Einstein
+tolerance, 1e-8 max |R_ijkl|, H may miss the true minimum by about the Ricci
+anisotropy, which the frame's residual reports.
 """
 
 from __future__ import annotations
@@ -93,10 +93,12 @@ __all__ = [
     "sample_hsc",
 ]
 
-# the next two are relative to max(|f|, floor), where floor = min(1, max |R_ijkl|) for the tensor R
+# the scale rule: the next two are relative to max(|f|, 1), and a tensor R with max |R_ijkl| < 1 is ascended as
+# R 2^-e, that max in [1/2, 1), its extremes scaled back by 2^e: exact, so R times a power of two changes only the
+# extremes' exponents, down to subnormal R; above max |R_ijkl| = 1 the tests stay absolute below |f| = 1
 _STEP_TOLERANCE = 1e-9  # relative tangent-gradient norm at which an ascent stops
 _VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
-_EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor
+_EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor, over max |R_ijkl|
 _MAX_ITERS = 500  # ascent steps per start before it is reported unconverged
 _NEWTON_MAX_N = 6  # the ascent takes Newton directions for 3 <= n <= this
 _NEWTON_MARGIN = 1e-10  # relative eigenvalue margin of a Newton matrix; bounds its condition number
@@ -371,11 +373,11 @@ def _newton_direction(K: tuple, V: np.ndarray, f: np.ndarray, g: np.ndarray, s: 
 
 
 def _ascend(
-    K: tuple, V0: np.ndarray, signs: np.ndarray, floor: float
+    K: tuple, V0: np.ndarray, signs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Conjugate-gradient ascent of s f with exact great-circle line search,
     from every row of V0 in lockstep, with s = signs[row] = +-1, and
-    tolerances relative to max(|f|, floor).
+    tolerances relative to max(|f|, 1) (the scale rule at ``_STEP_TOLERANCE``).
 
     The search direction is Polak-Ribiere+: d = g + beta T(d_prev) with
     beta = max(0, Re<g, g - g_prev> / |g_prev|^2) on tangent gradients,
@@ -395,10 +397,10 @@ def _ascend(
 
     Rows leave in one place, the top test of a step, which takes the
     tangent gradient norm |g_t| of each running row.  On step k a row
-    leaves with step count k when |g_t| <= ``_STEP_TOLERANCE`` max(floor, |f|);
+    leaves with step count k when |g_t| <= ``_STEP_TOLERANCE`` max(1, |f|);
     a row that stopped on step k - 1 leaves there too, with step count
     k - 1 and its point, value and gradient unchanged since.  A leaving row
-    has converged when |g_t| <= 1e3 ``_STEP_TOLERANCE`` max(floor, |f|), which
+    has converged when |g_t| <= 1e3 ``_STEP_TOLERANCE`` max(1, |f|), which
     the first kind always meets.  One more pass after step ``_MAX_ITERS``
     lets the rows that stopped on it leave; the rows still running after
     it are capped, with ``_MAX_ITERS`` steps, and unconverged.
@@ -408,8 +410,7 @@ def _ascend(
     point, value and gradient, written back with their step count only when
     they leave, and the carried arrays are cut down only on a step where a
     row leaves.  When every row restarts (every other step at n = 2) the
-    Polak-Ribiere algebra is skipped, its beta being exactly 0; when no row
-    stalls, every row takes its new point as it is.
+    Polak-Ribiere algebra is skipped, its beta being exactly 0.
 
     For 3 <= n <= ``_NEWTON_MAX_N`` a row instead searches along the
     Riemannian Newton direction xi of s f (``_newton_direction``) where the
@@ -450,7 +451,7 @@ def _ascend(
         # Re<v, g> = 4 f by Euler's rule for the degree-4 f, and scaling by 4 is exact
         gt = g - 4.0 * f[:, None] * v
         gn = _norms(gt)
-        scale = np.maximum(floor, np.abs(f))
+        scale = np.maximum(1.0, np.abs(f))
         moving = ~stopped
         if step <= _MAX_ITERS:  # after the last step only the rows that stopped on it leave
             moving &= gn > _STEP_TOLERANCE * scale
@@ -497,10 +498,7 @@ def _ascend(
         stopped = stalled & gradient
         since = np.where(stalled | (since + 1 >= period), 0, since + 1)
         fresh, g_prev, d_carried = ~stalled, gt, dn * (cos * u - sin * v)
-        if not stalled.any():  # no row stalls, so none stops: each takes its step as it is
-            v, f, g = w, fw, gw
-        else:
-            v, f, g = np.where(stalled[:, None], v, w), np.where(stalled, f, fw), np.where(stalled[:, None], g, gw)
+        v, f, g = np.where(stalled[:, None], v, w), np.where(stalled, f, fw), np.where(stalled[:, None], g, gw)
     V[rows], F[rows], iters[rows] = v, f, _MAX_ITERS  # the rows still running after _MAX_ITERS steps
     capped = np.zeros(len(V), dtype=bool)
     capped[rows] = True
@@ -517,14 +515,15 @@ def _start_directions(n: int, cfg: ExtremizeConfig) -> np.ndarray:
 
 
 def _best_of_starts(
-    values: np.ndarray, V: np.ndarray, converged: np.ndarray, floor: float
+    values: np.ndarray, V: np.ndarray, converged: np.ndarray
 ) -> tuple[float, Direction, bool, int]:
     """Best of the ascended values (one row per start), its direction,
     whether any start tied for it converged, and how many starts tie for it.
-    Directions tied within ``_VALUE_TOLERANCE`` max(floor, |best|) are
-    phase-normalized and the lexicographically first one is reported."""
+    Directions tied within ``_VALUE_TOLERANCE`` max(1, |best|), by the scale
+    rule at ``_STEP_TOLERANCE``, are phase-normalized and the
+    lexicographically first one is reported."""
     best = float(values.max())
-    ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(floor, abs(best)))
+    ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
     W = _normalize_phases(V[ties])
     # lexsort's last key is its first: the stable order of the rows' real views
     first = np.lexsort(W.view(float).T[::-1])[0]
@@ -544,27 +543,28 @@ def extremize_hsc(
     Non-convergence is flagged on the result, not raised, so batch runs keep
     going.  Reported argmin/argmax are phase-normalized (first nonzero
     component real positive) and ties within a relative 1e-12 break
-    lexicographically.  The stopping and tie tests are relative to
-    max(|value|, min(1, max |R_ijkl|)), so scaling the tensor by c > 0
-    scales the extremes by c, up to rounding, at every size.  A value
-    beyond the float range raises FloatingPointError.
+    lexicographically.  By the scale rule at ``_STEP_TOLERANCE``, scaling a
+    tensor with max |R_ijkl| < 1 by a power of two scales its extremes by
+    it and changes nothing else.  A value or squared gradient beyond the
+    float range, as past max |R_ijkl| of about 1e154, raises
+    FloatingPointError.
     """
     starts = _start_directions(tensor.n, cfg)
     m = len(starts)
     signs = np.repeat([-1.0, 1.0], m)
-    floor = min(1.0, float(np.abs(tensor.array).max()))
+    e = min(0, int(np.frexp(np.abs(tensor.array).max())[1]))  # the scale rule at _STEP_TOLERANCE
     oracle_min = oracle_max = None
     with np.errstate(over="raise"):  # the fold of K sums entries, so it is inside too
-        K = _quartic_matrix(tensor.array)
-        values, V, iters, converged, capped = _ascend(K, np.concatenate((starts, starts)), signs, floor)
-        neg_min, argmin, min_conv, min_ties = _best_of_starts(values[:m], V[:m], converged[:m], floor)
-        max_value, argmax, max_conv, max_ties = _best_of_starts(values[m:], V[m:], converged[m:], floor)
+        K = _quartic_matrix(np.ldexp(tensor.array.view(float), -e).view(complex))  # R 2^-e, as ``_unit`` scales
+        values, V, iters, converged, capped = _ascend(K, np.concatenate((starts, starts)), signs)
+        neg_min, argmin, min_conv, min_ties = _best_of_starts(values[:m], V[:m], converged[:m])
+        max_value, argmax, max_conv, max_ties = _best_of_starts(values[m:], V[m:], converged[m:])
         if cfg.oracle_samples > 0:
             oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
             oracle_min, oracle_max = oracle.min_value, oracle.max_value
     return ExtremizeResult(
-        min_value=0.0 - neg_min,
-        max_value=max_value,
+        min_value=float(np.ldexp(0.0 - neg_min, e)),
+        max_value=float(np.ldexp(max_value, e)),
         argmin=argmin,
         argmax=argmax,
         iterations_used=int(iters.sum()),
@@ -596,20 +596,20 @@ def distinguished_frame(tensor: KahlerCurvatureTensor) -> DistinguishedFrame:
     the top eigenvector of ``s.sigma`` for Q's bottom eigenvector s, phase-
     normalized.  It is completed to a unitary frame with the second vector's
     phase fixed so B is real and non-negative, and (H, A, B) are read off the
-    rotated tensor.  Exact for Einstein tensors; within the 1e-8 Einstein
+    rotated tensor.  Exact for Einstein tensors; within the Einstein
     tolerance H may differ from the true minimum by about the anisotropy,
     which the residual (largest component with three equal indices) reports.
 
     Raises NotSurface unless n = 2 and NotEinstein (with the measured Ricci
-    anisotropy) when the Ricci eigenvalue spread exceeds 1e-8.
+    anisotropy) when the Ricci eigenvalue spread exceeds 1e-8 max |R_ijkl|.
     """
     if tensor.n != 2:
         raise NotSurface(f"distinguished frame requires n=2, got n={tensor.n}")
     eigs = np.linalg.eigvalsh(ricci(tensor))
-    anisotropy = float(eigs[-1] - eigs[0])
-    if anisotropy > _EINSTEIN_TOLERANCE:
+    anisotropy, bound = float(eigs[-1] - eigs[0]), _EINSTEIN_TOLERANCE * float(np.abs(tensor.array).max())
+    if anisotropy > bound:
         raise NotEinstein(
-            f"tensor is not Einstein within {_EINSTEIN_TOLERANCE:g} "
+            f"tensor is not Einstein within {_EINSTEIN_TOLERANCE:g} max|R_ijkl| = {bound:.3g} "
             f"(Ricci anisotropy {anisotropy:.3g})",
             anisotropy=anisotropy,
         )

@@ -284,6 +284,14 @@ def test_not_unitary_rejected():
         transform_frame(constant_hsc_tensor(2, 1.0), np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("U", [np.array([[np.nan, 0.0], [0.0, 1.0]]), np.full((2, 2), np.nan)])
+def test_nan_frame_rejected_as_not_unitary(U):
+    # a NaN defect compares False with the tolerance; tested as "defect > tol", such a U
+    # passed and failed later, as a non-finite curvature array
+    with pytest.raises(NotUnitary, match="defect nan"):
+        transform_frame(constant_hsc_tensor(2, 1.0), U)
+
+
 def test_frame_of_wrong_shape_rejected():
     with pytest.raises(DimensionMismatch, match=r"expected a 2x2 matrix, got \(3, 3\)"):
         transform_frame(constant_hsc_tensor(2, 1.0), np.eye(3))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -127,11 +128,6 @@ def _horizontal_eigenvalues(R: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(Z @ R @ Z.T)
 
 
-def _floor(K: tuple) -> float:
-    """min(1, max |R_ijkl|), the floor of ``extremize_hsc``'s relative tests; K[4] is a view of R."""
-    return min(1.0, float(np.abs(K[4]).max()))
-
-
 def _newton_inputs(n: int, seed: int, rows: int = 4):
     """K, unit rows V, then f and the tangent gradient of s f for s = -1 on
     the first half of the rows and +1 on the rest, and s."""
@@ -139,7 +135,7 @@ def _newton_inputs(n: int, seed: int, rows: int = 4):
     V = _sample_unit_sphere(n, rows, np.random.default_rng(seed + 1))
     # half the rows near a start's optimum of s f, where the Hessian is definite
     s = np.repeat([-1.0, 1.0], rows // 2)
-    W = _ascend(K, V, s, _floor(K))[1] + 0.01 * _sample_unit_sphere(n, rows, np.random.default_rng(seed + 2))
+    W = _ascend(K, V, s)[1] + 0.01 * _sample_unit_sphere(n, rows, np.random.default_rng(seed + 2))
     V = np.concatenate((V, W / np.linalg.norm(W, axis=1)[:, None]))
     s = np.concatenate((s, s))
     f, g = _value_and_gradient(K, V)
@@ -281,7 +277,7 @@ def test_ascent_ends_at_local_optima_not_saddles(n, seed, starts):
     K = _quartic_matrix(random_kahler_tensor(n, seed=seed).array)
     V0 = _start_directions(n, ExtremizeConfig(starts=starts, seed=seed))
     s = np.repeat([-1.0, 1.0], len(V0))
-    _, V, _, converged, _ = _ascend(K, np.concatenate((V0, V0)), s, _floor(K))
+    _, V, _, converged, _ = _ascend(K, np.concatenate((V0, V0)), s)
     assert converged.all()
     for v, sign, R_v in zip(V, s, _reduced_hessians(K, V)):
         assert _horizontal_eigenvalues(sign * R_v, v).max() <= 1e-5 * np.abs(R_v).max()
@@ -590,7 +586,7 @@ def test_best_of_starts_matches_the_per_row_loop(n, seed, pool, best, gaps, head
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     values = best - np.array(gaps) * _VALUE_TOLERANCE * max(1.0, abs(best))
     converged = rng.random(k) < 0.5
-    got, expected = _best_of_starts(values, V, converged, 1.0), _best_of_starts_loop(values, V, converged)
+    got, expected = _best_of_starts(values, V, converged), _best_of_starts_loop(values, V, converged)
     assert got[0] == expected[0] and got[2:] == expected[2:]
     assert got[1].vector.tobytes() == expected[1].vector.tobytes()
 
@@ -624,12 +620,12 @@ def test_ascent_stops_at_the_value_noise_floor():
     cfg = ExtremizeConfig(starts=8, seed=88)
     start = _start_directions(2, cfg)[2:3]
     K = _quartic_matrix(assemble_einstein_surface(p).array)
-    values, _, iters, converged, _ = _ascend(K, start, np.array([-1.0]), _floor(K))
+    values, _, iters, converged, _ = _ascend(K, start, np.array([-1.0]))
     assert converged[0]
     assert iters[0] < _MAX_ITERS
     assert -values[0] == pytest.approx(p.H, abs=1e-12)
     K = _quartic_matrix(random_kahler_tensor(4, seed=7).array)
-    _, _, iters, converged, _ = _ascend(K, np.eye(4, dtype=complex)[:1], np.array([-1.0]), _floor(K))
+    _, _, iters, converged, _ = _ascend(K, np.eye(4, dtype=complex)[:1], np.array([-1.0]))
     assert converged[0]
     assert iters[0] < _MAX_ITERS
 
@@ -698,8 +694,8 @@ def test_batched_starts_match_serial_ascents(n, seed):
     starts = _start_directions(n, cfg)
     K = _quartic_matrix(T.array)
     for sign in (-1.0, 1.0):
-        values, V, _, converged, _ = _ascend(K, starts, np.full(len(starts), sign), _floor(K))
-        best, _, _, _ = _best_of_starts(values, V, converged, _floor(K))
+        values, V, _, converged, _ = _ascend(K, starts, np.full(len(starts), sign))
+        best, _, _, _ = _best_of_starts(values, V, converged)
         reference = best_of_starts_serial(T.array, starts, sign, _MAX_ITERS)
         assert sign * best == pytest.approx(reference, rel=1e-12)
 
@@ -713,12 +709,11 @@ def test_joint_loop_matches_one_sign_ascents(n, seed):
     starts = _start_directions(n, ExtremizeConfig(starts=16, seed=seed))
     K = _quartic_matrix(T.array)
     m = len(starts)
-    floor = _floor(K)
-    joint, V, _, converged, _ = _ascend(K, np.concatenate((starts, starts)), np.repeat([-1.0, 1.0], m), floor)
+    joint, V, _, converged, _ = _ascend(K, np.concatenate((starts, starts)), np.repeat([-1.0, 1.0], m))
     for half, sign in ((slice(None, m), -1.0), (slice(m, None), 1.0)):
-        values, W, _, alone_converged, _ = _ascend(K, starts, np.full(m, sign), floor)
-        best = _best_of_starts(joint[half], V[half], converged[half], floor)[0]
-        assert best == pytest.approx(_best_of_starts(values, W, alone_converged, floor)[0], rel=1e-12)
+        values, W, _, alone_converged, _ = _ascend(K, starts, np.full(m, sign))
+        best = _best_of_starts(joint[half], V[half], converged[half])[0]
+        assert best == pytest.approx(_best_of_starts(values, W, alone_converged)[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
@@ -790,7 +785,7 @@ def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
     # tangent gradient is within 1e3 times the step tolerance
     f, g = _value_and_gradient(K, V)
     gn = _norms(signs[:, None] * g - 4.0 * (signs * f)[:, None] * V)
-    scale = np.maximum(_floor(K), np.abs(F))
+    scale = np.maximum(1.0, np.abs(F))
     assert np.array_equal(converged[~capped], (gn <= 1e3 * _STEP_TOLERANCE * scale)[~capped])
     assert res.steps == iters.max() and res.iterations_used == iters.sum()
     assert (res.min_capped, res.max_capped) == (capped[:8].sum(), capped[8:].sum())
@@ -832,6 +827,34 @@ def test_extremes_scale_with_the_tensor(n, c):
     assert scaled.max_value == pytest.approx(c * res.max_value, rel=1e-14, abs=0.0)
     assert (scaled.min_starts_at_best, scaled.max_starts_at_best) == (res.min_starts_at_best, res.max_starts_at_best)
     assert scaled.converged and res.converged
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tiny_tensors_ascend_as_their_unscaled_twins(n):
+    # below about 1e-155 the squared gradient norm underflows; with tests
+    # relative to min(1, max |R_ijkl|), every start of these stopped at step 1,
+    # 1.6e-2 to 1.1 relative off its extreme, and reported converged
+    T = random_kahler_tensor(n, seed=5)
+    res, tiny = extremize_hsc(T), extremize_hsc(KahlerCurvatureTensor(1e-200 * T.array))
+    assert tiny.min_value == pytest.approx(1e-200 * res.min_value, rel=1e-15, abs=0.0)
+    assert tiny.max_value == pytest.approx(1e-200 * res.max_value, rel=1e-15, abs=0.0)
+    assert tiny.steps > 1 and tiny.converged
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_power_of_two_scaling_changes_only_the_extremes_exponents(n):
+    # the ascent sees R 2^-e, with max |R_ijkl| in [1/2, 1), for every tensor
+    # R below 1, so R 2^-k gives the same payload bit for bit, its extremes
+    # times 2^-k; with tests relative to min(1, max |R_ijkl|), n = 4-6 changed
+    # their step counts at k = 1, 2 or 10, and every start stopped at step 1
+    # at k = 600
+    T = random_kahler_tensor(n, seed=0)
+    R = np.ldexp(T.array.view(float), -1 - int(np.frexp(np.abs(T.array).max())[1]))  # max |R_ijkl| < 1/2
+    base = extremize_hsc(KahlerCurvatureTensor(R.view(complex))).to_payload()
+    for k in (1, 2, 10, 600):
+        got = extremize_hsc(KahlerCurvatureTensor(np.ldexp(R, -k).view(complex))).to_payload()
+        extremes = {side: float(np.ldexp(base[side], -k)) for side in ("min_value", "max_value")}
+        assert json.dumps(got) == json.dumps({**base, **extremes})
 
 
 def test_starts_at_best_counts_the_tie_set():
@@ -1107,6 +1130,26 @@ def test_frame_rejects_non_einstein_with_anisotropy():
     with pytest.raises(NotEinstein) as excinfo:
         distinguished_frame(KahlerCurvatureTensor(R))
     assert excinfo.value.anisotropy == pytest.approx(0.1, abs=1e-9)
+
+
+def test_frame_accepts_a_large_einstein_tensor():
+    # the exact KE point at 1e8 has a rounding-level Ricci spread of 8.9e-8,
+    # which an absolute 1e-8 tolerance refused
+    point = EinsteinFramePoint(-1e8, 0.25e8, 0.5e8j)
+    frame = distinguished_frame(transform_frame(assemble_einstein_surface(point), random_unitary(2, 0)))
+    assert frame.point.H == pytest.approx(-1e8, rel=1e-12)
+    assert frame.point.A == pytest.approx(0.25e8, rel=1e-12)
+    assert frame.point.B == pytest.approx(0.5e8, rel=1e-12)
+
+
+def test_frame_rejects_a_small_non_einstein_tensor():
+    # a Ricci spread of 30% of max |R_ijkl|, at 1e-9: an absolute 1e-8
+    # tolerance accepted it and reported a wrong frame
+    R = assemble_einstein_surface(EinsteinFramePoint(-1.0, 0.25, 0.5)).array.copy()
+    R[0, 0, 0, 0] += 0.3
+    with pytest.raises(NotEinstein, match=r"within 1e-08 max\|R_ijkl\| = 1e-17") as excinfo:
+        distinguished_frame(KahlerCurvatureTensor(1e-9 * R))
+    assert excinfo.value.anisotropy == pytest.approx(3e-10, rel=1e-9)
 
 
 def test_frame_rejects_non_surface():
