@@ -135,21 +135,30 @@ class KahlerCurvatureTensor:
         return f"KahlerCurvatureTensor(n={self.n}, asymmetry={self._asymmetry:.3g})"
 
 
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a 2^-e and e, for e the ``np.frexp`` exponent of the largest real or
+    imaginary part of the complex array a (0 if a is zero), so that part
+    lands in [1/2, 1).  Scaling by a power of two is exact unless an entry
+    becomes subnormal, so a sum of products taken on a 2^-e and scaled back
+    gives the bits it gives on a wherever nothing on either side overflows
+    or is subnormal."""
+    e = int(np.frexp(np.max(np.abs(a.view(float)), initial=0.0))[1])
+    return np.ldexp(a.view(float), -e).view(complex), e
+
+
 def _unit(v) -> np.ndarray:
     """The flat complex unit vector along v; ValueError if v is zero or has
     a non-finite entry.
 
-    The norm is taken after scaling by the power of two just above the
-    largest real or imaginary part.  That scaling is exact, so no finite v
-    overflows or underflows, and a v within the float range normalizes to
-    the same bits as it would unscaled."""
-    parts = np.array(v, dtype=complex).reshape(-1).view(float)
-    if not np.isfinite(parts).all():
+    The norm is taken on v scaled by ``_scaled``, so no finite v overflows
+    or underflows, and a v within the float range normalizes to the same
+    bits as it would unscaled."""
+    v = np.array(v, dtype=complex).reshape(-1)
+    if not np.isfinite(v).all():
         raise ValueError("direction must be finite")
-    peak = np.max(np.abs(parts), initial=0.0)
-    if peak == 0.0:
+    scaled = _scaled(v)[0]
+    if not scaled.any():
         raise ValueError("direction must be nonzero")
-    scaled = np.ldexp(parts, -np.frexp(peak)[1]).view(complex)
     return scaled / np.linalg.norm(scaled)
 
 
@@ -331,10 +340,13 @@ def hsc(tensor: KahlerCurvatureTensor, v) -> float:
     Evaluates ``sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l)`` at the unit
     vector along v, so the result is scale-invariant; v must be nonzero and
     finite (else ValueError).  Every tensor is canonical, so the contraction
-    is real up to rounding and its real part is returned.
+    is real up to rounding and its real part is returned.  The sum is taken
+    on R 2^-e and scaled back by 2^e (``_scaled``), so no intermediate
+    overflows; a value beyond the float range raises FloatingPointError.
     """
-    vec = _as_vector(v, tensor.n)
-    return float(_values_batch(_quartic_matrix(tensor.array), vec[None, :])[0])
+    R, e = _scaled(tensor.array)
+    with np.errstate(over="raise"):
+        return float(np.ldexp(_values_batch(_quartic_matrix(R), _as_vector(v, tensor.n)[None, :])[0], e))
 
 
 def ricci(tensor: KahlerCurvatureTensor) -> np.ndarray:

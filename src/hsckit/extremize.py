@@ -51,12 +51,19 @@ identical configs give bitwise-identical results on a given BLAS build.
 The brute-force cross-check oracle evaluates Gaussian rows z in block
 buffers allocated once per call, as f(z) / |z|^4 = f(z / |z|).
 
-``distinguished_frame`` needs no optimizer: for a unit v in C^2, ``v v^H =
-(I + s.sigma) / 2`` with s on the Bloch sphere, so HSC is ``c + b.s + s^T Q
-s``, where b = 0 for Einstein tensors, and Q's bottom eigenvector gives the
-minimizer exactly.  The frame rotates it to ``e_1`` and reads off (H, A, B),
-with the phase fixed so B is real and non-negative.  Within the Einstein
-tolerance, 1e-8 max |R_ijkl|, H may miss the true minimum by about the Ricci
+``distinguished_frame`` needs no optimizer and rotates no tensor: for a
+unit v in C^2, ``v v^H = (I + s.sigma) / 2`` with s on the Bloch sphere, so
+HSC is ``S^T T S`` for S = (1, s) and the real 4 x 4 Bloch form T
+(``_bloch_form``), that is ``T_00 + 2 t.s + s^T Q s`` with t = T[0, 1:] and
+Q = T[1:, 1:].  The Ricci eigenvalues are 2 (T_00 +- |t|), so the Einstein
+test is 4|t| <= 1e-8 max |R_ijkl|, and where t = 0 Q's bottom eigenvector
+gives the minimizer exactly.  One 3 x 3 eigensolve of Q gives the frame,
+and (H, A, B) and the residual are closed forms in T, Q's eigenpair and the
+frame vectors, with the phase fixed so B is real and non-negative.  T is
+read off R 2^-e, for 2^e the power of two just above its largest real or
+imaginary part, and every value is scaled back by 2^e, so nothing
+overflows unless a value itself leaves the float range.  Within the
+Einstein tolerance H may miss the true minimum by about the Ricci
 anisotropy, which the frame's residual reports.
 """
 
@@ -75,10 +82,9 @@ from .curvature import (
     _block_values,
     _quartic_matrix,
     _re_dot,
+    _scaled,
     _value_and_gradient,
     _values_batch,
-    ricci,
-    transform_frame,
 )
 from .errors import NotEinstein, NotSurface
 from .surface import EinsteinFramePoint
@@ -105,8 +111,6 @@ _NEWTON_MARGIN = 1e-10  # relative eigenvalue margin of a Newton matrix; bounds 
 _SUBDIAGONAL = np.eye(4, k=-1)  # the companion matrix of a monic quartic, less its top row
 # t^j of a circle's tan quartic (``_companions``) is (j + 1) g_(j+1) - (5 - j) g_(j-1): j + 1 for j = 3, 2, 1
 _DEGREES = np.array([4.0, 3.0, 2.0])
-# the components of an n = 2 tensor with three equal indices: those with an odd index sum
-_ODD_INDEX_SUM = np.indices((2,) * 4).sum(axis=0) % 2 == 1
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -589,45 +593,57 @@ class DistinguishedFrame:
     residual: float
 
 
+def _bloch_form(R: np.ndarray) -> np.ndarray:
+    """The real symmetric 4 x 4 T of an n = 2 tensor R with HSC(v) = S^T T S,
+    S = (1, s) for the Bloch vector s of the unit v, ``v v^H = (I +
+    s.sigma) / 2``: ``T[a, b] = sum R[i,j,k,l] sigma_a[i,j] sigma_b[k,l] /
+    4`` over ``_PAULI``."""
+    return 0.25 * np.einsum("ijkl,aij,bkl->ab", R, _PAULI, _PAULI).real
+
+
+@np.errstate(over="ignore")  # only scaling back by 2^e can overflow, and then reads inf
 def distinguished_frame(tensor: KahlerCurvatureTensor) -> DistinguishedFrame:
     """Recover the distinguished frame of a Kähler-Einstein surface tensor.
 
-    No optimizer: on the Bloch sphere HSC is c + s^T Q s, so the minimizer is
-    the top eigenvector of ``s.sigma`` for Q's bottom eigenvector s, phase-
-    normalized.  It is completed to a unitary frame with the second vector's
-    phase fixed so B is real and non-negative, and (H, A, B) are read off the
-    rotated tensor.  Exact for Einstein tensors; within the Einstein
-    tolerance H may differ from the true minimum by about the anisotropy,
-    which the residual (largest component with three equal indices) reports.
+    No optimizer and no rotation: everything is read off the Bloch form T
+    (``_bloch_form``) of R 2^-e, for e the exponent of ``_scaled``, and H, A,
+    |B| and the residual are scaled back by 2^e, so no intermediate
+    overflows.  With t = T[0, 1:] and Q = T[1:, 1:], HSC on the Bloch sphere
+    is T_00 + 2 t.s + s^T Q s and the Ricci eigenvalues are 2 (T_00 +- |t|).
+    The minimizer v_1 is the top eigenvector of ``s.sigma``, phase-
+    normalized, for Q's bottom eigenpair (lambda_1, s), and v_2 = (-conj
+    v_1[1], conj v_1[0]).  In the frame (v_1, v_2), H = T_00 + 2 t.s +
+    lambda_1, A = T_00 - lambda_1 and B = conj(z^T Q z), z_a = v_1^H sigma_a
+    v_2; v_2's phase is then fixed so B is real and non-negative.  Exact for
+    Einstein tensors (t = 0); within the Einstein tolerance H may differ from
+    the true minimum by about the anisotropy, which the residual |t - (t.s)
+    s|, the largest modulus of a frame component with three equal indices,
+    reports.
 
-    Raises NotSurface unless n = 2 and NotEinstein (with the measured Ricci
-    anisotropy) when the Ricci eigenvalue spread exceeds 1e-8 max |R_ijkl|.
+    Raises NotSurface unless n = 2, and NotEinstein, with the measured Ricci
+    anisotropy 4|t| (inf beyond the float range), unless 4|t| <= 1e-8 max
+    |R_ijkl|.  Frame data beyond the float range raise ValueError, as
+    ``EinsteinFramePoint`` refuses them.
     """
     if tensor.n != 2:
         raise NotSurface(f"distinguished frame requires n=2, got n={tensor.n}")
-    eigs = np.linalg.eigvalsh(ricci(tensor))
-    anisotropy, bound = float(eigs[-1] - eigs[0]), _EINSTEIN_TOLERANCE * float(np.abs(tensor.array).max())
-    if anisotropy > bound:
+    R, e = _scaled(tensor.array)
+    T = _bloch_form(R)
+    c, t, Q = T[0, 0], T[0, 1:], T[1:, 1:]
+    spread, bound = 4.0 * np.linalg.norm(t), _EINSTEIN_TOLERANCE * np.abs(R).max()
+    if not spread <= bound:  # so a NaN spread fails too
+        anisotropy, bound = (float(np.ldexp(x, e)) for x in (spread, bound))
         raise NotEinstein(
             f"tensor is not Einstein within {_EINSTEIN_TOLERANCE:g} max|R_ijkl| = {bound:.3g} "
             f"(Ricci anisotropy {anisotropy:.3g})",
             anisotropy=anisotropy,
         )
-    # HSC = S^T T S for S = (1, Bloch vector s); T[0, 1:] is the traceless Ricci
-    # part, zero here, so the minimizing s is the bottom eigenvector of T[1:, 1:]
-    T = 0.25 * np.einsum("ijkl,aij,bkl->ab", tensor.array, _PAULI, _PAULI).real
-    s = np.linalg.eigh(T[1:, 1:])[1][:, 0]
+    lam, s = (x[..., 0] for x in np.linalg.eigh(Q))
     v1 = _normalize_phases(np.linalg.eigh(np.einsum("a,aij->ij", s, _PAULI[1:]))[1][None, :, 1])[0]
     v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
-    U = np.column_stack([v1, v2])
-    Rp = transform_frame(tensor, U).array
-    H = float(Rp[0, 0, 0, 0].real)
-    A = float(Rp[0, 0, 1, 1].real)
-    B = complex(Rp[0, 1, 0, 1])
-    if abs(B) > 0.0:
-        phase = np.exp(1j * np.angle(B) / 2.0)
-        U = U @ np.diag([1.0, phase])
-        B = abs(B)
-    residual = float(np.max(np.abs(Rp[_ODD_INDEX_SUM])))
+    z = np.einsum("i,aij,j->a", v1.conj(), _PAULI[1:], v2)
+    B = np.conj(z @ Q @ z)
+    U = np.column_stack([v1, v2 * np.exp(0.5j * np.angle(B)) if B else v2])
     U.setflags(write=False)
-    return DistinguishedFrame(U, EinsteinFramePoint(H=H, A=A, B=B), residual)
+    H, A, B, residual = np.ldexp([c + 2.0 * t @ s + lam, c - lam, abs(B), np.linalg.norm(t - (t @ s) * s)], e)
+    return DistinguishedFrame(U, EinsteinFramePoint(H=H, A=A, B=B), float(residual))

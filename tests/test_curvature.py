@@ -166,6 +166,23 @@ def test_hsc_scale_invariant():
             hsc(T, bad)
 
 
+def test_hsc_near_the_float_range():
+    # the fold of the quartic matrix sums entries: unscaled, they would overflow to inf - inf = nan
+    T = KahlerCurvatureTensor(constant_hsc_tensor(3, 1.0).array * 1e308)
+    assert hsc(T, [1, 1, 0]) == pytest.approx(1e308, rel=1e-15)
+    # every entry 1e308 gives HSC 1e308 |v_1 + v_2|^4 = 4e308 along (1, 1)
+    with pytest.raises(FloatingPointError):
+        hsc(KahlerCurvatureTensor(np.full((2,) * 4, 1e308)), [1, 1])
+
+
+@pytest.mark.parametrize("k", [-900, -7, 0, 6, 900])
+def test_hsc_scales_exactly_by_powers_of_two(k):
+    T = random_kahler_tensor(3, seed=12)
+    scaled = KahlerCurvatureTensor(np.ldexp(1.0, k) * T.array)
+    v = np.array([0.3 + 1j, -0.7, 0.2j])
+    assert hsc(scaled, v) == np.ldexp(hsc(T, v), k)
+
+
 def test_hsc_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         hsc(constant_hsc_tensor(2, 1.0), [1, 0, 0])

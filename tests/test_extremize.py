@@ -1142,6 +1142,61 @@ def test_frame_accepts_a_large_einstein_tensor():
     assert frame.point.B == pytest.approx(0.5e8, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [None, 4], ids=["assembled", "rotated"])
+def test_frame_near_the_float_range(seed):
+    # unscaled, the Ricci contraction of this tensor overflows, and a NaN
+    # spread that passed as Einstein gave a wrong frame
+    point = EinsteinFramePoint(-1.5e308, -0.6e308, 0.3e308)
+    T = assemble_einstein_surface(point)
+    if seed is not None:
+        T = transform_frame(T, random_unitary(2, seed))
+    frame = distinguished_frame(T)
+    assert frame.point.H == pytest.approx(point.H, rel=1e-12)
+    assert frame.point.A == pytest.approx(point.A, rel=1e-12)
+    assert abs(frame.point.B) == pytest.approx(abs(point.B), rel=1e-12)
+
+
+def test_frame_values_beyond_the_float_range():
+    # in this frame |H| is 1.96 times the largest part of an entry
+    T = transform_frame(assemble_einstein_surface(EinsteinFramePoint(-1.0, 0.0, 1.0)), random_unitary(2, seed=47))
+    with pytest.raises(ValueError, match="frame data must be finite: H=-inf"):
+        distinguished_frame(KahlerCurvatureTensor(T.array / np.abs(T.array.view(float)).max() * 1.5e308))
+    # a Ricci spread beyond the float range is an infinite anisotropy
+    R = random_kahler_tensor(2, seed=1).array
+    with pytest.raises(NotEinstein) as excinfo:
+        distinguished_frame(KahlerCurvatureTensor(R / np.abs(R.view(float)).max() * 1.7e308))
+    assert excinfo.value.anisotropy == np.inf
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_frame_reads_the_components_of_the_rotated_tensor(seed):
+    # near Einstein, so t and its part along s are both nonzero
+    rng = np.random.default_rng(430 + seed)
+    T = transform_frame(assemble_einstein_surface(random_frame_point(rng)), random_unitary(2, seed=440 + seed))
+    T = KahlerCurvatureTensor(T.array + 1e-9 * random_kahler_tensor(2, seed=450 + seed).array)
+    frame = distinguished_frame(T)
+    Rp = transform_frame(T, frame.unitary).array
+    three_equal = np.indices((2,) * 4).sum(axis=0) % 2 == 1
+    assert frame.point.H == pytest.approx(Rp[0, 0, 0, 0].real, abs=1e-14)
+    assert frame.point.A == pytest.approx(Rp[0, 0, 1, 1].real, abs=1e-14)
+    assert frame.point.B == pytest.approx(Rp[0, 1, 0, 1], abs=1e-14)
+    assert frame.residual == pytest.approx(np.abs(Rp[three_equal]).max(), abs=1e-14)
+    assert frame.residual > 1e-11
+
+
+@pytest.mark.parametrize("k", [-900, -3, 5, 1000])
+def test_frame_scales_exactly_by_powers_of_two(k):
+    # the frame reads R 2^-e and scales back by 2^e, so R 2^k moves only exponents
+    p = EinsteinFramePoint(-1.5, 0.6, 0.3 + 0.4j)
+    T = transform_frame(assemble_einstein_surface(p), random_unitary(2, seed=17))
+    T = KahlerCurvatureTensor(T.array + 1e-10 * random_kahler_tensor(2, seed=18).array)
+    frame, scaled = distinguished_frame(T), distinguished_frame(KahlerCurvatureTensor(np.ldexp(1.0, k) * T.array))
+    assert scaled.unitary.tobytes() == frame.unitary.tobytes()
+    assert (scaled.point.H, scaled.point.A, scaled.point.B, scaled.residual) == tuple(
+        np.ldexp(x, k) for x in (frame.point.H, frame.point.A, frame.point.B.real, frame.residual)
+    )
+
+
 def test_frame_rejects_a_small_non_einstein_tensor():
     # a Ricci spread of 30% of max |R_ijkl|, at 1e-9: an absolute 1e-8
     # tolerance accepted it and reported a wrong frame

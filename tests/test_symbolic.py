@@ -1,4 +1,5 @@
-"""Symbolic proofs (sympy) of the surface closed forms and the Bloch form.
+"""Symbolic proofs (sympy) of the surface closed forms, the Bloch form and
+the distinguished frame's readouts from it.
 
 These sit next to the numeric checks in test_curvature and test_extremize
 and do not replace them.  Library functions whose arithmetic is plain
@@ -23,8 +24,10 @@ from hsckit import (
     hsc_surface_closed_form,
     max_hsc_surface,
 )
-from hsckit.extremize import _PAULI
+from hsckit.curvature import _HERMITIAN, _LINEAR
+from hsckit.extremize import _PAULI, _bloch_form
 from hsckit.geography import _C2_BOUND
+from helpers import random_kahler_tensor
 
 H, A, B_RE, B_IM = sp.symbols("H A B_re B_im", real=True)
 X1, Y1, X2, Y2 = sp.symbols("x1 y1 x2 y2", real=True)
@@ -93,6 +96,80 @@ def test_quartic_is_the_bloch_form_for_every_tensor():
     s = sp.symbols("s1:4", real=True)
     s_sigma = sum((si * Ei for si, Ei in zip(s, E[1:])), sp.zeros(2, 2))
     assert (s_sigma**2 - sum(si**2 for si in s) * sp.eye(2)).applyfunc(sp.expand) == sp.zeros(2, 2)
+
+
+def _generic_kahler() -> dict:
+    """A generic n = 2 Kähler tensor: each orbit of the symmetry group takes
+    x + i y, with y dropped on the orbits conjugation maps to themselves; the
+    linear images of an index take the value and the others its conjugate."""
+    R = {}
+    for idx in INDICES:
+        if idx in R:
+            continue
+        linear = {tuple(idx[a] for a in p) for p in _LINEAR}
+        conjugating = {tuple(i[a] for a in _HERMITIAN) for i in linear}
+        z = sp.Symbol("x%d%d%d%d" % idx, real=True)
+        if conjugating != linear:
+            z += sp.I * sp.Symbol("y%d%d%d%d" % idx, real=True)
+        R.update({i: sp.conjugate(z) for i in conjugating})
+        R.update({i: z for i in linear})
+    return R
+
+
+def test_generic_kahler_tensor():
+    R = _generic_kahler()
+    assert len(set().union(*(sp.sympify(z).free_symbols for z in R.values()))) == 9  # (n (n + 1) / 2)^2
+    for i, j, k, l in INDICES:
+        assert R[i, j, k, l] == R[k, j, i, l] == R[i, l, k, j]
+        assert _is_zero(sp.conjugate(R[i, j, k, l]) - R[j, i, l, k])
+    T = _bloch_matrix(R)
+    assert (T - T.conjugate()).applyfunc(sp.expand) == sp.zeros(4, 4)  # real
+    assert (T - T.T).applyfunc(sp.expand) == sp.zeros(4, 4)  # symmetric
+
+
+def test_ricci_spread_is_four_times_the_bloch_linear_part():
+    R = _generic_kahler()
+    T = _bloch_matrix(R)
+    t = T[0, 1:]
+    Ric = sp.Matrix(2, 2, lambda i, j: R[i, j, 0, 0] + R[i, j, 1, 1])
+    expected = 2 * (T[0, 0] * E[0] + sum((T[0, a] * E[a].T for a in range(1, 4)), sp.zeros(2, 2)))
+    assert (Ric - expected).applyfunc(sp.expand) == sp.zeros(2, 2)
+    # Ric is Hermitian 2 x 2, so its eigenvalue spread squared is tr^2 - 4 det
+    spread_squared = sp.expand(Ric.trace() ** 2 - 4 * Ric.det())
+    assert _is_zero(spread_squared - 4**2 * t.dot(t))
+    assert not _is_zero(spread_squared - 2**2 * t.dot(t))  # mutation: a spread of 2|t| is refuted
+
+
+def test_frame_components_read_off_the_bloch_form():
+    # in the frame itself e_1 is the minimizer: its Bloch vector s is e_z, an
+    # eigenvector of Q, so lambda_1 = T_zz and t.s = T_0z
+    R = _generic_kahler()
+    T = _bloch_matrix(R)
+    assert _is_zero(T[1, 1] + T[2, 2] + T[3, 3] - T[0, 0])  # tr Q = T_00
+    assert _is_zero(R[0, 0, 0, 0] - (T[0, 0] + 2 * T[0, 3] + T[3, 3]))  # H
+    assert _is_zero(R[0, 0, 1, 1] - (T[0, 0] - T[3, 3]))  # A
+    assert _is_zero(R[0, 1, 0, 1] - (T[1, 1] - T[2, 2] + 2 * sp.I * T[1, 2]))  # B
+    # and B is conj(z^T Q z) for z_a = e_1^H sigma_a e_2
+    z = sp.Matrix([E[a][0, 1] for a in range(1, 4)])
+    assert _is_zero(R[0, 1, 0, 1] - sp.conjugate((z.T * T[1:, 1:] * z)[0]))
+    # each component with an odd index sum (three equal indices) is
+    # (T_x0 + e T_xz) + i d (T_y0 + e T_yz) for signs d and e: where T_xz =
+    # T_yz = 0 its modulus is |(T_x0, T_y0)|, the part of t off s = e_z
+    for idx in INDICES:
+        if sum(idx) % 2:
+            signs = [
+                (d, e)
+                for d, e in product((1, -1), repeat=2)
+                if _is_zero(R[idx] - (T[1, 0] + e * T[1, 3]) - sp.I * d * (T[2, 0] + e * T[2, 3]))
+            ]
+            assert len(signs) == 1, idx
+
+
+def test_bloch_form_matches_the_symbolic_matrix():
+    R = random_kahler_tensor(2, seed=3).array
+    exact = np.array(_bloch_matrix({idx: _exact(R[idx]) for idx in INDICES}).tolist(), dtype=complex)
+    assert not exact.imag.any()
+    assert np.allclose(_bloch_form(R), exact.real, rtol=0.0, atol=1e-15 * np.abs(R).max())
 
 
 def test_bloch_form_of_einstein_surface():

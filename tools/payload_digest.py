@@ -1,4 +1,5 @@
-"""SHA-256 digests of the CLI's output, of every ascended row and of ``ExtremizeResult.to_payload()``.
+"""SHA-256 digests of the CLI's output, of distinguished frames, of every ascended row and of
+``ExtremizeResult.to_payload()``.
 
 Usage (from the root of a checkout):
 
@@ -8,13 +9,14 @@ The corpus is seeded here and nowhere else: distinguished-frame surface
 points, as assembled and in a rotated frame; Gaussian tensors at n = 1-8;
 constant-HSC tensors, the quadrics Q^3 and Q^5 and the Grassmannians
 Gr(2, 2) and Gr(2, 3); 300 sparse tensors (n 3-6, 1-5 orbits with small
-integer values, ``default_rng(0)``); and two Gaussian tensors, n = 3 and 6,
-scaled by powers of two to max |R_ijkl| in [2^-602, 2^-601).  Each tensor
-is extremized with 8 and 16 starts, at the default step cap and at caps 2
-and 5 (set through ``hsckit.extremize._MAX_ITERS``).  Each payload is
-serialized as sorted-key JSON, whose floats are exact round-trip reprs, one
-line each, so two checkouts print the same digest exactly when every
-payload is byte-identical.
+integer values, ``default_rng(0)``, redrawn where the canonical tensor is
+zero); and two Gaussian tensors, n = 3 and 6, scaled by powers of two to
+max |R_ijkl| in [2^-602, 2^-601).  Each tensor is extremized with 8 and 16
+starts, at the default step cap and at caps 2 and 5 (set through
+``hsckit.extremize._MAX_ITERS``).  Each payload is serialized as sorted-key
+JSON, whose floats are exact round-trip reprs, one line each, so two
+checkouts print the same digest exactly when every payload is
+byte-identical.
 The last line of output is the digest; the line before it counts payloads.
 
 The two lines before those count the rows ``extremize._ascend`` returned
@@ -23,11 +25,16 @@ arrays (value, point, steps, converged, capped) are hashed as raw bytes.
 A payload keeps only the best of its rows and their counts, so a change
 in how a single row ends, its step count or its flags, shows here first.
 
-Before those two lines come a count of CLI runs and their digest.  Each
-argv of ``CLI_ARGVS`` runs in process through ``hsckit.cli.dispatch`` in
-both formats, and each of ``CLI_ERRORS`` once; its exit code, stdout and
-stderr are hashed.  The tensor and surface files they read are written to
-a temporary directory, whose path appears in no output.
+Before those two lines come a count of frames and their digest:
+``distinguished_frame`` of each surface tensor of the corpus, its unitary,
+point and residual written as hex floats, so a change to any bit of a
+frame shows there and nowhere else.
+
+The first two lines count CLI runs and give their digest.  Each argv of
+``CLI_ARGVS`` runs in process through ``hsckit.cli.dispatch`` in both
+formats, and each of ``CLI_ERRORS`` once; its exit code, stdout and stderr
+are hashed.  The tensor and surface files they read are written to a
+temporary directory, whose path appears in no output.
 """
 
 import contextlib
@@ -44,6 +51,8 @@ from hsckit import extremize
 from hsckit.cli import dispatch
 
 STARTS = (8, 16)
+CORPUS_SEED = 20231
+SURFACE_POINTS = 24  # each is yielded assembled and rotated
 CAPS = (None, 2, 5)  # None keeps the default cap
 
 # every subcommand; {name} is the file cli_inputs writes under that name
@@ -109,14 +118,17 @@ def special_tensors():
 
 def sparse_tensors(count: int):
     rng = np.random.default_rng(0)
-    for _ in range(count):
+    made = 0
+    while made < count:
         n = int(rng.integers(3, 7))
         R = np.zeros((n,) * 4, dtype=complex)
         for _ in range(int(rng.integers(1, 6))):
             re, im = rng.integers(-3, 4, size=2)
             R[tuple(rng.integers(0, n, size=4))] = complex(re, im)
-        if R.any():
-            yield hsckit.KahlerCurvatureTensor(R)
+        tensor = hsckit.KahlerCurvatureTensor(R)
+        if tensor.array.any():  # a draw can canonicalize to zero; it is redrawn
+            made += 1
+            yield tensor
 
 
 def tiny_tensors():
@@ -129,8 +141,8 @@ def tiny_tensors():
 
 
 def corpus():
-    rng = np.random.default_rng(20231)
-    yield from surface_tensors(rng, 24)
+    rng = np.random.default_rng(CORPUS_SEED)
+    yield from surface_tensors(rng, SURFACE_POINTS)
     yield from gaussian_tensors(rng, 3)
     yield from special_tensors()
     yield from sparse_tensors(300)
@@ -173,9 +185,25 @@ def cli_digest() -> tuple[int, str]:
     return len(runs), total.hexdigest()
 
 
+def frame_digest() -> tuple[int, str]:
+    """Frames of the surface tensors of the corpus, and the SHA-256 of their unitaries, points and
+    residuals as hex floats."""
+    total, count = hashlib.sha256(), 0
+    for tensor in surface_tensors(np.random.default_rng(CORPUS_SEED), SURFACE_POINTS):
+        frame = hsckit.distinguished_frame(tensor)
+        p = frame.point
+        numbers = [*frame.unitary.ravel().view(float).tolist(), p.H, p.A, p.B.real, p.B.imag, frame.residual]
+        total.update(" ".join(float(x).hex() for x in numbers).encode() + b"\n")
+        count += 1
+    return count, total.hexdigest()
+
+
 def main() -> None:
     runs, digest = cli_digest()
     print(f"{runs} cli runs")
+    print(digest)
+    frames, digest = frame_digest()
+    print(f"{frames} frames")
     print(digest)
     default_cap, ascend = extremize._MAX_ITERS, extremize._ascend
     total, count = hashlib.sha256(), 0
