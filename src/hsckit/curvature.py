@@ -334,6 +334,15 @@ def _value_and_gradient(K: tuple, V: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return _re_dot(V, Yv), 4.0 * Yv
 
 
+def _contracted(tensor: KahlerCurvatureTensor, contract) -> np.ndarray:
+    """contract(R 2^-e) 2^e, for ``_scaled``'s e, on a real array: no
+    intermediate overflows, and a value beyond the float range raises
+    FloatingPointError."""
+    R, e = _scaled(tensor.array)
+    with np.errstate(over="raise"):
+        return np.ldexp(contract(R), e)
+
+
 def hsc(tensor: KahlerCurvatureTensor, v) -> float:
     """Holomorphic sectional curvature along a direction.
 
@@ -341,22 +350,24 @@ def hsc(tensor: KahlerCurvatureTensor, v) -> float:
     vector along v, so the result is scale-invariant; v must be nonzero and
     finite (else ValueError).  Every tensor is canonical, so the contraction
     is real up to rounding and its real part is returned.  The sum is taken
-    on R 2^-e and scaled back by 2^e (``_scaled``), so no intermediate
+    on R 2^-e and scaled back by 2^e (``_contracted``), so no intermediate
     overflows; a value beyond the float range raises FloatingPointError.
     """
-    R, e = _scaled(tensor.array)
-    with np.errstate(over="raise"):
-        return float(np.ldexp(_values_batch(_quartic_matrix(R), _as_vector(v, tensor.n)[None, :])[0], e))
+    v = _as_vector(v, tensor.n)[None, :]
+    return float(_contracted(tensor, lambda R: _values_batch(_quartic_matrix(R), v)[0]))
 
 
 def ricci(tensor: KahlerCurvatureTensor) -> np.ndarray:
-    """Ricci contraction ``Ric[i,j] = sum_k R[i,j,k,k]`` (Hermitian)."""
-    return np.einsum("ijkk->ij", tensor.array)
+    """Ricci contraction ``Ric[i,j] = sum_k R[i,j,k,k]`` (Hermitian), taken
+    as ``hsc`` takes its sum: an entry beyond the float range raises
+    FloatingPointError."""
+    return _contracted(tensor, lambda R: np.einsum("ijkk->ij", R).view(float)).view(complex)
 
 
 def scalar(tensor: KahlerCurvatureTensor) -> float:
-    """Scalar curvature: trace of the Ricci contraction."""
-    return float(np.trace(ricci(tensor)).real)
+    """Scalar curvature: trace of the Ricci contraction, taken as ``hsc``
+    takes its sum."""
+    return float(_contracted(tensor, lambda R: np.trace(np.einsum("ijkk->ij", R)).real))
 
 
 def transform_frame(tensor: KahlerCurvatureTensor, U: np.ndarray) -> KahlerCurvatureTensor:

@@ -99,11 +99,11 @@ __all__ = [
     "sample_hsc",
 ]
 
-# the scale rule: the next two are relative to max(|f|, 1), and a tensor R with max |R_ijkl| < 1 is ascended as
-# R 2^-e, that max in [1/2, 1), its extremes scaled back by 2^e: exact, so R times a power of two changes only the
-# extremes' exponents, down to subnormal R; above max |R_ijkl| = 1 the tests stay absolute below |f| = 1
-_STEP_TOLERANCE = 1e-9  # relative tangent-gradient norm at which an ascent stops
-_VALUE_TOLERANCE = 1e-12  # relative gap within which two optima tie
+# the scale rule: every tensor is ascended as ``_scaled``'s R 2^-e, its largest real or imaginary part in [1/2, 1),
+# and its extremes scaled back by 2^e; tolerances are absolute there, so R times a power of two changes only the
+# extremes' exponents
+_STEP_TOLERANCE = 1e-9  # tangent-gradient norm at which an ascent stops
+_VALUE_TOLERANCE = 1e-12  # gap within which two optima tie
 _EINSTEIN_TOLERANCE = 1e-8  # largest Ricci eigenvalue spread of an Einstein tensor, over max |R_ijkl|
 _MAX_ITERS = 500  # ascent steps per start before it is reported unconverged
 _NEWTON_MAX_N = 6  # the ascent takes Newton directions for 3 <= n <= this
@@ -380,8 +380,7 @@ def _ascend(
     K: tuple, V0: np.ndarray, signs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Conjugate-gradient ascent of s f with exact great-circle line search,
-    from every row of V0 in lockstep, with s = signs[row] = +-1, and
-    tolerances relative to max(|f|, 1) (the scale rule at ``_STEP_TOLERANCE``).
+    from every row of V0 in lockstep, with s = signs[row] = +-1.
 
     The search direction is Polak-Ribiere+: d = g + beta T(d_prev) with
     beta = max(0, Re<g, g - g_prev> / |g_prev|^2) on tangent gradients,
@@ -401,13 +400,13 @@ def _ascend(
 
     Rows leave in one place, the top test of a step, which takes the
     tangent gradient norm |g_t| of each running row.  On step k a row
-    leaves with step count k when |g_t| <= ``_STEP_TOLERANCE`` max(1, |f|);
-    a row that stopped on step k - 1 leaves there too, with step count
-    k - 1 and its point, value and gradient unchanged since.  A leaving row
-    has converged when |g_t| <= 1e3 ``_STEP_TOLERANCE`` max(1, |f|), which
-    the first kind always meets.  One more pass after step ``_MAX_ITERS``
-    lets the rows that stopped on it leave; the rows still running after
-    it are capped, with ``_MAX_ITERS`` steps, and unconverged.
+    leaves with step count k when |g_t| <= ``_STEP_TOLERANCE``; a row that
+    stopped on step k - 1 leaves there too, with step count k - 1 and its
+    point, value and gradient unchanged since.  A leaving row has converged
+    when |g_t| <= 1e3 ``_STEP_TOLERANCE``, which the first kind always
+    meets.  One more pass after step ``_MAX_ITERS`` lets the rows that
+    stopped on it leave; the rows still running after it are capped, with
+    ``_MAX_ITERS`` steps, and unconverged.
 
     At a few dozen numbers per array a step costs numpy calls, not
     arithmetic, so it works only on what changes.  Running rows carry their
@@ -455,15 +454,14 @@ def _ascend(
         # Re<v, g> = 4 f by Euler's rule for the degree-4 f, and scaling by 4 is exact
         gt = g - 4.0 * f[:, None] * v
         gn = _norms(gt)
-        scale = np.maximum(1.0, np.abs(f))
         moving = ~stopped
         if step <= _MAX_ITERS:  # after the last step only the rows that stopped on it leave
-            moving &= gn > _STEP_TOLERANCE * scale
+            moving &= gn > _STEP_TOLERANCE
         if not moving.all():
             out = ~moving
             left = rows[out]
             V[left], F[left], iters[left] = v[out], f[out], step - stopped[out]
-            converged[left] = gn[out] <= 1e3 * _STEP_TOLERANCE * scale[out]
+            converged[left] = gn[out] <= 1e3 * _STEP_TOLERANCE
             rows = rows[moving]
             v, f, g, s, gt, since, fresh, g_prev, d_carried = (
                 a[moving] for a in (v, f, g, s, gt, since, fresh, g_prev, d_carried)
@@ -523,11 +521,10 @@ def _best_of_starts(
 ) -> tuple[float, Direction, bool, int]:
     """Best of the ascended values (one row per start), its direction,
     whether any start tied for it converged, and how many starts tie for it.
-    Directions tied within ``_VALUE_TOLERANCE`` max(1, |best|), by the scale
-    rule at ``_STEP_TOLERANCE``, are phase-normalized and the
+    Directions tied within ``_VALUE_TOLERANCE`` are phase-normalized and the
     lexicographically first one is reported."""
     best = float(values.max())
-    ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
+    ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE)
     W = _normalize_phases(V[ties])
     # lexsort's last key is its first: the stable order of the rows' real views
     first = np.lexsort(W.view(float).T[::-1])[0]
@@ -546,29 +543,28 @@ def extremize_hsc(
     minimum is reported as ``0.0 - best`` so that a zero minimum is +0.0.
     Non-convergence is flagged on the result, not raised, so batch runs keep
     going.  Reported argmin/argmax are phase-normalized (first nonzero
-    component real positive) and ties within a relative 1e-12 break
-    lexicographically.  By the scale rule at ``_STEP_TOLERANCE``, scaling a
-    tensor with max |R_ijkl| < 1 by a power of two scales its extremes by
-    it and changes nothing else.  A value or squared gradient beyond the
-    float range, as past max |R_ijkl| of about 1e154, raises
-    FloatingPointError.
+    component real positive) and ties within 1e-12 break lexicographically.
+    By the scale rule at ``_STEP_TOLERANCE``, scaling a tensor by a power of
+    two scales its extremes by it and changes nothing else.  An extreme
+    beyond the float range raises FloatingPointError.
     """
     starts = _start_directions(tensor.n, cfg)
     m = len(starts)
     signs = np.repeat([-1.0, 1.0], m)
-    e = min(0, int(np.frexp(np.abs(tensor.array).max())[1]))  # the scale rule at _STEP_TOLERANCE
+    R, e = _scaled(tensor.array)  # the scale rule at _STEP_TOLERANCE
     oracle_min = oracle_max = None
-    with np.errstate(over="raise"):  # the fold of K sums entries, so it is inside too
-        K = _quartic_matrix(np.ldexp(tensor.array.view(float), -e).view(complex))  # R 2^-e, as ``_unit`` scales
-        values, V, iters, converged, capped = _ascend(K, np.concatenate((starts, starts)), signs)
+    # scaling back is inside too: outside, an extreme past the float range would warn, then fail as JSON
+    with np.errstate(over="raise"):
+        values, V, iters, converged, capped = _ascend(_quartic_matrix(R), np.concatenate((starts, starts)), signs)
         neg_min, argmin, min_conv, min_ties = _best_of_starts(values[:m], V[:m], converged[:m])
         max_value, argmax, max_conv, max_ties = _best_of_starts(values[m:], V[m:], converged[m:])
+        min_value, max_value = np.ldexp([0.0 - neg_min, max_value], e).tolist()
         if cfg.oracle_samples > 0:
             oracle = sample_hsc(tensor, cfg.oracle_samples, cfg.seed)
             oracle_min, oracle_max = oracle.min_value, oracle.max_value
     return ExtremizeResult(
-        min_value=float(np.ldexp(0.0 - neg_min, e)),
-        max_value=float(np.ldexp(max_value, e)),
+        min_value=min_value,
+        max_value=max_value,
         argmin=argmin,
         argmax=argmax,
         iterations_used=int(iters.sum()),

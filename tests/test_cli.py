@@ -628,6 +628,13 @@ def test_importing_the_cli_loads_only_its_own_modules():
 
 
 HUGE_TENSOR ={"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1e308}]}
+# every entry finite, but HSC at (1, 1) / sqrt(2) is 2.25e308, the maximum
+HUGE_HSC = {
+    "n": 2,
+    "entries": [
+        {"i": i, "j": j, "k": k, "l": l, "re": 1.5e308} for i, j, k, l in ((0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 1))
+    ],
+}
 # the stated value breaks the Hermitian relation by 2e308, beyond the float range
 HUGE_VIOLATION = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0, "im": 1e308}]}
 
@@ -648,7 +655,7 @@ HUGE_VIOLATION = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0
             "ValueError: hermitian violation at orbit (0, 0, 1, 1) exceeds the float range",
             id="argv2-ValueError",
         ),
-        (["tensor", "extremize", "--input", "{huge}"], "FloatingPointError"),
+        (["tensor", "extremize", "--input", "{huge_hsc}"], "FloatingPointError"),
         pytest.param(
             ["surface", "analyze", "--H", "1e200", "--A", "1e200"],
             "ValueError: frame data too large: gamma2 overflows at H=1e+200, A=1e+200, B=0j",
@@ -662,7 +669,7 @@ HUGE_VIOLATION = {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0
     ],
 )
 def test_overflow_exits_1_with_named_error(capsys, tmp_path, argv, error, fmt):
-    files = {"huge": HUGE_TENSOR, "violation": HUGE_VIOLATION}
+    files = {"huge_hsc": HUGE_HSC, "violation": HUGE_VIOLATION}
     for name, payload in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     argv = [part.format(**{name: tmp_path / f"{name}.json" for name in files}) for part in argv]
@@ -672,13 +679,26 @@ def test_overflow_exits_1_with_named_error(capsys, tmp_path, argv, error, fmt):
     assert captured.out == ""
 
 
+def _huge_constant(scale: float) -> dict:
+    return tensor_to_dict(KahlerCurvatureTensor(constant_hsc_tensor(2, 1.0).array * scale))
+
+
 @pytest.mark.parametrize("oracle", [[], ["--oracle-samples", "100"]])
-@pytest.mark.parametrize("scale, code", [(1e308, 1), (1e150, 0)])
-def test_huge_extremize_prints_only_the_error_line(tmp_path, scale, code, oracle):
-    # folding the quartic matrix sums entries, so at 1e308 it overflows; that
-    # must raise inside the overflow guard, not warn on the way to the error
+@pytest.mark.parametrize(
+    "tensor, codes",  # the exit code without and with the oracle
+    [
+        pytest.param(HUGE_HSC, (1, 1), id="1e+308-1"),
+        # the ascent sees R 2^-e, but the oracle folds R as stated, summing entries past the float range
+        pytest.param(_huge_constant(1e308), (0, 1), id="1e+308-constant"),
+        pytest.param(_huge_constant(1e150), (0, 0), id="1e+150-0"),
+    ],
+)
+def test_huge_extremize_prints_only_the_error_line(tmp_path, tensor, codes, oracle):
+    # an overflow, of the maximum scaled back or of the oracle's fold, must
+    # raise inside the overflow guard, not warn on the way to the error
+    code = codes[bool(oracle)]
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(tensor_to_dict(KahlerCurvatureTensor(constant_hsc_tensor(2, 1.0).array * scale))))
+    path.write_text(json.dumps(tensor))
     proc = subprocess.run(
         [sys.executable, "-m", "hsckit.cli", "tensor", "extremize", "--input", str(path), "--starts", "4", *oracle],
         capture_output=True, text=True, env=_child_env(), timeout=60,
@@ -689,7 +709,9 @@ def test_huge_extremize_prints_only_the_error_line(tmp_path, scale, code, oracle
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("FloatingPointError: ")
     else:
         assert proc.stderr == ""
-        validate_payload("tensor extremize", json.loads(proc.stdout)["payload"])
+        payload = json.loads(proc.stdout)["payload"]
+        validate_payload("tensor extremize", payload)
+        assert payload["min_converged"] and payload["max_converged"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -220,6 +220,19 @@ def test_zero_tensor_contractions():
     assert scalar(T) == 0.0
 
 
+def test_ricci_and_scalar_near_the_float_range():
+    # both contract R 2^-e and scale back; summed as stated, Ric_00 = 1.5e308 + 1.5e308 - 1.5e308 read inf
+    entries = [(0, 0, 0, 0, 1.5e308), (0, 0, 1, 1, 1.5e308), (0, 0, 2, 2, -1.5e308)]
+    T = tensor_from_dict({"n": 3, "entries": [dict(zip(("i", "j", "k", "l", "re"), entry)) for entry in entries]})
+    assert np.diagonal(ricci(T)).tolist() == [1.5e308, 1.5e308, -1.5e308]
+    assert scalar(T) == 1.5e308
+    # a contraction beyond the float range raises rather than reading inf
+    with pytest.raises(FloatingPointError):
+        ricci(assemble_einstein_surface(EinsteinFramePoint(-1.5e308, -0.6e308, 0.3e308)))
+    with pytest.raises(FloatingPointError):
+        scalar(KahlerCurvatureTensor(constant_hsc_tensor(3, 1.0).array * 1e308))
+
+
 def test_ricci_is_hermitian():
     T = random_kahler_tensor(4, seed=3)
     ric = ricci(T)

@@ -38,6 +38,7 @@ from hsckit.curvature import (
     _KERNEL_ROWS,
     _quartic_matrix,
     _re_dot,
+    _scaled,
     _value_and_gradient,
     _values_batch,
 )
@@ -553,7 +554,7 @@ def _best_of_starts_loop(values: np.ndarray, V: np.ndarray, converged: np.ndarra
     each tied row phase-normalized on its own, then the first least of their
     real views as Python lists."""
     best = float(values.max())
-    ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE * max(1.0, abs(best)))
+    ties = np.flatnonzero(best - values <= _VALUE_TOLERANCE)
 
     def normalize(v):
         x = next(x for x in v if abs(x) > 1e-12)
@@ -584,7 +585,7 @@ def test_best_of_starts_matches_the_per_row_loop(n, seed, pool, best, gaps, head
     if n > 1:
         V[:, 0] *= np.resize(heads, k)
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    values = best - np.array(gaps) * _VALUE_TOLERANCE * max(1.0, abs(best))
+    values = best - np.array(gaps) * _VALUE_TOLERANCE
     converged = rng.random(k) < 0.5
     got, expected = _best_of_starts(values, V, converged), _best_of_starts_loop(values, V, converged)
     assert got[0] == expected[0] and got[2:] == expected[2:]
@@ -777,7 +778,7 @@ def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
     res = extremize_hsc(tensor, ExtremizeConfig(starts=8, seed=3))
     F, V, iters, converged, capped = ascended[0]
     signs = np.repeat([-1.0, 1.0], 8)
-    K = _quartic_matrix(tensor.array)
+    K = _quartic_matrix(_scaled(tensor.array)[0])  # the ascended R 2^-e
     assert np.all(np.abs(F - signs * _values_batch(K, V)) <= 1e-12 * np.maximum(1.0, np.abs(F)))
     assert np.all(iters[capped] == cap) and not converged[capped].any()
     assert np.all((1 <= iters) & (iters <= cap))
@@ -785,8 +786,7 @@ def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
     # tangent gradient is within 1e3 times the step tolerance
     f, g = _value_and_gradient(K, V)
     gn = _norms(signs[:, None] * g - 4.0 * (signs * f)[:, None] * V)
-    scale = np.maximum(1.0, np.abs(F))
-    assert np.array_equal(converged[~capped], (gn <= 1e3 * _STEP_TOLERANCE * scale)[~capped])
+    assert np.array_equal(converged[~capped], (gn <= 1e3 * _STEP_TOLERANCE)[~capped])
     assert res.steps == iters.max() and res.iterations_used == iters.sum()
     assert (res.min_capped, res.max_capped) == (capped[:8].sum(), capped[8:].sum())
     # step k searches every row with iters > k, and of those with iters = k
@@ -811,15 +811,17 @@ def test_rows_leave_with_their_state_and_step_count(case, cap, monkeypatch):
         # a row that stops on the last step leaves uncapped, under the rule
         # above; a row first found stationary after it stays capped
         assert np.sum((iters == cap) & ~capped) == 1 and converged[~capped].all()
-        assert np.sum(capped & (gn <= _STEP_TOLERANCE * scale)) == 2
+        assert np.sum(capped & (gn <= _STEP_TOLERANCE)) == 2
 
 
-@pytest.mark.parametrize("c", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("c", [1e-6, 1e-9, 1e-12, 1e6, 1e10, 1e160])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_extremes_scale_with_the_tensor(n, c):
-    # the stopping and tie tests are relative down to the tensor's own size;
-    # relative only down to |f| = 1, every start of the 1e-12 tensors stopped
-    # at step 1, 1.7e-2 to 1.7 relative off its extreme, and reported converged
+    # the stopping and tie tests are absolute on the ascended R 2^-e, so they
+    # hold at the tensor's own size; relative only down to |f| = 1, every start
+    # of the 1e-12 tensors stopped at step 1, 1.7e-2 to 1.7 relative off its
+    # extreme, and reported converged, and scaling only down, the 1e160
+    # tensors overflowed the squared gradient norm
     T = random_kahler_tensor(n, seed=5)
     cfg = ExtremizeConfig(starts=16)
     res, scaled = extremize_hsc(T, cfg), extremize_hsc(KahlerCurvatureTensor(c * T.array), cfg)
@@ -827,6 +829,12 @@ def test_extremes_scale_with_the_tensor(n, c):
     assert scaled.max_value == pytest.approx(c * res.max_value, rel=1e-14, abs=0.0)
     assert (scaled.min_starts_at_best, scaled.max_starts_at_best) == (res.min_starts_at_best, res.max_starts_at_best)
     assert scaled.converged and res.converged
+    # T less its top HSC times the constant tensor has its maximum near 0; with
+    # an absolute test on the unscaled tensor, 1e10 times it (and 1e6 at n = 4)
+    # stopped unconverged, as |g_t| could not reach 1e-9
+    top = extremize_hsc(T).max_value
+    near_zero = KahlerCurvatureTensor(c * (T.array - top * constant_hsc_tensor(n, 1.0).array))
+    assert extremize_hsc(near_zero, cfg).converged
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -843,17 +851,16 @@ def test_tiny_tensors_ascend_as_their_unscaled_twins(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_power_of_two_scaling_changes_only_the_extremes_exponents(n):
-    # the ascent sees R 2^-e, with max |R_ijkl| in [1/2, 1), for every tensor
-    # R below 1, so R 2^-k gives the same payload bit for bit, its extremes
-    # times 2^-k; with tests relative to min(1, max |R_ijkl|), n = 4-6 changed
-    # their step counts at k = 1, 2 or 10, and every start stopped at step 1
-    # at k = 600
+    # the ascent sees ``_scaled``'s R 2^-e, its largest part in [1/2, 1), for
+    # every tensor R, so R 2^k gives the same payload bit for bit, its extremes
+    # times 2^k; rescaling only tensors below 1, n = 2 and 4-6 changed their
+    # directions or step counts at some k, and k = 600 overflowed the squared
+    # gradient norm at every n
     T = random_kahler_tensor(n, seed=0)
-    R = np.ldexp(T.array.view(float), -1 - int(np.frexp(np.abs(T.array).max())[1]))  # max |R_ijkl| < 1/2
-    base = extremize_hsc(KahlerCurvatureTensor(R.view(complex))).to_payload()
-    for k in (1, 2, 10, 600):
-        got = extremize_hsc(KahlerCurvatureTensor(np.ldexp(R, -k).view(complex))).to_payload()
-        extremes = {side: float(np.ldexp(base[side], -k)) for side in ("min_value", "max_value")}
+    base = extremize_hsc(T).to_payload()
+    for k in (-600, -10, -2, -1, 1, 2, 10, 600):
+        got = extremize_hsc(KahlerCurvatureTensor(np.ldexp(T.array.view(float), k).view(complex))).to_payload()
+        extremes = {side: float(np.ldexp(base[side], k)) for side in ("min_value", "max_value")}
         assert json.dumps(got) == json.dumps({**base, **extremes})
 
 

@@ -10,12 +10,14 @@ points, as assembled and in a rotated frame; Gaussian tensors at n = 1-8;
 constant-HSC tensors, the quadrics Q^3 and Q^5 and the Grassmannians
 Gr(2, 2) and Gr(2, 3); 300 sparse tensors (n 3-6, 1-5 orbits with small
 integer values, ``default_rng(0)``, redrawn where the canonical tensor is
-zero); and two Gaussian tensors, n = 3 and 6, scaled by powers of two to
-max |R_ijkl| in [2^-602, 2^-601).  Each tensor is extremized with 8 and 16
-starts, at the default step cap and at caps 2 and 5 (set through
-``hsckit.extremize._MAX_ITERS``).  Each payload is serialized as sorted-key
-JSON, whose floats are exact round-trip reprs, one line each, so two
-checkouts print the same digest exactly when every payload is
+zero); and two Gaussian tensors, n = 3 and 6, each scaled by powers of two
+to max |R_ijkl| in [2^-602, 2^-601) and to max |R_ijkl| in [2^598, 2^599),
+so the corpus scales tensors both down and up to the range that the scale
+rule at ``extremize._STEP_TOLERANCE`` ascends.  Each tensor is extremized
+with 8 and 16 starts, at the default step cap and at caps 2 and 5 (set
+through ``hsckit.extremize._MAX_ITERS``).  Each payload is serialized as
+sorted-key JSON, whose floats are exact round-trip reprs, one line each, so
+two checkouts print the same digest exactly when every payload is
 byte-identical.
 The last line of output is the digest; the line before it counts payloads.
 
@@ -131,13 +133,14 @@ def sparse_tensors(count: int):
             yield tensor
 
 
-def tiny_tensors():
+def scaled_tensors():
     rng = np.random.default_rng(20233)
-    for n in (3, 6):  # max |R_ijkl| below 1/2, then times 2^-600
+    for n in (3, 6):  # max |R_ijkl| below 1/2, then times 2^-600 and times 2^600
         shape = (n,) * 4
         R = hsckit.KahlerCurvatureTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).array
         exponent = int(np.frexp(np.abs(R).max())[1])
-        yield hsckit.KahlerCurvatureTensor(np.ldexp(R.view(float), -601 - exponent).view(complex))
+        for k in (-600, 600):
+            yield hsckit.KahlerCurvatureTensor(np.ldexp(R.view(float), k - 1 - exponent).view(complex))
 
 
 def corpus():
@@ -146,7 +149,7 @@ def corpus():
     yield from gaussian_tensors(rng, 3)
     yield from special_tensors()
     yield from sparse_tensors(300)
-    yield from tiny_tensors()
+    yield from scaled_tensors()
 
 
 def cli_inputs(directory: Path) -> dict:
