@@ -1,4 +1,5 @@
-"""Settings the CLI parser reads for every command, kept free of numpy.
+"""Settings the CLI parser reads for every command, kept free of numpy and
+``dataclasses``.
 
 ``curvature`` re-exports ``SYMMETRY_TOL``, ``extremize`` ``ExtremizeConfig``
 and ``rootsys`` ``FAMILIES``, which is where they are public, and
@@ -8,7 +9,7 @@ loads none of those modules, and a command loads only the ones it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SYMMETRY_TOL = 1e-9
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -20,22 +21,31 @@ _MAX_STARTS = 4096
 _MAX_ORACLE_SAMPLES = 1 << 24  # 16,384 kernel blocks: about 16 s at n = 6
 
 
-@dataclass(frozen=True)
-class ExtremizeConfig:
-    """Starts, seed and oracle samples of ``extremize_hsc``; each ascent stops at ``extremize._MAX_ITERS`` = 500."""
-
+# a NamedTuple body cannot define __new__, so the checks live in a subclass
+class _ExtremizeFields(NamedTuple):
     starts: int = 32
     seed: int = 0
     oracle_samples: int = 0
 
-    def __post_init__(self):
-        if self.starts < 1:
+
+class ExtremizeConfig(_ExtremizeFields):
+    """Starts, seed and oracle samples of ``extremize_hsc``; each ascent stops at ``extremize._MAX_ITERS`` = 500."""
+
+    __slots__ = ()
+
+    def __new__(cls, starts=32, seed=0, oracle_samples=0):
+        if starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.starts > _MAX_STARTS:
+        if starts > _MAX_STARTS:
             raise ValueError(f"starts must be <= {_MAX_STARTS}")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.oracle_samples < 0:
+        if oracle_samples < 0:
             raise ValueError("oracle_samples must be >= 0")
-        if self.oracle_samples > _MAX_ORACLE_SAMPLES:
+        if oracle_samples > _MAX_ORACLE_SAMPLES:
             raise ValueError(f"oracle_samples must be <= {_MAX_ORACLE_SAMPLES}")
+        return super().__new__(cls, starts, seed, oracle_samples)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it checks too
+        return cls(*iterable)

@@ -22,7 +22,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -84,9 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("tensor validate", "tensor extremize"):
         sub[name].add_argument("--input", required=True, type=Path, help="tensor JSON file")
     sub["tensor validate"].add_argument("--tolerance", type=float, default=SYMMETRY_TOL)
-    for field in fields(ExtremizeConfig):
-        flag = "--" + field.name.replace("_", "-")
-        sub["tensor extremize"].add_argument(flag, type=type(field.default), default=field.default)
+    for name, default in ExtremizeConfig._field_defaults.items():
+        sub["tensor extremize"].add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
     source = sub["geography check"].add_mutually_exclusive_group(required=True)
     source.add_argument("--builtin", action="store_true", help="use the published family catalog")
@@ -226,7 +224,7 @@ def _run_tensor_extremize(args) -> tuple[dict, list[str]]:
     from .extremize import extremize_hsc
 
     _, tensor, warnings = _load_tensor(args.input, SYMMETRY_TOL)
-    cfg = ExtremizeConfig(**{f.name: getattr(args, f.name) for f in fields(ExtremizeConfig)})
+    cfg = ExtremizeConfig(*(getattr(args, name) for name in ExtremizeConfig._fields))
     result = extremize_hsc(tensor, cfg)
     if not result.converged:
         warnings.append("optimizer did not converge; values are best-so-far")

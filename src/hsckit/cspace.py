@@ -11,7 +11,7 @@ mismatch with explicit witness roots instead of reconciling it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NodeOutOfRange
 from .rootsys import LieType, Root, RootSystem, positive_roots
@@ -39,25 +39,30 @@ _PUBLISHED_EXCEPTIONAL_POSITIVE: dict[tuple[str, int], tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class CSpaceDescriptor:
-    """A simple Lie type with one marked simple root (1-based node)."""
-
+class _CSpaceDescriptorFields(NamedTuple):
     lie_type: LieType
     node: int
 
-    def __post_init__(self):
-        if not 1 <= self.node <= self.lie_type.rank:
-            raise NodeOutOfRange(
-                f"node {self.node} out of range 1..{self.lie_type.rank} for {self.lie_type}"
-            )
+
+class CSpaceDescriptor(_CSpaceDescriptorFields):
+    """A simple Lie type with one marked simple root (1-based node)."""
+
+    __slots__ = ()
+
+    def __new__(cls, lie_type, node):
+        if not 1 <= node <= lie_type.rank:
+            raise NodeOutOfRange(f"node {node} out of range 1..{lie_type.rank} for {lie_type}")
+        return super().__new__(cls, lie_type, node)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it checks too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"({self.lie_type}, alpha_{self.node})"
 
 
-@dataclass(frozen=True, eq=False)
-class CSpaceVerdict:
+class CSpaceVerdict(NamedTuple):
     """Level census at the marked node and the resulting positivity verdict.
 
     ``level_census`` maps k >= 1 to |Delta_r^+(k)|.  ``evidence`` lists the
@@ -69,7 +74,7 @@ class CSpaceVerdict:
     level_census: dict[int, int]
     max_level: int
     itoh_positive: bool
-    evidence: tuple[Root, ...] = field(default=())
+    evidence: tuple[Root, ...] = ()
 
     def to_payload(self) -> dict:
         """JSON-ready dict: {family, rank, node, census, max_level, positive, evidence}."""
@@ -122,8 +127,7 @@ def classify_all(lie_type: LieType) -> list[CSpaceVerdict]:
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     """One descriptor compared against the published classification."""
 
     verdict: CSpaceVerdict

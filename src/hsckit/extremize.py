@@ -177,15 +177,18 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
     ``_sample_unit_sphere``'s stream are evaluated as f(z) / |z|^4 = f(z / |z|)
     and reduced to their min, max and sum one ``_KERNEL_ROWS`` block at a
     time, in buffers allocated once per call, so memory stays at one block
-    and results do not depend on memory pressure or parallelism.  Overflow
+    and results do not depend on memory pressure or parallelism.  By the
+    scale rule, the rows are folded from ``_scaled``'s R 2^-e and the min,
+    max and mean scaled back by 2^e, so only a value beyond the float range
     raises FloatingPointError.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi, total = np.inf, -np.inf, np.float64(0.0)
+    R, e = _scaled(tensor.array)
     with np.errstate(over="raise", invalid="raise"):  # total is a numpy scalar, so its overflow raises too
-        K = _quartic_matrix(tensor.array)
+        K = _quartic_matrix(R)
         X, Y = np.empty((2, min(m, _KERNEL_ROWS), len(K[0])), dtype=complex)
         Z, vals, q = np.empty((len(X), 2 * tensor.n)), np.empty(len(X)), np.empty(len(X))
         for done in range(0, m, _KERNEL_ROWS):
@@ -198,7 +201,8 @@ def sample_hsc(tensor: KahlerCurvatureTensor, m: int, seed: int = 0) -> SampleRe
             lo = min(lo, float(v[v.argmin()]))
             hi = max(hi, float(v[v.argmax()]))
             total += v.sum()
-    return SampleResult(min_value=lo, max_value=hi, mean=float(total) / m, samples=m)
+        lo, hi, mean = np.ldexp([lo, hi, float(total) / m], e).tolist()
+    return SampleResult(min_value=lo, max_value=hi, mean=mean, samples=m)
 
 
 def _normalize_phases(V: np.ndarray) -> np.ndarray:

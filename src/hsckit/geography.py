@@ -25,7 +25,7 @@ inconsistency flag, never a correction.  The catalog is an audit instrument.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._config import _C2_BOUND
 from .errors import MissingChernNumbers
@@ -56,15 +56,7 @@ def noether_fill(pg: int, q: int, K2: int) -> tuple[int, int]:
     return K2, 12 * chi - K2
 
 
-@dataclass(frozen=True)
-class SurfaceRecord:
-    """One surface family with stated Chern numbers and optional invariants.
-
-    If pg, q and K2 are all present and the Noether completion disagrees
-    with the stated (c1sq, c2), a ``noether-mismatch`` flag is appended
-    automatically; the stated numbers are kept as given.
-    """
-
+class _SurfaceRecordFields(NamedTuple):
     name: str
     c1sq: int | None
     c2: int | None
@@ -72,22 +64,34 @@ class SurfaceRecord:
     q: int | None = None
     K2: int | None = None
     source: str = ""
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "flags", tuple(self.flags))
-        if self.pg is None or self.q is None or self.K2 is None:
-            return
-        filled = noether_fill(self.pg, self.q, self.K2)
-        if (self.c1sq, self.c2) != filled and not any(
-            f.startswith(_NOETHER_FLAG) for f in self.flags
-        ):
-            note = (
-                f"{_NOETHER_FLAG}: stated (c1sq={self.c1sq}, c2={self.c2}) vs "
-                f"completion from (pg={self.pg}, q={self.q}, K2={self.K2}) -> "
-                f"(c1sq={filled[0]}, c2={filled[1]})"
-            )
-            object.__setattr__(self, "flags", self.flags + (note,))
+
+class SurfaceRecord(_SurfaceRecordFields):
+    """One surface family with stated Chern numbers and optional invariants.
+
+    If pg, q and K2 are all present and the Noether completion disagrees
+    with the stated (c1sq, c2), a ``noether-mismatch`` flag is appended
+    automatically; the stated numbers are kept as given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name, c1sq, c2, pg=None, q=None, K2=None, source="", flags=()):
+        flags = tuple(flags)
+        if pg is not None and q is not None and K2 is not None:
+            filled = noether_fill(pg, q, K2)
+            if (c1sq, c2) != filled and not any(f.startswith(_NOETHER_FLAG) for f in flags):
+                flags += (
+                    f"{_NOETHER_FLAG}: stated (c1sq={c1sq}, c2={c2}) vs "
+                    f"completion from (pg={pg}, q={q}, K2={K2}) -> "
+                    f"(c1sq={filled[0]}, c2={filled[1]})",
+                )
+        return super().__new__(cls, name, c1sq, c2, pg, q, K2, source, flags)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it checks too
+        return cls(*iterable)
 
     def to_payload(self) -> dict:
         payload: dict = {"name": self.name, "c1sq": self.c1sq, "c2": self.c2}
@@ -126,8 +130,7 @@ class SurfaceRecord:
         return cls(name=fields["name"], source=fields["source"], flags=tuple(flags), **numbers)
 
 
-@dataclass(frozen=True)
-class GeographyVerdict:
+class GeographyVerdict(NamedTuple):
     """Chern bound decision for one record: passes iff margin =
     ``_C2_BOUND`` c1^2 - c2 >= 0.
 

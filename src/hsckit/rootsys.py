@@ -28,9 +28,8 @@ oracle on the algorithm (and vice versa).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._config import FAMILIES
 from .errors import InadmissibleRank
@@ -54,38 +53,43 @@ _MAX_RANK = 12
 Root = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LieType:
-    """A simple Lie type: family letter plus rank."""
-
+class _LieTypeFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InadmissibleRank(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
-            )
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise InadmissibleRank(f"rank must be a positive integer, got {self.rank!r}")
+
+class LieType(_LieTypeFields):
+    """A simple Lie type: family letter plus rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, family, rank):
+        if family not in FAMILIES:
+            raise InadmissibleRank(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if not isinstance(rank, int) or rank < 1:
+            raise InadmissibleRank(f"rank must be a positive integer, got {rank!r}")
         ok = {
-            "A": self.rank >= 1,
-            "B": self.rank >= 2,
-            "C": self.rank >= 2,
-            "D": self.rank >= 3,
-            "E": self.rank in (6, 7, 8),
-            "F": self.rank == 4,
-            "G": self.rank == 2,
-        }[self.family]
+            "A": rank >= 1,
+            "B": rank >= 2,
+            "C": rank >= 2,
+            "D": rank >= 3,
+            "E": rank in (6, 7, 8),
+            "F": rank == 4,
+            "G": rank == 2,
+        }[family]
         if not ok:
-            raise InadmissibleRank(f"{self.family}{self.rank} is not an admissible type")
+            raise InadmissibleRank(f"{family}{rank} is not an admissible type")
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it checks too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Enumerated positive roots of a simple type.
 
     ``positive_roots`` is sorted graded-lexicographically (height, then

@@ -17,7 +17,6 @@ data off a tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FrameConstraintViolated, RegimeViolation
@@ -25,8 +24,13 @@ from .errors import FrameConstraintViolated, RegimeViolation
 __all__ = ["EinsteinFramePoint", "SurfaceMax", "chern_weil", "max_hsc_surface", "sufficient_negativity"]
 
 
-@dataclass(frozen=True)
-class EinsteinFramePoint:
+class _FramePointFields(NamedTuple):
+    H: float
+    A: float
+    B: complex = 0.0
+
+
+class EinsteinFramePoint(_FramePointFields):
     """Distinguished-frame data (H, A, B) of a Kähler-Einstein surface point.
 
     ``H`` is the HSC minimum ``R_{1 1bar 1 1bar}``, ``A = R_{1 1bar 2 2bar}``
@@ -35,25 +39,22 @@ class EinsteinFramePoint:
     values, and a B whose modulus overflows, raise ValueError.
     """
 
-    H: float
-    A: float
-    B: complex = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "H", float(self.H))
-        object.__setattr__(self, "A", float(self.A))
-        object.__setattr__(self, "B", complex(self.B))
-        if not all(map(math.isfinite, (self.H, self.A, self.B.real, self.B.imag))):
-            raise ValueError(
-                f"frame data must be finite: H={self.H}, A={self.A}, B={self.B}"
-            )
-        if math.hypot(self.B.real, self.B.imag) == math.inf:  # where abs(self.B) raises OverflowError
-            raise ValueError(f"frame data too large: |B| overflows at H={self.H}, A={self.A}, B={self.B}")
-        slack = 1e-12 * max(1.0, abs(self.H), abs(self.A), abs(self.B))
-        if 2 * self.A + slack < self.H + abs(self.B):
-            raise FrameConstraintViolated(
-                f"2A >= H + |B| fails: H={self.H}, A={self.A}, |B|={abs(self.B)}"
-            )
+    def __new__(cls, H, A, B=0.0):
+        H, A, B = float(H), float(A), complex(B)
+        if not all(map(math.isfinite, (H, A, B.real, B.imag))):
+            raise ValueError(f"frame data must be finite: H={H}, A={A}, B={B}")
+        if math.hypot(B.real, B.imag) == math.inf:  # where abs(B) raises OverflowError
+            raise ValueError(f"frame data too large: |B| overflows at H={H}, A={A}, B={B}")
+        slack = 1e-12 * max(1.0, abs(H), abs(A), abs(B))
+        if 2 * A + slack < H + abs(B):
+            raise FrameConstraintViolated(f"2A >= H + |B| fails: H={H}, A={A}, |B|={abs(B)}")
+        return super().__new__(cls, H, A, B)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it checks too
+        return cls(*iterable)
 
     @property
     def einstein_constant(self) -> float:

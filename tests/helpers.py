@@ -6,6 +6,14 @@ import numpy as np
 
 from hsckit import EinsteinFramePoint, KahlerCurvatureTensor, NodeOutOfRange, Root, RootSystem
 
+# every entry finite, but HSC at (1, 1) / sqrt(2) is 2.25e308, the maximum
+HUGE_HSC = {
+    "n": 2,
+    "entries": [
+        {"i": i, "j": j, "k": k, "l": l, "re": 1.5e308} for i, j, k, l in ((0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 1))
+    ],
+}
+
 
 def hsc_bruteforce(tensor: KahlerCurvatureTensor, v) -> float:
     """Independent HSC oracle: explicit quadruple loop, no einsum."""

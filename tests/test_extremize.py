@@ -61,6 +61,7 @@ from hsckit.extremize import (
     _trig_eval,
 )
 from helpers import (
+    HUGE_HSC,
     best_of_starts_serial,
     grassmannian_tensor,
     hsc_bruteforce,
@@ -957,12 +958,18 @@ def test_sample_matches_explicit_unit_rows():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_sample_overflow_raises():
+    with pytest.raises(FloatingPointError, match="overflow encountered in ldexp"):
+        sample_hsc(tensor_from_dict(HUGE_HSC), 65_536)
+
+
 @pytest.mark.parametrize("scale", [1e305, 1e308])
-def test_sample_overflow_raises(scale):
-    # at 1e305 every value fits but the sum of 65,536 does not; at 1e308 the
-    # fold of the quartic matrix overflows
-    with pytest.raises(FloatingPointError):
-        sample_hsc(KahlerCurvatureTensor(constant_hsc_tensor(3, 1.0).array * scale), 65_536)
+def test_sample_scales_huge_values_back(scale):
+    # as stated, the sum of 65,536 values overflows at 1e305 and the fold of
+    # the quartic matrix at 1e308; folded from R 2^-e, neither does
+    res = sample_hsc(KahlerCurvatureTensor(constant_hsc_tensor(3, 1.0).array * scale), 65_536)
+    for value in (res.min_value, res.max_value, res.mean):
+        assert value == pytest.approx(scale, rel=1e-14)
 
 
 def test_sample_memory_stays_at_one_kernel_block():

@@ -83,6 +83,60 @@ def test_public_classes_and_functions_have_written_docstrings(short):
             assert doc.strip() and not doc.startswith(f"{name}("), name
 
 
+def _records() -> list:
+    """One instance of each record the numpy-free modules declare."""
+    a2 = hsckit.LieType("A", 2)
+    verdict = hsckit.itoh_positive(hsckit.CSpaceDescriptor(a2, 1))
+    record = hsckit.SurfaceRecord("Godeaux", 1, 11, pg=0, q=0, K2=1)
+    return [
+        hsckit.ExtremizeConfig(),
+        a2,
+        hsckit.positive_roots(a2),
+        verdict.descriptor,
+        verdict,
+        hsckit.AuditEntry(verdict),
+        record,
+        hsckit.check_inequality(record),
+        hsckit.EinsteinFramePoint(-1.0, 0.0),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize("cls", [type(record) for record in _records()], ids=lambda cls: cls.__name__)
+def test_record_constructors_take_the_fields_and_defaults(cls):
+    params = inspect.signature(cls).parameters.values()
+    assert [p.name for p in params] == list(cls._fields)
+    assert {p.name: p.default for p in params if p.default is not p.empty} == cls._field_defaults
+
+
+@pytest.mark.parametrize(
+    "record, change, error",
+    [
+        (hsckit.ExtremizeConfig(), {"starts": 0}, ValueError),
+        (hsckit.LieType("A", 2), {"rank": 0}, hsckit.InadmissibleRank),
+        (hsckit.CSpaceDescriptor(hsckit.LieType("A", 2), 1), {"node": 3}, hsckit.NodeOutOfRange),
+        (hsckit.EinsteinFramePoint(-1.0, 0.0), {"A": -5.0}, hsckit.FrameConstraintViolated),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, tuple) else None,
+)
+def test_replace_checks_as_the_constructor_does(record, change, error):
+    with pytest.raises(error):
+        record._replace(**change)
+
+
+def test_replace_notes_a_noether_mismatch():
+    record = hsckit.SurfaceRecord("Godeaux", 1, 11, pg=0, q=0, K2=1)._replace(c2=12, flags=[])
+    assert record.flags == ("noether-mismatch: stated (c1sq=1, c2=12) vs completion from (pg=0, q=0, K2=1) -> (c1sq=1, c2=11)",)
+
+
 def quickstart_script(readme: str) -> str:
     """The README's Library quickstart block as a script: a line commented
     ``# True`` or ``# False`` asserts that value, and one commented ``# ==
