@@ -1,10 +1,14 @@
-"""Settings the CLI parser reads for every command, kept free of numpy and
-``dataclasses``.
+"""Settings the CLI parser reads for every command, and the checked-record
+rule, kept free of numpy and ``dataclasses``.
 
 ``curvature`` re-exports ``SYMMETRY_TOL``, ``extremize`` ``ExtremizeConfig``
 and ``rootsys`` ``FAMILIES``, which is where they are public, and
 ``geography`` reads ``_C2_BOUND``; they live here so that building the parser
 loads none of those modules, and a command loads only the ones it runs.
+``_checked`` makes a ``NamedTuple`` run its ``_check`` whenever a record is
+built, and ``_is_int`` is the integer rule of those checks; the checked
+records of ``rootsys``, ``cspace``, ``geography`` and ``surface`` take them
+from here.
 """
 
 from __future__ import annotations
@@ -21,31 +25,50 @@ _MAX_STARTS = 4096
 _MAX_ORACLE_SAMPLES = 1 << 24  # 16,384 kernel blocks: about 16 s at n = 6
 
 
-# a NamedTuple body cannot define __new__, so the checks live in a subclass
-class _ExtremizeFields(NamedTuple):
+def _is_int(value) -> bool:
+    """The integer rule of every checked integer field: an ``int``, and not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(cls):
+    """A ``NamedTuple`` that checks itself when built, ``_replace``d or unpickled.
+
+    The constructor takes the declared fields and defaults, builds the
+    record and hands it to ``cls._check``, which raises or returns the field
+    values to store (``self`` to keep them).  A NamedTuple body cannot define
+    ``__new__``, so this sets one on the class, and points ``_make`` (which
+    ``_replace`` calls) at it.  It is written out for the fields, as
+    ``namedtuple`` writes its own, so that building a record costs no second
+    Python call forwarding ``*args, **kwargs``.
+    """
+    fields = ", ".join(cls._fields)
+    scope = {"_check": cls._check, "_new": tuple.__new__, "__name__": cls.__module__}
+    exec(f"def __new__(_cls, {fields}):\n"
+         f"    _record = _new(_cls, ({fields},))\n"
+         "    _values = _check(_record)\n"
+         "    return _record if _values is _record else _new(_cls, _values)", scope)
+    __new__ = scope["__new__"]
+    __new__.__defaults__, __new__.__qualname__ = cls.__new__.__defaults__, f"{cls.__name__}.__new__"
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: __new__(cls, *iterable))
+    return cls
+
+
+@_checked
+class ExtremizeConfig(NamedTuple):
+    """Starts, seed and oracle samples of ``extremize_hsc``; each ascent stops at ``extremize._MAX_ITERS`` = 500."""
+
     starts: int = 32
     seed: int = 0
     oracle_samples: int = 0
 
-
-class ExtremizeConfig(_ExtremizeFields):
-    """Starts, seed and oracle samples of ``extremize_hsc``; each ascent stops at ``extremize._MAX_ITERS`` = 500."""
-
-    __slots__ = ()
-
-    def __new__(cls, starts=32, seed=0, oracle_samples=0):
-        if starts < 1:
-            raise ValueError("starts must be >= 1")
-        if starts > _MAX_STARTS:
-            raise ValueError(f"starts must be <= {_MAX_STARTS}")
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
-        if oracle_samples < 0:
-            raise ValueError("oracle_samples must be >= 0")
-        if oracle_samples > _MAX_ORACLE_SAMPLES:
-            raise ValueError(f"oracle_samples must be <= {_MAX_ORACLE_SAMPLES}")
-        return super().__new__(cls, starts, seed, oracle_samples)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make, so it checks too
-        return cls(*iterable)
+    def _check(self):
+        bounds = ((1, _MAX_STARTS), (0, float("inf")), (0, _MAX_ORACLE_SAMPLES))
+        for name, value, (low, high) in zip(self._fields, self, bounds):
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+            if value > high:
+                raise ValueError(f"{name} must be <= {high}")
+        return self

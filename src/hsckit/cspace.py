@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ._config import _checked, _is_int
 from .errors import NodeOutOfRange
 from .rootsys import LieType, Root, RootSystem, positive_roots
 
@@ -39,24 +40,20 @@ _PUBLISHED_EXCEPTIONAL_POSITIVE: dict[tuple[str, int], tuple[int, ...]] = {
 }
 
 
-class _CSpaceDescriptorFields(NamedTuple):
+@_checked
+class CSpaceDescriptor(NamedTuple):
+    """A simple Lie type with one marked simple root (1-based node)."""
+
     lie_type: LieType
     node: int
 
-
-class CSpaceDescriptor(_CSpaceDescriptorFields):
-    """A simple Lie type with one marked simple root (1-based node)."""
-
-    __slots__ = ()
-
-    def __new__(cls, lie_type, node):
+    def _check(self):
+        lie_type, node = self
+        if not _is_int(node):
+            raise NodeOutOfRange(f"node must be an integer, got {node!r}")
         if not 1 <= node <= lie_type.rank:
             raise NodeOutOfRange(f"node {node} out of range 1..{lie_type.rank} for {lie_type}")
-        return super().__new__(cls, lie_type, node)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make, so it checks too
-        return cls(*iterable)
+        return self
 
     def __str__(self) -> str:
         return f"({self.lie_type}, alpha_{self.node})"

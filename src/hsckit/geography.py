@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from ._config import _C2_BOUND
+from ._config import _C2_BOUND, _checked, _is_int
 from .errors import MissingChernNumbers
 
 __all__ = [
@@ -56,7 +56,15 @@ def noether_fill(pg: int, q: int, K2: int) -> tuple[int, int]:
     return K2, 12 * chi - K2
 
 
-class _SurfaceRecordFields(NamedTuple):
+@_checked
+class SurfaceRecord(NamedTuple):
+    """One surface family with stated Chern numbers and optional invariants.
+
+    If pg, q and K2 are all present and the Noether completion disagrees
+    with the stated (c1sq, c2), a ``noether-mismatch`` flag is appended
+    automatically; the stated numbers are kept as given.
+    """
+
     name: str
     c1sq: int | None
     c2: int | None
@@ -66,18 +74,8 @@ class _SurfaceRecordFields(NamedTuple):
     source: str = ""
     flags: tuple[str, ...] = ()
 
-
-class SurfaceRecord(_SurfaceRecordFields):
-    """One surface family with stated Chern numbers and optional invariants.
-
-    If pg, q and K2 are all present and the Noether completion disagrees
-    with the stated (c1sq, c2), a ``noether-mismatch`` flag is appended
-    automatically; the stated numbers are kept as given.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, name, c1sq, c2, pg=None, q=None, K2=None, source="", flags=()):
+    def _check(self):
+        _, c1sq, c2, pg, q, K2, _, flags = self
         flags = tuple(flags)
         if pg is not None and q is not None and K2 is not None:
             filled = noether_fill(pg, q, K2)
@@ -87,11 +85,7 @@ class SurfaceRecord(_SurfaceRecordFields):
                     f"completion from (pg={pg}, q={q}, K2={K2}) -> "
                     f"(c1sq={filled[0]}, c2={filled[1]})",
                 )
-        return super().__new__(cls, name, c1sq, c2, pg, q, K2, source, flags)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make, so it checks too
-        return cls(*iterable)
+        return self if flags is self.flags else (*self[:-1], flags)
 
     def to_payload(self) -> dict:
         payload: dict = {"name": self.name, "c1sq": self.c1sq, "c2": self.c2}
@@ -120,8 +114,7 @@ class SurfaceRecord(_SurfaceRecordFields):
 
         numbers = {key: fields.get(key) for key in ("c1sq", "c2", "pg", "q", "K2")}
         for key, value in numbers.items():
-            is_int = isinstance(value, int) and not isinstance(value, bool)
-            require(key, value is None or is_int, "an integer or null")
+            require(key, value is None or _is_int(value), "an integer or null")
         for key in ("name", "source"):
             require(key, isinstance(fields.get(key), str), "a string")
         flags = fields["flags"]

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from ._config import FAMILIES
+from ._config import FAMILIES, _checked, _is_int
 from .errors import InadmissibleRank
 
 __all__ = [
@@ -53,20 +53,18 @@ _MAX_RANK = 12
 Root = tuple[int, ...]
 
 
-class _LieTypeFields(NamedTuple):
+@_checked
+class LieType(NamedTuple):
+    """A simple Lie type: family letter plus rank."""
+
     family: str
     rank: int
 
-
-class LieType(_LieTypeFields):
-    """A simple Lie type: family letter plus rank."""
-
-    __slots__ = ()
-
-    def __new__(cls, family, rank):
+    def _check(self):
+        family, rank = self
         if family not in FAMILIES:
             raise InadmissibleRank(f"unknown family {family!r}; expected one of {FAMILIES}")
-        if not isinstance(rank, int) or rank < 1:
+        if not _is_int(rank) or rank < 1:
             raise InadmissibleRank(f"rank must be a positive integer, got {rank!r}")
         ok = {
             "A": rank >= 1,
@@ -79,11 +77,7 @@ class LieType(_LieTypeFields):
         }[family]
         if not ok:
             raise InadmissibleRank(f"{family}{rank} is not an admissible type")
-        return super().__new__(cls, family, rank)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make, so it checks too
-        return cls(*iterable)
+        return self
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -19,18 +19,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from ._config import _checked
 from .errors import FrameConstraintViolated, RegimeViolation
 
 __all__ = ["EinsteinFramePoint", "SurfaceMax", "chern_weil", "max_hsc_surface", "sufficient_negativity"]
 
 
-class _FramePointFields(NamedTuple):
-    H: float
-    A: float
-    B: complex = 0.0
-
-
-class EinsteinFramePoint(_FramePointFields):
+@_checked
+class EinsteinFramePoint(NamedTuple):
     """Distinguished-frame data (H, A, B) of a Kähler-Einstein surface point.
 
     ``H`` is the HSC minimum ``R_{1 1bar 1 1bar}``, ``A = R_{1 1bar 2 2bar}``
@@ -39,10 +35,12 @@ class EinsteinFramePoint(_FramePointFields):
     values, and a B whose modulus overflows, raise ValueError.
     """
 
-    __slots__ = ()
+    H: float
+    A: float
+    B: complex = 0.0
 
-    def __new__(cls, H, A, B=0.0):
-        H, A, B = float(H), float(A), complex(B)
+    def _check(self):
+        H, A, B = float(self.H), float(self.A), complex(self.B)
         if not all(map(math.isfinite, (H, A, B.real, B.imag))):
             raise ValueError(f"frame data must be finite: H={H}, A={A}, B={B}")
         if math.hypot(B.real, B.imag) == math.inf:  # where abs(B) raises OverflowError
@@ -50,11 +48,7 @@ class EinsteinFramePoint(_FramePointFields):
         slack = 1e-12 * max(1.0, abs(H), abs(A), abs(B))
         if 2 * A + slack < H + abs(B):
             raise FrameConstraintViolated(f"2A >= H + |B| fails: H={H}, A={A}, |B|={abs(B)}")
-        return super().__new__(cls, H, A, B)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make, so it checks too
-        return cls(*iterable)
+        return H, A, B
 
     @property
     def einstein_constant(self) -> float:

@@ -47,6 +47,9 @@ def test_node_out_of_range():
         CSpaceDescriptor(LieType("A", 3), 4)
     with pytest.raises(NodeOutOfRange):
         CSpaceDescriptor(LieType("A", 3), 0)
+    for node in (1.5, 2.0, True):
+        with pytest.raises(NodeOutOfRange, match="^node must be an integer, got"):
+            CSpaceDescriptor(LieType("A", 3), node)
 
 
 def test_classify_all_b3_all_positive():

@@ -87,6 +87,12 @@ def test_config_validation():
         ExtremizeConfig(starts=_MAX_STARTS + 1)
     with pytest.raises(ValueError, match="oracle_samples must be <= 16777216"):
         ExtremizeConfig(oracle_samples=_MAX_ORACLE_SAMPLES + 1)
+    floats_bools_and_numpy = [
+        ("starts", 2.5), ("seed", 1.5), ("oracle_samples", 2.5), ("starts", True), ("seed", False), ("starts", np.int64(8)),
+    ]
+    for field, value in floats_bools_and_numpy:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            ExtremizeConfig(**{field: value})
 
 
 def test_gradient_matches_finite_differences():

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +100,7 @@ def _records() -> list:
         record,
         hsckit.check_inequality(record),
         hsckit.EinsteinFramePoint(-1.0, 0.0),
+        hsckit.max_hsc_surface(hsckit.EinsteinFramePoint(-1.0, 0.0)),
     ]
 
 
@@ -108,6 +111,15 @@ def test_records_are_immutable(record):
         setattr(record, name, getattr(record, name))
     with pytest.raises(AttributeError):
         record.extra = None
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+@pytest.mark.parametrize(
+    "clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_records_survive_pickle_and_copy(record, clone):
+    twin = clone(record)
+    assert type(twin) is type(record) and twin == record
 
 
 @pytest.mark.parametrize("cls", [type(record) for record in _records()], ids=lambda cls: cls.__name__)

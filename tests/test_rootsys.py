@@ -42,7 +42,7 @@ def test_cartan_matrix_g2_short_first_node():
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 4)],
+    [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 4), ("A", True), ("G", 2.0)],
 )
 def test_inadmissible_ranks_raise(family, rank):
     with pytest.raises(InadmissibleRank):
