@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from ._config import SYMMETRY_TOL
+from ._config import SYMMETRY_TOL, _is_int
 from .errors import DimensionMismatch, NotUnitary, TensorFormatError
 from .surface import EinsteinFramePoint
 
@@ -441,11 +441,11 @@ def tensor_to_dict(tensor: KahlerCurvatureTensor) -> dict:
     return {"n": tensor.n, "entries": entries}
 
 
-def _wire_field(fields: dict, key: str, kinds: type | tuple = int):
-    """fields[key] if it is one of kinds and not a bool, else TensorFormatError."""
+def _wire_field(fields: dict, key: str, number: bool = False):
+    """fields[key] if it is an integer (or, if number, a float), else TensorFormatError."""
     value = fields[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        kind = "an integer" if kinds is int else "a number"
+    if not (_is_int(value) or number and isinstance(value, float)):
+        kind = "a number" if number else "an integer"
         raise TensorFormatError(f"tensor field {key!r} must be {kind}, got {value!r}")
     return value
 
@@ -472,7 +472,7 @@ def _stated_array(data: dict) -> np.ndarray:
         try:
             idx = tuple(_wire_field(entry, key) for key in ("i", "j", "k", "l"))
             parts = {"im": 0.0, **entry}
-            val = complex(*(_wire_field(parts, key, (int, float)) for key in ("re", "im")))
+            val = complex(*(_wire_field(parts, key, number=True) for key in ("re", "im")))
         except (KeyError, TypeError, OverflowError) as exc:  # an int beyond float range
             raise TensorFormatError(f"malformed tensor entry {entry!r}") from exc
         if not np.isfinite(val):

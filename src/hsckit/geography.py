@@ -56,13 +56,22 @@ def noether_fill(pg: int, q: int, K2: int) -> tuple[int, int]:
     return K2, 12 * chi - K2
 
 
+def _wrong_field(key: str, value, kind: str) -> ValueError:
+    return ValueError(f"surface record field {key!r} must be {kind}, got {value!r}")
+
+
 @_checked
 class SurfaceRecord(NamedTuple):
     """One surface family with stated Chern numbers and optional invariants.
 
-    If pg, q and K2 are all present and the Noether completion disagrees
-    with the stated (c1sq, c2), a ``noether-mismatch`` flag is appended
-    automatically; the stated numbers are kept as given.
+    The Chern numbers c1sq and c2 and the invariants pg, q and K2 are each an
+    ``int`` (not a ``bool``) or None; name and source are strings; flags is a
+    list or tuple of strings, stored as a tuple.  The constructor checks
+    them in that order, for ``_replace`` and ``from_payload`` too, and its
+    ValueError names the first field that breaks one.  If pg, q and K2 are
+    all present and the Noether completion disagrees with the stated (c1sq,
+    c2), a ``noether-mismatch`` flag is appended automatically; the stated
+    numbers are kept as given.
     """
 
     name: str
@@ -75,7 +84,15 @@ class SurfaceRecord(NamedTuple):
     flags: tuple[str, ...] = ()
 
     def _check(self):
-        _, c1sq, c2, pg, q, K2, _, flags = self
+        name, c1sq, c2, pg, q, K2, source, flags = self
+        for key, value in zip(self._fields[1:6], self[1:6]):
+            if value is not None and not _is_int(value):
+                raise _wrong_field(key, value, "an integer or null")
+        for key, value in (("name", name), ("source", source)):
+            if not isinstance(value, str):
+                raise _wrong_field(key, value, "a string")
+        if not isinstance(flags, (list, tuple)) or not all(isinstance(f, str) for f in flags):
+            raise _wrong_field("flags", flags, "a list of strings")
         flags = tuple(flags)
         if pg is not None and q is not None and K2 is not None:
             filled = noether_fill(pg, q, K2)
@@ -99,28 +116,12 @@ class SurfaceRecord(NamedTuple):
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SurfaceRecord":
-        """The record a JSON object describes; ValueError names the first
-        field of the wrong type (Chern numbers and invariants are integers or
-        null, name and source strings, flags a list of strings)."""
+        """The record a JSON object describes; absent fields take their
+        defaults, and the constructor's ValueError names the first field of
+        the wrong type."""
         if not isinstance(payload, dict):
             raise ValueError(f"surface record must be an object, got {payload!r}")
-        fields = {"source": "", "flags": [], **payload}
-
-        def require(key: str, ok: bool, kind: str) -> None:
-            if not ok:
-                raise ValueError(
-                    f"surface record field {key!r} must be {kind}, got {fields.get(key)!r}"
-                )
-
-        numbers = {key: fields.get(key) for key in ("c1sq", "c2", "pg", "q", "K2")}
-        for key, value in numbers.items():
-            require(key, value is None or _is_int(value), "an integer or null")
-        for key in ("name", "source"):
-            require(key, isinstance(fields.get(key), str), "a string")
-        flags = fields["flags"]
-        is_str_list = isinstance(flags, list) and all(isinstance(f, str) for f in flags)
-        require("flags", is_str_list, "a list of strings")
-        return cls(name=fields["name"], source=fields["source"], flags=tuple(flags), **numbers)
+        return cls(*(payload.get(key, cls._field_defaults.get(key)) for key in cls._fields))
 
 
 class GeographyVerdict(NamedTuple):

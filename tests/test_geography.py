@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,9 @@ from hsckit import (
     records_from_json,
     todorov_family,
 )
+from hsckit.cli import schema_text
+
+NUMBER_FIELDS = ("c1sq", "c2", "pg", "q", "K2")
 
 
 def test_check_oliverio_fails():
@@ -178,3 +183,36 @@ def test_json_round_trip_lossless_including_flags():
 def test_record_with_partial_invariants_not_flagged():
     record = SurfaceRecord("partial", 5, 7, pg=2)
     assert record.flags == ()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("c1sq", 1.5), ("c2", True), ("pg", 2.0), ("c1sq", np.int64(1)), ("name", 3), ("source", None),
+     ("flags", "ab"), ("flags", (1,))],
+)
+def test_constructor_refuses_a_field_of_the_wrong_type(key, value):
+    with pytest.raises(ValueError, match=f"^surface record field '{key}' must be "):
+        SurfaceRecord(**{"name": "x", "c1sq": 1, "c2": 11, key: value})
+
+
+@given(
+    numbers=st.fixed_dictionaries({key: st.none() | st.integers(-30, 30) for key in NUMBER_FIELDS}),
+    wrong=st.dictionaries(st.sampled_from(NUMBER_FIELDS), st.floats() | st.booleans(), max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_record_is_refused_or_round_trips_to_schema_valid_json(numbers, wrong):
+    # a float or bool for any Chern number or invariant is refused; every other
+    # record survives JSON and gives a verdict the published schema accepts
+    fields = {**numbers, **wrong}
+    if wrong:
+        with pytest.raises(ValueError):
+            SurfaceRecord("x", **fields)
+        return
+    record = SurfaceRecord("x", **fields)
+    assert records_from_json(json.dumps([record.to_payload()])) == [record]
+    if record.c1sq is None or record.c2 is None:
+        with pytest.raises(MissingChernNumbers):
+            check_inequality(record)
+        return
+    payload = {"verdicts": [check_inequality(record).to_payload()]}
+    jsonschema.validate(payload, json.loads(schema_text("geography check")))

@@ -136,6 +136,7 @@ def test_record_constructors_take_the_fields_and_defaults(cls):
         (hsckit.LieType("A", 2), {"rank": 0}, hsckit.InadmissibleRank),
         (hsckit.CSpaceDescriptor(hsckit.LieType("A", 2), 1), {"node": 3}, hsckit.NodeOutOfRange),
         (hsckit.EinsteinFramePoint(-1.0, 0.0), {"A": -5.0}, hsckit.FrameConstraintViolated),
+        (hsckit.SurfaceRecord("Godeaux", 1, 11), {"c1sq": 1.5}, ValueError),
     ],
     ids=lambda value: type(value).__name__ if isinstance(value, tuple) else None,
 )

@@ -76,10 +76,13 @@ CLI_ARGVS = (
     ["geography", "plotdata"],
     ["geography", "plotdata", "--input", "{records}"],
 )
-# the two domain errors of the benchmark's cli-mix workload
+# the two domain errors of the benchmark's cli-mix workload, then two surface
+# records that SurfaceRecord refuses
 CLI_ERRORS = (
     ["cspace", "classify", "--family", "A", "--rank", "3", "--node", "4"],
     ["cspace", "roots", "--family", "E", "--rank", "5"],
+    ["geography", "check", "--input", "{float_c1sq}"],
+    ["geography", "check", "--input", "{string_flags}"],
 )
 
 
@@ -153,7 +156,7 @@ def corpus():
 
 
 def cli_inputs(directory: Path) -> dict:
-    """The files CLI_ARGVS read, written to directory, by name."""
+    """The files CLI_ARGVS and CLI_ERRORS read, written to directory, by name."""
     shape = (4,) * 4
     rng = np.random.default_rng(20232)
     gaussian = hsckit.KahlerCurvatureTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -164,6 +167,8 @@ def cli_inputs(directory: Path) -> dict:
         "gaussian": hsckit.tensor_to_dict(gaussian),
         "surface": hsckit.tensor_to_dict(hsckit.assemble_einstein_surface(point)),
         "records": [record.to_payload() for record in hsckit.builtin_surface_table()[:4]],
+        "float_c1sq": [{"name": "a", "c1sq": 1.5, "c2": 3}],
+        "string_flags": [{"name": "a", "c1sq": 1, "c2": 3, "flags": "ab"}],
     }
     paths = {}
     for name, content in contents.items():
