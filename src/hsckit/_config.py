@@ -8,7 +8,8 @@ loads none of those modules, and a command loads only the ones it runs.
 ``_checked`` makes a ``NamedTuple`` run its ``_check`` whenever a record is
 built, and ``_is_int`` is the integer rule of those checks; the checked
 records of ``rootsys``, ``cspace``, ``geography`` and ``surface`` take them
-from here, and ``curvature`` reads tensor JSON's integers with ``_is_int``.
+from here, and ``_wire``, the numpy-free reader of tensor JSON, reads its
+integers with ``_is_int``.
 """
 
 from __future__ import annotations

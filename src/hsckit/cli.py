@@ -22,6 +22,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -31,9 +32,6 @@ from ._config import _C2_BOUND, FAMILIES, SYMMETRY_TOL, ExtremizeConfig
 from .errors import HsckitError, RegimeViolation, TensorFormatError
 
 if TYPE_CHECKING:  # runners import the modules they use, so a process loads only those
-    import numpy as np
-
-    from .curvature import KahlerCurvatureTensor
     from .geography import GeographyVerdict, SurfaceRecord
 
 __all__ = ["SCHEMAS", "build_parser", "dispatch", "main", "schema_text"]
@@ -194,36 +192,26 @@ def _parse_file(path: Path, parse, error: type[Exception]):
         raise error(f"{path}: JSON nested too deeply to decode") from None
 
 
-def _load_tensor(path: Path, tolerance: float) -> tuple[np.ndarray, KahlerCurvatureTensor, list[str]]:
-    """The array a tensor file states, the tensor it canonicalizes to, and
-    a warning when the two differ by more than tolerance."""
-    from .curvature import KahlerCurvatureTensor, _stated_array
-
-    stated = _stated_array(_parse_file(path, json.loads, TensorFormatError))
-    tensor = KahlerCurvatureTensor(stated)
-    warnings = []
-    if tensor.asymmetry > tolerance:
-        warnings.append(
-            f"canonicalization adjusted stated entries by {tensor.asymmetry:.3g} "
-            f"(tolerance {tolerance:g})"
-        )
-    return stated, tensor, warnings
+def _asymmetry_warnings(asymmetry: float, tolerance: float) -> list[str]:
+    """A warning when canonicalization moved the stated entries by more than tolerance."""
+    text = f"canonicalization adjusted stated entries by {asymmetry:.3g} (tolerance {tolerance:g})"
+    return [text] if asymmetry > tolerance else []
 
 
 def _run_tensor_validate(args) -> tuple[dict, list[str]]:
-    from .curvature import validate
+    from ._wire import _orbit_values, _validation_payload
 
-    stated, tensor, warnings = _load_tensor(args.input, args.tolerance)
-    report = validate(stated, args.tolerance)
-    payload = {"n": tensor.n, "asymmetry": tensor.asymmetry}
-    payload.update(report.to_payload())
-    return payload, warnings
+    n, orbits = _orbit_values(_parse_file(args.input, json.loads, TensorFormatError))
+    payload = _validation_payload(n, orbits, args.tolerance)
+    return payload, _asymmetry_warnings(payload["asymmetry"], args.tolerance)
 
 
 def _run_tensor_extremize(args) -> tuple[dict, list[str]]:
+    from .curvature import tensor_from_dict
     from .extremize import extremize_hsc
 
-    _, tensor, warnings = _load_tensor(args.input, SYMMETRY_TOL)
+    tensor = tensor_from_dict(_parse_file(args.input, json.loads, TensorFormatError))
+    warnings = _asymmetry_warnings(tensor.asymmetry, SYMMETRY_TOL)
     cfg = ExtremizeConfig(*(getattr(args, name) for name in ExtremizeConfig._fields))
     result = extremize_hsc(tensor, cfg)
     if not result.converged:
@@ -387,6 +375,55 @@ def _render_tsv(command: str, layout, payload: dict, warnings: list[str]) -> str
     return "\n".join(lines) + "\n"
 
 
+def _all_leaves(values) -> bool:
+    """Whether each of values is a scalar or an empty container, tested in C
+    over many values: a container is empty when it is falsy, as the JSON
+    encoders test it."""
+    values = list(values)
+    return not any(compress(values, map(isinstance, values, repeat((dict, list, tuple)))))
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for
+    value nested where newline (a line break and indent) ends a line, from
+    as few C-encoder calls as the shape allows; the C encoder runs only
+    without ``indent``.
+
+    No encoded string holds a raw line break.  So a container whose members
+    are all scalars or empty containers is one call whose item separator
+    ends a line, and so is a list of such dicts, with the seams between the
+    dicts re-indented.  An error may differ from the pure encoder's, so
+    ``_dumps`` re-raises it from the reference."""
+    if _all_leaves([value]):
+        return json.dumps(value, allow_nan=False)
+    inner = newline + "  "
+    members = list(value.values() if isinstance(value, dict) else value)
+    if _all_leaves(members):
+        text = json.dumps(value, allow_nan=False, sort_keys=True, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    if isinstance(value, dict):  # each key as the C encoder writes it
+        items = [
+            json.dumps({key: 0}, allow_nan=False)[1:-4] + ": " + _json_text(member, inner)
+            for key, member in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    dicts = all(map(isinstance, members, repeat(dict))) and all(members)
+    if dicts and _all_leaves(chain.from_iterable(map(dict.values, members))):
+        deeper = inner + "  "
+        text = json.dumps(value, allow_nan=False, sort_keys=True, separators=("," + deeper, ": "))
+        seams = text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        return "[" + inner + "{" + deeper + seams + inner + "}" + newline + "]"
+    return "[" + inner + ("," + inner).join(_json_text(m, inner) for m in members) + newline + "]"
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``, written by ``_json_text``."""
+    try:
+        return _json_text(value)
+    except (ValueError, TypeError, RecursionError):  # raise the reference encoder's own error
+        return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
 def dispatch(argv: list[str]) -> int:
     """Parse argv, run the command, emit one envelope.  Returns the exit code."""
     parser = build_parser()
@@ -405,7 +442,7 @@ def dispatch(argv: list[str]) -> int:
             "warnings": warnings,
         }
         # serialized in both formats, so an inf or NaN fails TSV output too
-        text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _dumps(envelope) + "\n"
         if args.format == "tsv":
             text = _render_tsv(command, layout, payload, warnings)
         if args.output is not None:

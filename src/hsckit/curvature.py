@@ -8,10 +8,11 @@ standing for ``R_{i jbar k lbar}`` (0-based).  The Kähler symmetries are
 * pair symmetry in the barred slots:    ``R[i,j,k,l] == R[i,l,k,j]``
 * Hermitian symmetry:                   ``conj(R[i,j,k,l]) == R[j,i,l,k]``
 
-The group they generate is stated once, in ``_LINEAR`` and ``_HERMITIAN``,
-and so are the orbit maps, in ``_orbit_maps``, and the one rule that fills an
-orbit, in ``_fill_orbits``: the linear images of its representative take its
-value and the others the conjugate.
+The group they generate is stated once, in ``_wire``'s ``_LINEAR`` and
+``_HERMITIAN``, next to the numpy-free reader of the tensor JSON wire format.
+The orbit maps are stated here, in ``_orbit_maps``, and so is the one rule
+that fills an orbit, in ``_fill_orbits``: the linear images of its
+representative take its value and the others the conjugate.
 Tensors are canonicalized on construction by averaging each symmetry orbit;
 the residual is recorded as the tensor's reported asymmetry.  All values are
 immutable after construction and every operation is a pure function, so
@@ -25,13 +26,14 @@ the HSC formula along a direction.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from ._config import SYMMETRY_TOL, _is_int
-from .errors import DimensionMismatch, NotUnitary, TensorFormatError
+from ._config import SYMMETRY_TOL
+from ._wire import _HERMITIAN, _LINEAR, _check_tolerance, _orbit_values, _violation_payloads
+from .errors import DimensionMismatch, NotUnitary
 from .surface import EinsteinFramePoint
 
 __all__ = [
@@ -51,13 +53,6 @@ __all__ = [
     "transform_frame",
     "validate",
 ]
-
-_MAX_WIRE_N = 32  # largest n a tensor file may state: one n^4 complex array is 16 MB
-
-# The Kähler symmetry group as axis permutations of R[i,j,k,l]: the four linear
-# ones, and each of them composed with _HERMITIAN, which conjugates the value.
-_LINEAR = ((0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1))
-_HERMITIAN = (1, 0, 3, 2)
 
 
 def _symmetrize(R: np.ndarray) -> np.ndarray:
@@ -207,12 +202,8 @@ class ValidationReport:
     def to_payload(self) -> dict:
         """The JSON-ready report.  A magnitude beyond the float range has no
         JSON form and raises ValueError naming its relation and orbit."""
-        for v in self.violations:
-            if v.magnitude == float("inf"):
-                raise ValueError(f"{v.relation} violation at orbit {v.indices} exceeds the float range")
-        payload = asdict(self)
-        payload["violations"] = [dict(v, indices=list(v["indices"])) for v in payload["violations"]]
-        return payload
+        violations = _violation_payloads([astuple(v) for v in self.violations])
+        return {"ok": self.ok, "tolerance": self.tolerance, "violations": violations}
 
 
 def validate(
@@ -226,8 +217,7 @@ def validate(
     empty list means the array is symmetric within tol, which must be
     finite and non-negative (else ValueError).
     """
-    if not 0.0 <= tol < float("inf"):  # also rejects nan
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    _check_tolerance(tol)
     R = tensor.array if isinstance(tensor, KahlerCurvatureTensor) else np.asarray(tensor, dtype=complex)
     with np.errstate(over="ignore"):  # a difference beyond the float range is inf
         relations = (
@@ -422,11 +412,7 @@ def constant_hsc_tensor(n: int, c: float) -> KahlerCurvatureTensor:
     return KahlerCurvatureTensor(R)
 
 
-# --- JSON wire format -------------------------------------------------------
-#
-# {"n": int, "entries": [{"i":..., "j":..., "k":..., "l":..., "re":..., "im":...}]}
-# Indices are 0-based.  An entry may name any member of its orbit; the other
-# images are generated on load and unlisted orbits default to zero.
+# --- JSON wire format: read by ``_wire``, whose docstring states it ---------
 
 
 def tensor_to_dict(tensor: KahlerCurvatureTensor) -> dict:
@@ -441,49 +427,14 @@ def tensor_to_dict(tensor: KahlerCurvatureTensor) -> dict:
     return {"n": tensor.n, "entries": entries}
 
 
-def _wire_field(fields: dict, key: str, number: bool = False):
-    """fields[key] if it is an integer (or, if number, a float), else TensorFormatError."""
-    value = fields[key]
-    if not (_is_int(value) or number and isinstance(value, float)):
-        kind = "a number" if number else "an integer"
-        raise TensorFormatError(f"tensor field {key!r} must be {kind}, got {value!r}")
-    return value
-
-
 def _stated_array(data: dict) -> np.ndarray:
-    """The array a wire-format payload states, before canonicalization;
-    ``tensor_from_dict`` gives the rules and the errors.  Each value moves to
-    its orbit's representative, conjugated if it names a conjugating image."""
-    try:
-        n = _wire_field(data, "n")
-        raw_entries = data["entries"]
-    except (KeyError, TypeError) as exc:
-        raise TensorFormatError(f"malformed tensor payload: {exc}") from exc
-    if n < 1:
-        raise TensorFormatError(f"dimension must be positive, got {n}")
-    if n > _MAX_WIRE_N:
-        raise TensorFormatError(f"dimension n={n} exceeds the limit of {_MAX_WIRE_N}")
-    if not isinstance(raw_entries, list):
-        raise TensorFormatError(f"tensor field 'entries' must be a list, got {raw_entries!r}")
+    """The array a wire-format payload states, before canonicalization:
+    ``_wire._orbit_values``' orbits, each filled from its representative;
+    ``tensor_from_dict`` gives the rules and the errors."""
+    n, orbits = _orbit_values(data)
     linear, _, ids = _orbit_maps(n)
     values = np.zeros(n**4, dtype=complex)
-    seen: set[int] = set()
-    for entry in raw_entries:
-        try:
-            idx = tuple(_wire_field(entry, key) for key in ("i", "j", "k", "l"))
-            parts = {"im": 0.0, **entry}
-            val = complex(*(_wire_field(parts, key, number=True) for key in ("re", "im")))
-        except (KeyError, TypeError, OverflowError) as exc:  # an int beyond float range
-            raise TensorFormatError(f"malformed tensor entry {entry!r}") from exc
-        if not np.isfinite(val):
-            raise TensorFormatError(f"non-finite value in tensor entry {entry!r}")
-        if not all(0 <= x < n for x in idx):
-            raise TensorFormatError(f"index {idx} out of range for n={n}")
-        rep = ids[idx]
-        if rep in seen:
-            raise TensorFormatError(f"duplicate symmetry orbit at {idx}")
-        seen.add(rep)
-        values[rep] = val if linear[idx] == rep else val.conjugate()
+    values[[((i * n + j) * n + k) * n + l for i, j, k, l in orbits]] = [v for v, _ in orbits.values()]
     return _fill_orbits(values, linear, ids)
 
 
@@ -496,6 +447,7 @@ def tensor_from_dict(data: dict) -> KahlerCurvatureTensor:
     so a non-real value at a self-conjugate orbit shows up in the tensor's
     asymmetry rather than passing silently.  ``n`` (at most 32) and the
     indices must be ints and ``re``/``im`` finite ints or floats (bools
-    excluded); anything else raises TensorFormatError.
+    excluded), and no other key may appear; anything else raises
+    TensorFormatError.
     """
     return KahlerCurvatureTensor(_stated_array(data))

@@ -117,10 +117,14 @@ class SurfaceRecord(NamedTuple):
     @classmethod
     def from_payload(cls, payload: dict) -> "SurfaceRecord":
         """The record a JSON object describes; absent fields take their
-        defaults, and the constructor's ValueError names the first field of
-        the wrong type."""
+        defaults, a key that is not a field raises ValueError naming it, and
+        the constructor's ValueError names the first field of the wrong
+        type."""
         if not isinstance(payload, dict):
             raise ValueError(f"surface record must be an object, got {payload!r}")
+        unknown = [key for key in payload if key not in cls._fields]
+        if unknown:
+            raise ValueError(f"surface record has unknown key {unknown[0]!r}; its fields are {', '.join(cls._fields)}")
         return cls(*(payload.get(key, cls._field_defaults.get(key)) for key in cls._fields))
 
 

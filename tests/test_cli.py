@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hsckit
 from hsckit import (
@@ -21,9 +26,12 @@ from hsckit import (
     assemble_einstein_surface,
     constant_hsc_tensor,
     extremize_hsc,
+    tensor_from_dict,
     tensor_to_dict,
+    validate,
 )
-from hsckit.cli import SCHEMAS, build_parser, dispatch, schema_text
+from hsckit.cli import SCHEMAS, _dumps, build_parser, dispatch, schema_text
+from hsckit.curvature import _orbit_maps, _stated_array
 
 from helpers import HUGE_HSC, random_kahler_tensor
 
@@ -473,6 +481,20 @@ def test_mistyped_tensor_field_exit_1(capsys, tmp_path, command, payload, messag
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "extremize"])
+@pytest.mark.parametrize(
+    "payload, key",
+    [({"n": 2, "entries": [], "N": 3}, "N"), ({"n": 2, "entries": [{**ENTRY, "imag": 5.0}]}, "imag")],
+)
+def test_unknown_tensor_key_exit_1(capsys, tmp_path, command, payload, key):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(payload))
+    assert dispatch(["tensor", command, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"TensorFormatError: unknown key '{key}' in tensor ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["validate"])
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
 def test_bad_tolerance_exit_1(capsys, tensor_file, command, tolerance):
@@ -544,7 +566,21 @@ NUMPY_FREE_COMMANDS = [
     ["geography", "plotdata", "--format", "tsv"],
     ["surface", "analyze", "--H", "-1", "--A", "0.25", "--B-re", "0.1", "--B-im", "-0.2"],
     ["surface", "analyze", "--H", "-1", "--A", "0", "--B-re", "1", "--format", "tsv"],
+    ["tensor", "validate", "--input", "{clean}"],
+    ["tensor", "validate", "--input", "{odd}", "--tolerance", "0"],
 ]
+# the tensor files of NUMPY_FREE_COMMANDS: a symmetric n = 2 tensor, and a
+# non-real value on a self-conjugate orbit beside a subnormal one
+NUMPY_FREE_FILES = {
+    "clean": {"n": 2, "entries": [
+        {"i": 0, "j": 0, "k": 0, "l": 0, "re": -1.0}, {"i": 1, "j": 1, "k": 1, "l": 1, "re": -1.0},
+        {"i": 0, "j": 0, "k": 1, "l": 1, "re": 0.25}, {"i": 0, "j": 1, "k": 0, "l": 1, "re": 0.5, "im": 0.0},
+    ]},
+    "odd": {"n": 2, "entries": [
+        {"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0, "im": 0.5},
+        {"i": 1, "j": 0, "k": 1, "l": 0, "re": 5e-324, "im": 1e-310},
+    ]},
+}
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
@@ -572,7 +608,10 @@ def test_cli_namespace_finds_public_names_as_the_package_does():
 
 
 @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
-def test_cspace_and_geography_commands_run_without_numpy(capsys, argv):
+def test_cspace_and_geography_commands_run_without_numpy(capsys, tmp_path, argv):
+    for name, content in NUMPY_FREE_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    argv = [part.format(**{name: tmp_path / f"{name}.json" for name in NUMPY_FREE_FILES}) for part in argv]
     # a None entry in sys.modules makes every later import of that module raise ImportError
     script = "import sys; sys.modules.update(numpy=None, dataclasses=None); from hsckit.cli import main; main()"
     proc = subprocess.run(
@@ -589,7 +628,7 @@ COMMAND_MODULES = [
     (["cspace", "roots", "--family", "E", "--rank", "8"], 0, {"rootsys"}),
     (["cspace", "classify", "--family", "E", "--rank", "6", "--audit"], 0, {"rootsys", "cspace"}),
     (["surface", "analyze", "--H", "-1", "--A", "0.25", "--B-re", "0.1"], 0, {"surface"}),
-    (["tensor", "validate", "--input", "{tensor}"], 0, {"surface", "curvature"}),
+    (["tensor", "validate", "--input", "{tensor}"], 0, set()),
     (["tensor", "extremize", "--input", "{tensor}", "--starts", "4"], 0, {"surface", "curvature", "extremize"}),
     (["geography", "check", "--builtin"], 0, {"geography"}),
     (["geography", "blowup", "--c1sq", "9", "--c2", "3", "--k", "2"], 0, {"geography"}),
@@ -800,6 +839,17 @@ def test_bad_surface_record_exit_1(capsys, tmp_path, command, records, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["check", "plotdata"])
+@pytest.mark.parametrize("key", ["flag", "K_2"])
+def test_unknown_surface_record_key_exit_1(capsys, tmp_path, command, key):
+    path = tmp_path / "surfaces.json"
+    path.write_text(json.dumps([{"name": "a", "c1sq": 1, "c2": 2, key: 4}]))
+    assert dispatch(["geography", command, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"ValueError: surface record has unknown key '{key}'; ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "command, record, field",
     [
@@ -846,3 +896,112 @@ def test_deeply_nested_json_exits_1_naming_the_file(capsys, tmp_path, argv, erro
     assert captured.err.startswith(f"{error}: {deep}: JSON nested too deeply to decode")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# values a tensor file may state: subnormals, where canonicalization rounds,
+# the edge of the normal range, values whose Hermitian breach overflows, and ints
+_SUBNORMALS = st.sampled_from([0.0, 5e-324, -5e-324, 1e-323, 1.5e-323, -3e-323, 1e-310, 2.2250738585072e-308])
+_WIRE_VALUES = (
+    _SUBNORMALS | st.sampled_from([-0.0, 1.0, -2.5, 2.2250738585072014e-308, 1e308])
+    | st.floats(-1e3, 1e3) | st.integers(-5, 5)
+)
+
+
+@st.composite
+def _wire_files(draw) -> dict:
+    """A tensor file whose entries name any member of distinct orbits, with
+    and without im; in some files every value is subnormal or zero, so that
+    the rounding is the whole asymmetry."""
+    n = draw(st.integers(1, 3))
+    values = draw(st.sampled_from([_WIRE_VALUES, _SUBNORMALS]))
+    reps, entries = set(), []
+    for idx in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 4), max_size=10)):
+        rep = int(_orbit_maps(n)[2][idx])
+        if rep not in reps:
+            reps.add(rep)
+            entry = dict(zip("ijkl", idx), re=draw(values))
+            if draw(st.booleans()):
+                entry["im"] = draw(values)
+            entries.append(entry)
+    return {"n": n, "entries": entries}
+
+
+@given(data=_wire_files())
+@example(data={"n": 1, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1.5e-323}]})
+@settings(max_examples=40, deadline=None)
+def test_validate_prints_what_the_library_reports(data):
+    # the numpy-free command against the tensor's asymmetry and the library's
+    # check of the stated array, warning and errors included
+    tensor = tensor_from_dict(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tensor.json"
+        path.write_text(json.dumps(data))
+        for tol in (0.0, 1e-9, 0.5):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = dispatch(["tensor", "validate", "--input", str(path), f"--tolerance={tol!r}"])
+            try:
+                report = validate(_stated_array(data), tol).to_payload()
+            except ValueError as exc:
+                assert (code, out.getvalue(), err.getvalue()) == (1, "", f"ValueError: {exc}\n")
+                continue
+            warnings = []
+            if tensor.asymmetry > tol:
+                warning = f"canonicalization adjusted stated entries by {tensor.asymmetry:.3g} (tolerance {tol:g})"
+                warnings.append(warning)
+            envelope = {
+                "command": "tensor validate",
+                "version": hsckit.__version__,
+                "payload": {"n": tensor.n, "asymmetry": tensor.asymmetry, **report},
+                "warnings": warnings,
+            }
+            expected = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
+
+
+def _json_trees(floats, keys=st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.booleans()):
+    """JSON trees: nested and empty lists and dicts, lists of flat dicts,
+    unicode and escapes, big ints, bools, +-0.0, and dicts keyed by str or
+    by keys."""
+    scalars = (
+        st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80)
+        | st.sampled_from([0.0, -0.0]) | floats | st.text()
+    )
+    empty = st.sampled_from([[], {}, ()])
+    flat_dicts = st.dictionaries(st.text(max_size=3), scalars | empty, min_size=1, max_size=4)
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+        | st.dictionaries(keys, children, max_size=3)
+        | st.dictionaries(st.none(), children, max_size=1)
+        | st.lists(flat_dicts | empty, max_size=4),
+        max_leaves=24,
+    )
+
+
+def _outcome(dumps, value):
+    try:
+        return dumps(value)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@given(tree=_json_trees(st.floats(allow_nan=False, allow_infinity=False)))
+@settings(max_examples=200, deadline=None)
+def test_json_writer_matches_indented_json_dumps(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+
+
+@given(
+    tree=_json_trees(
+        st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]), st.text() | st.integers() | st.floats()
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_json_writer_raises_as_json_dumps_does(tree):
+    # NaN and +-inf at any depth, and keys that do not sort, raise the
+    # reference encoder's exception
+    reference = _outcome(lambda v: json.dumps(v, indent=2, sort_keys=True, allow_nan=False), tree)
+    assert _outcome(_dumps, tree) == reference

@@ -33,6 +33,7 @@ from hsckit import (
     transform_frame,
     validate,
 )
+from hsckit._wire import _orbit
 from hsckit.curvature import _HERMITIAN, _fold_indices, _orbit_maps, _stated_array
 from helpers import hsc_bruteforce, product_tensor, random_kahler_tensor, random_unitary, transform_frame_einsum
 
@@ -612,6 +613,18 @@ def test_self_conjugate_orbit_representative_is_hermitian_fixed(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
+def test_wire_orbit_matches_the_orbit_maps(n):
+    # the reader's closed-form representative, linear flag and self-conjugacy
+    # at every index, against the numpy maps the canonicalization uses
+    linear, hermitian, ids = _orbit_maps(n)
+    for idx in np.ndindex(ids.shape):
+        rep, is_linear, self_conjugate = _orbit(*idx)
+        assert np.ravel_multi_index(rep, ids.shape) == ids[idx]
+        assert is_linear == (linear[idx] == ids[idx])
+        assert self_conjugate == (linear[idx] == hermitian[idx])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_serialized_tensor_states_a_symmetric_array(n):
     for seed in range(3):
         T = random_kahler_tensor(n, seed=70 + 10 * n + seed)
@@ -682,4 +695,17 @@ def test_assemble_matches_hand_listed_images(H, A, B):
 )
 def test_tensor_json_malformed_rejected(payload):
     with pytest.raises(TensorFormatError):
+        tensor_from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"n": 2, "entries": [], "N": 3}, "N"),
+        ({"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1.0, "imag": 5.0}]}, "imag"),
+    ],
+)
+def test_tensor_json_unknown_key_rejected(payload, key):
+    # a file has only n and entries, and an entry only i, j, k, l, re and im
+    with pytest.raises(TensorFormatError, match=f"^unknown key '{key}' in tensor "):
         tensor_from_dict(payload)

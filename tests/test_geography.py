@@ -195,6 +195,13 @@ def test_constructor_refuses_a_field_of_the_wrong_type(key, value):
         SurfaceRecord(**{"name": "x", "c1sq": 1, "c2": 11, key: value})
 
 
+@pytest.mark.parametrize("key", ["flag", "K_2"])
+def test_reader_refuses_an_unknown_key(key):
+    # a misspelt field is refused, not dropped
+    with pytest.raises(ValueError, match=f"^surface record has unknown key '{key}'; its fields are name, c1sq, "):
+        records_from_json(json.dumps([{"name": "a", "c1sq": 1, "c2": 2, key: 4}]))
+
+
 @given(
     numbers=st.fixed_dictionaries({key: st.none() | st.integers(-30, 30) for key in NUMBER_FIELDS}),
     wrong=st.dictionaries(st.sampled_from(NUMBER_FIELDS), st.floats() | st.booleans(), max_size=2),

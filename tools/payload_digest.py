@@ -67,6 +67,8 @@ CLI_ARGVS = (
     ["surface", "analyze", "--H", "0", "--A", "0"],  # warns: the sufficiency test is skipped
     ["tensor", "validate", "--input", "{asymmetric}"],
     ["tensor", "validate", "--input", "{gaussian}", "--tolerance", "0"],
+    ["tensor", "validate", "--input", "{subnormal}", "--tolerance", "0"],
+    ["tensor", "validate", "--input", "{asymmetric}", "--tolerance", "0"],
     ["tensor", "extremize", "--input", "{surface}", "--starts", "8", "--seed", "3", "--oracle-samples", "4096"],
     ["tensor", "extremize", "--input", "{gaussian}", "--starts", "16"],
     ["geography", "check", "--builtin"],
@@ -76,13 +78,14 @@ CLI_ARGVS = (
     ["geography", "plotdata"],
     ["geography", "plotdata", "--input", "{records}"],
 )
-# the two domain errors of the benchmark's cli-mix workload, then two surface
-# records that SurfaceRecord refuses
+# the two domain errors of the benchmark's cli-mix workload, two surface
+# records that SurfaceRecord refuses, and a Hermitian breach beyond the float range
 CLI_ERRORS = (
     ["cspace", "classify", "--family", "A", "--rank", "3", "--node", "4"],
     ["cspace", "roots", "--family", "E", "--rank", "5"],
     ["geography", "check", "--input", "{float_c1sq}"],
     ["geography", "check", "--input", "{string_flags}"],
+    ["tensor", "validate", "--input", "{huge_violation}"],
 )
 
 
@@ -164,6 +167,15 @@ def cli_inputs(directory: Path) -> dict:
     contents = {
         # a non-real value on a self-conjugate orbit: a warning and a violation
         "asymmetric": {"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1.0, "im": 0.5}]},
+        # subnormal parts, which canonicalization rounds: the asymmetry is that rounding
+        "subnormal": {"n": 2, "entries": [
+            {"i": 0, "j": 0, "k": 0, "l": 0, "re": 5e-324},
+            {"i": 1, "j": 0, "k": 1, "l": 0, "re": 1.5e-323, "im": -5e-324},
+            {"i": 0, "j": 0, "k": 1, "l": 1, "re": -3e-323},
+            {"i": 0, "j": 1, "k": 1, "l": 1, "re": 2.0, "im": 1.5e-323},
+        ]},
+        # the stated value breaks the Hermitian relation by 2e308, beyond the float range
+        "huge_violation": {"n": 2, "entries": [{"i": 0, "j": 0, "k": 1, "l": 1, "re": 1.0, "im": 1e308}]},
         "gaussian": hsckit.tensor_to_dict(gaussian),
         "surface": hsckit.tensor_to_dict(hsckit.assemble_einstein_surface(point)),
         "records": [record.to_payload() for record in hsckit.builtin_surface_table()[:4]],
