@@ -43,9 +43,9 @@ def _wire_field(fields: dict, key: str, number: bool = False):
 
 
 def _closed(fields: dict, keys: frozenset, what: str) -> None:
-    """TensorFormatError naming the first key of fields that is not in keys;
-    what says what fields is."""
-    if not fields.keys() <= keys:
+    """TensorFormatError naming the first key of fields that is not in keys,
+    when fields is a dict; what says what fields is."""
+    if isinstance(fields, dict) and not fields.keys() <= keys:
         unknown = next(key for key in fields if key not in keys)
         raise TensorFormatError(f"unknown key {unknown!r} in {what}")
 
@@ -67,12 +67,12 @@ def _orbit_values(data: dict) -> tuple[int, dict]:
     self-conjugate, in file order.  A value naming a conjugating image is
     conjugated.  ``curvature.tensor_from_dict`` gives the rules; anything
     else raises TensorFormatError."""
+    _closed(data, _KEYS, "tensor payload")
     try:
         n = _wire_field(data, "n")
         raw_entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise TensorFormatError(f"malformed tensor payload: {exc}") from exc
-    _closed(data, _KEYS, "tensor payload")
     if n < 1:
         raise TensorFormatError(f"dimension must be positive, got {n}")
     if n > _MAX_WIRE_N:
@@ -81,13 +81,13 @@ def _orbit_values(data: dict) -> tuple[int, dict]:
         raise TensorFormatError(f"tensor field 'entries' must be a list, got {raw_entries!r}")
     orbits: dict = {}
     for entry in raw_entries:
+        _closed(entry, _ENTRY_KEYS, "tensor entry")
         try:
             idx = i, j, k, l = [_wire_field(entry, key) for key in "ijkl"]
             re = _wire_field(entry, "re", number=True)
             val = complex(re, _wire_field(entry, "im", number=True) if "im" in entry else 0.0)
         except (KeyError, TypeError, OverflowError) as exc:  # an int beyond float range
             raise TensorFormatError(f"malformed tensor entry {entry!r}") from exc
-        _closed(entry, _ENTRY_KEYS, "tensor entry")
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             raise TensorFormatError(f"non-finite value in tensor entry {entry!r}")
         if not (0 <= min(idx) and max(idx) < n):

@@ -183,11 +183,14 @@ def _run_surface_analyze(args) -> tuple[dict, list[str]]:
 
 
 def _parse_file(path: Path, parse, error: type[Exception]):
-    """parse(text of path); JSON nested too deeply to decode raises error,
-    naming the file, instead of RecursionError."""
-    text = path.read_text()
+    """parse(text of path).  A file that is not UTF-8 (UnicodeDecodeError) or
+    not JSON (json.JSONDecodeError), or JSON nested too deeply to decode
+    (RecursionError), raises error with the path first; any other error of
+    parse passes unchanged."""
     try:
-        return parse(text)
+        return parse(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: not UTF-8 JSON: {exc}") from None
     except RecursionError:
         raise error(f"{path}: JSON nested too deeply to decode") from None
 

@@ -21,9 +21,9 @@ Double/triple arrows point toward the shorter root.  Cartan matrices use the
 pairing ``A[i][j] = <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) /
 (alpha_j, alpha_j)``.
 
-Enumeration is by root-string closure from the Cartan matrix rather than
-hard-coded tables, so the classical closed-form counts act as an independent
-oracle on the algorithm (and vice versa).
+Enumeration is by closure under the simple reflections from the Cartan
+matrix rather than hard-coded tables, so the classical closed-form counts
+act as an independent oracle on the algorithm (and vice versa).
 """
 
 from __future__ import annotations
@@ -100,87 +100,60 @@ class RootSystem(NamedTuple):
         return self.lie_type.rank
 
 
-def _chain(A: list[list[int]], i: int, j: int) -> None:
-    A[i][j] = -1
-    A[j][i] = -1
-
-
 def cartan_matrix(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of a simple type in Bourbaki node numbering.
 
     Returns a tuple of int tuples with ``A[i][j] = <alpha_i, alpha_j^vee>``
-    (0-based storage for the 1-based node labels above).
+    (0-based storage for the 1-based node labels above).  Every diagram is
+    the path 1 - 2 - ... - n but D, whose last edge is n-2 - n, and E, whose
+    edges are 1 - 3, 2 - 4 and the path 3 - 4 - ... - n.  A simple edge sets
+    both of its entries to -1, and the one multiple bond then sets one entry.
     """
-    n = lie_type.rank
-    A = [[2 * (i == j) for j in range(n)] for i in range(n)]
-    fam = lie_type.family
-    if fam in ("A", "B", "C"):
-        for i in range(n - 1):
-            _chain(A, i, i + 1)
-        if fam == "B" and n >= 2:
-            A[n - 2][n - 1] = -2  # node n short
-        elif fam == "C" and n >= 2:
-            A[n - 1][n - 2] = -2  # node n long
-    elif fam == "D":
-        for i in range(n - 2):
-            _chain(A, i, i + 1)
-        _chain(A, n - 3, n - 1)
+    n, fam = lie_type.rank, lie_type.family
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if fam == "D":
+        edges[-1] = (n - 3, n - 1)
     elif fam == "E":
-        _chain(A, 0, 2)
-        _chain(A, 1, 3)
-        for i in range(2, n - 1):
-            _chain(A, i, i + 1)
-    elif fam == "F":
-        _chain(A, 0, 1)
-        _chain(A, 1, 2)
-        _chain(A, 2, 3)
-        A[1][2] = -2  # nodes 3, 4 short
-    elif fam == "G":
-        A[0][1] = -1
-        A[1][0] = -3  # node 1 short
+        edges[:2] = [(0, 2), (1, 3)]
+    A = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        A[i][j] = A[j][i] = -1
+    bond = {"B": (n - 2, n - 1, -2), "C": (n - 1, n - 2, -2), "F": (1, 2, -2), "G": (1, 0, -3)}
+    if fam in bond:  # nodes n (B), 3 and 4 (F) and 1 (G) short; node n (C) long
+        i, j, entry = bond[fam]
+        A[i][j] = entry
     return tuple(map(tuple, A))
 
 
 def closure_from_cartan(cartan: Sequence[Sequence[int]]) -> set[Root]:
-    """Enumerate positive roots by root-string closure.
+    """Enumerate positive roots by closure under the simple reflections.
 
-    Starting from the simple roots, a root ``beta`` of height h extends to
-    ``beta + alpha_j`` exactly when the alpha_j-string through beta has
-    ``q = p - <beta, alpha_j^vee> > 0``, where p counts how far the string
-    descends inside the already-known set.  Processing strictly by height
-    keeps every p-walk inside known roots.
+    Starting from the simple roots, each known root ``beta`` and node j give
+    ``c = <beta, alpha_j^vee>``; when c < 0, ``s_j beta = beta - c alpha_j``
+    (coefficient j raised by -c) is a root too.  This finds every positive
+    root: s_j permutes the positive roots other than alpha_j, and a positive
+    root beta above height 1 has some j with ``<beta, alpha_j^vee> > 0``,
+    because (beta, beta) > 0.  Then s_j beta is a lower positive root whose
+    pairing with alpha_j^vee is negative, and s_j maps it back to beta, so
+    induction on height finishes the argument.
 
-    The simple roots are scanned in their given order; relabelling them
-    (permuting the Cartan matrix) relabels the result and changes nothing
-    else (tested property).  Any integer matrix will do, a numpy array
-    included.
+    Relabelling the simple roots (permuting the Cartan matrix) relabels the
+    result and changes nothing else (tested property).  Any integer matrix
+    will do, a numpy array included.
     """
     rank = len(cartan)
     # column j of the matrix: the pairings <alpha_i, alpha_j^vee> over i
     columns = [[int(cartan[i][j]) for i in range(rank)] for j in range(rank)]
-
-    simple = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
-    known: set[Root] = set(simple)
-    frontier: list[Root] = list(simple)
-    while frontier:
-        grown: list[Root] = []
-        for beta in frontier:
-            for j in range(rank):
-                pairing = sum(b * a for b, a in zip(beta, columns[j]))
-                p = 0
-                lower = list(beta)
-                lower[j] -= 1
-                while lower[j] >= 0 and tuple(lower) in known:
-                    p += 1
-                    lower[j] -= 1
-                if p - pairing > 0:
-                    upper = list(beta)
-                    upper[j] += 1
-                    cand = tuple(upper)
-                    if cand not in known:
-                        known.add(cand)
-                        grown.append(cand)
-        frontier = grown
+    frontier = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    known: set[Root] = set(frontier)
+    for beta in frontier:  # grows while it is walked
+        for j, column in enumerate(columns):
+            c = sum(b * a for b, a in zip(beta, column))
+            if c < 0:
+                image = beta[:j] + (beta[j] - c,) + beta[j + 1 :]
+                if image not in known:
+                    known.add(image)
+                    frontier.append(image)
     return known
 
 

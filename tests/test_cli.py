@@ -484,7 +484,12 @@ def test_mistyped_tensor_field_exit_1(capsys, tmp_path, command, payload, messag
 @pytest.mark.parametrize("command", ["validate", "extremize"])
 @pytest.mark.parametrize(
     "payload, key",
-    [({"n": 2, "entries": [], "N": 3}, "N"), ({"n": 2, "entries": [{**ENTRY, "imag": 5.0}]}, "imag")],
+    [
+        ({"n": 2, "entries": [], "N": 3}, "N"),
+        ({"n": 2, "entries": [{**ENTRY, "imag": 5.0}]}, "imag"),
+        ({"N": 2, "entries": []}, "N"),  # named before the missing n
+        ({"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "Re": 1.0}]}, "Re"),  # before the missing re
+    ],
 )
 def test_unknown_tensor_key_exit_1(capsys, tmp_path, command, payload, key):
     path = tmp_path / "tensor.json"
@@ -894,6 +899,26 @@ def test_deeply_nested_json_exits_1_naming_the_file(capsys, tmp_path, argv, erro
     assert dispatch([part.format(deep=deep) for part in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"{error}: {deep}: JSON nested too deeply to decode")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["tensor", "validate", "--input", "{bad}"], "TensorFormatError"),
+        (["tensor", "extremize", "--input", "{bad}"], "TensorFormatError"),
+        (["geography", "check", "--input", "{bad}"], "ValueError"),
+        (["geography", "plotdata", "--input", "{bad}"], "ValueError"),
+    ],
+)
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"nope"], ids=["not-utf8", "not-json"])
+def test_undecodable_file_exits_1_naming_the_file(capsys, tmp_path, argv, error, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert dispatch([part.format(bad=bad) for part in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{error}: {bad}: not UTF-8 JSON: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

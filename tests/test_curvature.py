@@ -703,6 +703,8 @@ def test_tensor_json_malformed_rejected(payload):
     [
         ({"n": 2, "entries": [], "N": 3}, "N"),
         ({"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": 1.0, "imag": 5.0}]}, "imag"),
+        ({"N": 2, "entries": []}, "N"),  # named before the missing n
+        ({"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "Re": 1.0}]}, "Re"),  # before the missing re
     ],
 )
 def test_tensor_json_unknown_key_rejected(payload, key):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,14 @@ ALL_TYPES_RANK8 = (
     + [("B", n) for n in range(2, 9)]
     + [("C", n) for n in range(2, 9)]
     + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+# every type positive_roots enumerates: the classical ones up to rank 12
+ALL_ADMISSIBLE = (
+    [("A", n) for n in range(1, 13)]
+    + [("B", n) for n in range(2, 13)]
+    + [("C", n) for n in range(2, 13)]
+    + [("D", n) for n in range(3, 13)]
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
 
@@ -93,6 +103,47 @@ def test_cartan_matrix_well_formed(family, rank):
     off = A[~np.eye(A.shape[0], dtype=bool)]
     assert set(off.tolist()) <= {0, -1, -2, -3}
     assert ((A == 0) == (A.T == 0)).all()
+
+
+def _determinant(matrix) -> Fraction:
+    """The exact determinant, by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def _connection_index(family: str, rank: int) -> int:
+    """|P / Q|, the index of the root lattice in the weight lattice."""
+    return {"A": rank + 1, "B": 2, "C": 2, "D": 4, "E": 9 - rank, "F": 1, "G": 1}[family]
+
+
+@pytest.mark.parametrize("family,rank", ALL_ADMISSIBLE)
+def test_cartan_determinant_is_the_connection_index(family, rank):
+    # a misplaced edge or bond changes the determinant
+    assert _determinant(cartan_matrix(LieType(family, rank))) == _connection_index(family, rank)
+
+
+@pytest.mark.parametrize("family,rank", ALL_ADMISSIBLE)
+def test_simple_reflections_permute_the_positive_roots(family, rank):
+    # s_j beta = beta - <beta, alpha_j^vee> alpha_j is positive unless beta = alpha_j
+    rs = positive_roots(LieType(family, rank))
+    roots = set(rs.positive_roots)
+    for beta in roots:
+        for j, column in enumerate(zip(*rs.cartan)):
+            image = list(beta)
+            image[j] -= sum(b * a for b, a in zip(beta, column))
+            assert tuple(image) in roots or sum(beta) == 1 == beta[j]
 
 
 def test_level_set_a2():

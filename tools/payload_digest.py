@@ -57,11 +57,11 @@ CORPUS_SEED = 20231
 SURFACE_POINTS = 24  # each is yielded assembled and rotated
 CAPS = (None, 2, 5)  # None keeps the default cap
 
-# every subcommand; {name} is the file cli_inputs writes under that name
+# every subcommand, cspace roots on each family and the audit on D, E, F and G;
+# {name} is the file cli_inputs writes under that name
 CLI_ARGVS = (
-    ["cspace", "roots", "--family", "E", "--rank", "8"],
-    ["cspace", "roots", "--family", "B", "--rank", "5"],
-    ["cspace", "classify", "--family", "E", "--rank", "6", "--audit"],
+    *(["cspace", "roots", "--family", t[0], "--rank", t[1:]] for t in "E8 B5 A7 C6 D6 E6 E7 F4 G2".split()),
+    *(["cspace", "classify", "--family", t[0], "--rank", t[1:], "--audit"] for t in "E6 D5 E7 E8 F4 G2".split()),
     ["cspace", "classify", "--family", "C", "--rank", "4", "--node", "2"],
     ["surface", "analyze", "--H", "-1", "--A", "0.25", "--B-re", "0.1", "--B-im", "-0.2"],
     ["surface", "analyze", "--H", "0", "--A", "0"],  # warns: the sufficiency test is skipped
