@@ -21,9 +21,10 @@ Double/triple arrows point toward the shorter root.  Cartan matrices use the
 pairing ``A[i][j] = <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) /
 (alpha_j, alpha_j)``.
 
-Enumeration is by closure under the simple reflections from the Cartan
-matrix rather than hard-coded tables, so the classical closed-form counts
-act as an independent oracle on the algorithm (and vice versa).
+Enumeration is from the Cartan matrix, by closure under the simple
+reflections, rather than from hard-coded tables, so the classical
+closed-form counts act as an independent oracle on the algorithm (and vice
+versa).
 """
 
 from __future__ import annotations
