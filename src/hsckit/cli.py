@@ -22,7 +22,7 @@ import argparse
 import json
 import re
 import sys
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -378,12 +378,24 @@ def _render_tsv(command: str, layout, payload: dict, warnings: list[str]) -> str
     return "\n".join(lines) + "\n"
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def _all_leaves(values) -> bool:
     """Whether each of values is a scalar or an empty container, tested in C
-    over many values: a container is empty when it is falsy, as the JSON
-    encoders test it."""
-    values = list(values)
-    return not any(compress(values, map(isinstance, values, repeat((dict, list, tuple)))))
+    over many values.
+
+    A container is empty when it is falsy, as the JSON encoders test it, so
+    only the truthy values are looked at.  When each of those is exactly a
+    str, int, float, bool or None, none is a dict, list or tuple, and the
+    answer is yes without an ``isinstance`` call per value; otherwise (a
+    non-empty container, or a value of any other type, an ``int`` or
+    ``str`` subclass too) the answer is whether none of them is an instance
+    of dict, list or tuple, which is the rule itself."""
+    truthy = list(filter(None, values))
+    return _SCALAR_TYPES.issuperset(map(type, truthy)) or not any(
+        map(isinstance, truthy, repeat((dict, list, tuple)))
+    )
 
 
 def _json_text(value, newline: str = "\n") -> str:
@@ -403,20 +415,20 @@ def _json_text(value, newline: str = "\n") -> str:
     members = list(value.values() if isinstance(value, dict) else value)
     if _all_leaves(members):
         text = json.dumps(value, allow_nan=False, sort_keys=True, separators=("," + inner, ": "))
-        return text[0] + inner + text[1:-1] + newline + text[-1]
+        return "".join((text[0], inner, text[1:-1], newline, text[-1]))
     if isinstance(value, dict):  # each key as the C encoder writes it
         items = [
             json.dumps({key: 0}, allow_nan=False)[1:-4] + ": " + _json_text(member, inner)
             for key, member in sorted(value.items())
         ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return "".join(("{", inner, ("," + inner).join(items), newline, "}"))
     dicts = all(map(isinstance, members, repeat(dict))) and all(members)
     if dicts and _all_leaves(chain.from_iterable(map(dict.values, members))):
         deeper = inner + "  "
         text = json.dumps(value, allow_nan=False, sort_keys=True, separators=("," + deeper, ": "))
         seams = text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-        return "[" + inner + "{" + deeper + seams + inner + "}" + newline + "]"
-    return "[" + inner + ("," + inner).join(_json_text(m, inner) for m in members) + newline + "]"
+        return "".join(("[", inner, "{", deeper, seams, inner, "}", newline, "]"))
+    return "".join(("[", inner, ("," + inner).join(_json_text(m, inner) for m in members), newline, "]"))
 
 
 def _dumps(value) -> str:

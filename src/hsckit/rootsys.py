@@ -139,10 +139,16 @@ def closure_from_cartan(cartan: Sequence[Sequence[int]]) -> set[Root]:
     induction on height finishes the argument.
 
     Relabelling the simple roots (permuting the Cartan matrix) relabels the
-    result and changes nothing else (tested property).  Any integer matrix
-    will do, a numpy array included.
+    result and changes nothing else (tested property).  A numpy array will
+    do.  Only a matrix of finite type has finitely many roots, and none of
+    rank n has more than n^2 + 56 positive roots: a simple factor of rank r
+    has at most r^2 but for E8 (r^2 + 56), E7 (+ 14), F4 (+ 8) and G2 (+ 2),
+    and two such factors of ranks r >= s add 2 r s >= 2 s^2 to n^2, more
+    than the smaller one's excess.  So an integer matrix whose closure
+    passes that count (affine A1 [[2, -2], [-2, 2]], say) raises ValueError.
     """
     rank = len(cartan)
+    most = rank * rank + 56
     # column j of the matrix: the pairings <alpha_i, alpha_j^vee> over i
     columns = [[int(cartan[i][j]) for i in range(rank)] for j in range(rank)]
     frontier = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
@@ -155,6 +161,11 @@ def closure_from_cartan(cartan: Sequence[Sequence[int]]) -> set[Root]:
                 if image not in known:
                     known.add(image)
                     frontier.append(image)
+                    if len(known) > most:
+                        raise ValueError(
+                            f"Cartan matrix is not of finite type: its closure passed {most} positive roots, "
+                            f"more than any finite type of rank {rank} has"
+                        )
     return known
 
 

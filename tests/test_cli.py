@@ -10,7 +10,9 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -268,6 +270,29 @@ def test_geography_scan_horikawa(capsys):
     assert code == 0
     validate_payload("geography scan-horikawa", envelope["payload"])
     assert all(v["passes"] is False for v in envelope["payload"]["verdicts"])
+
+
+def test_scan_horikawa_at_benchmark_size_writes_the_reference_bytes(capsys):
+    # the 3,996-verdict envelope of the benchmark's largest command, in both formats
+    argv = ["geography", "scan-horikawa", "--pg", "3..2000"]
+    verdicts = hsckit.horikawa_scan(3, 2000)
+    envelope = {
+        "command": "geography scan-horikawa",
+        "version": hsckit.__version__,
+        "payload": {"pg_min": 3, "pg_max": 2000, "verdicts": [v.to_payload() for v in verdicts]},
+        "warnings": [],
+    }
+    assert dispatch(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (json.dumps(envelope, indent=2, sort_keys=True) + "\n", "")
+    lines = [
+        "# command: geography scan-horikawa",
+        f"# version: {hsckit.__version__}",
+        "# columns: name\tc1sq\tc2\tpasses\tmargin",
+        *(f"{v.record.name}\t{v.record.c1sq}\t{v.record.c2}\t{v.passes}\t{v.margin}" for v in verdicts),
+    ]
+    assert dispatch([*argv, "--format", "tsv"]) == 0
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
 
 
 def test_geography_plotdata(capsys):
@@ -984,24 +1009,64 @@ def test_validate_prints_what_the_library_reports(data):
             assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
 
 
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class _Empty(NamedTuple):
+    pass
+
+
+class _Level(IntEnum):
+    ZERO = 0
+    ONE = 1
+    BIG = 2**70
+
+
+class _Text(str):
+    pass
+
+
 def _json_trees(floats, keys=st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.booleans()):
     """JSON trees: nested and empty lists and dicts, lists of flat dicts,
     unicode and escapes, big ints, bools, +-0.0, and dicts keyed by str or
-    by keys."""
+    by keys; and subclasses of dict, list, tuple (a NamedTuple), int (an
+    IntEnum) and str, empty and not, as members of flat dicts and of lists
+    of dicts, and as keys."""
     scalars = (
         st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80)
         | st.sampled_from([0.0, -0.0]) | floats | st.text()
+        | st.sampled_from(_Level) | st.text(max_size=3).map(_Text)
     )
-    empty = st.sampled_from([[], {}, ()])
-    flat_dicts = st.dictionaries(st.text(max_size=3), scalars | empty, min_size=1, max_size=4)
+    empty = st.sampled_from([[], {}, (), _List(), _Dict(), _Empty()])
+    filled = (
+        st.lists(scalars, min_size=1, max_size=2).map(_List)
+        | st.dictionaries(st.text(max_size=2), scalars, min_size=1, max_size=2).map(_Dict)
+        | st.tuples(scalars, scalars).map(lambda pair: _Pair(*pair))
+    )
+    flat_keys = st.text(max_size=3) | st.text(max_size=3).map(_Text)
+    flat_dicts = st.dictionaries(flat_keys, scalars | empty, min_size=1, max_size=4)
     return st.recursive(
-        scalars,
+        scalars | empty | filled,
         lambda children: st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
+        | st.lists(children, max_size=4).map(_List)
+        | st.tuples(children, children).map(lambda pair: _Pair(*pair))
         | st.dictionaries(st.text(), children, max_size=4)
-        | st.dictionaries(keys, children, max_size=3)
+        | st.dictionaries(st.text(), children, max_size=4).map(_Dict)
+        | st.dictionaries(keys | st.sampled_from(_Level), children, max_size=3)
         | st.dictionaries(st.none(), children, max_size=1)
-        | st.lists(flat_dicts | empty, max_size=4),
+        | st.lists(flat_dicts | flat_dicts.map(_Dict) | empty, max_size=4)
+        | st.lists(st.dictionaries(st.text(max_size=3), scalars | empty | filled, min_size=1, max_size=3), max_size=3),
         max_leaves=24,
     )
 

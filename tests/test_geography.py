@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -193,6 +194,36 @@ def test_record_with_partial_invariants_not_flagged():
 def test_constructor_refuses_a_field_of_the_wrong_type(key, value):
     with pytest.raises(ValueError, match=f"^surface record field '{key}' must be "):
         SurfaceRecord(**{"name": "x", "c1sq": 1, "c2": 11, key: value})
+
+
+class _Count(int):
+    """An int subclass that is not a bool."""
+
+
+BARLOW_NUMBERS = {"c1sq": 1, "c2": 11, "pg": 0, "q": 0, "K2": 1}
+
+
+@pytest.mark.parametrize("key", NUMBER_FIELDS)
+def test_an_int_subclass_is_accepted_in_each_number_field(key):
+    # the record check's exact-type test misses the subclass, and the
+    # per-field rule it falls back to takes any int but a bool
+    record = SurfaceRecord("x", **{**BARLOW_NUMBERS, key: _Count(BARLOW_NUMBERS[key])})
+    assert type(getattr(record, key)) is _Count
+    assert record.flags == ()
+    assert SurfaceRecord.from_payload(record.to_payload()) == record
+    assert records_from_json(json.dumps([record.to_payload()])) == [record]
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, np.int64(1)])
+@pytest.mark.parametrize("key", NUMBER_FIELDS)
+def test_a_bool_float_or_numpy_int_is_refused_naming_its_field(key, value):
+    message = f"^surface record field '{key}' must be an integer or null, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        SurfaceRecord("x", **{**BARLOW_NUMBERS, key: value})
+    with pytest.raises(ValueError, match=message):  # int subclasses in the other fields pass
+        SurfaceRecord("x", **{**{k: _Count(v) for k, v in BARLOW_NUMBERS.items()}, key: value})
+    with pytest.raises(ValueError, match=message):  # the first wrong field is named
+        SurfaceRecord("x", **{**BARLOW_NUMBERS, key: value, "K2": 1.5 if key != "K2" else value})
 
 
 @pytest.mark.parametrize("key", ["flag", "K_2"])

@@ -205,6 +205,32 @@ def test_closure_independent_of_scan_order(family, rank):
     assert backward == closure_from_cartan(cartan)
 
 
+@pytest.mark.parametrize(
+    "cartan",
+    [
+        [[2, -2], [-2, 2]],  # affine A1
+        [[2, -3], [-3, 2]],  # hyperbolic
+        [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],  # affine C2
+        [[-1]],  # not a Cartan matrix: each reflection doubles the root
+    ],
+)
+def test_closure_of_infinite_type_raises(cartan):
+    bound = len(cartan) ** 2 + 56
+    with pytest.raises(ValueError, match=f"^Cartan matrix is not of finite type: its closure passed {bound} "):
+        closure_from_cartan(cartan)
+
+
+@pytest.mark.parametrize("left,right", [(("E", 8), ("A", 1)), (("E", 8), ("E", 8)), (("E", 7), ("G", 2))])
+def test_closure_of_a_direct_sum_is_both_closures(left, right):
+    # E8 + A1 has 121 positive roots at rank 9, past both 9^2 and E8's 120
+    a, b = (cartan_matrix(LieType(*t)) for t in (left, right))
+    block = np.zeros((len(a) + len(b),) * 2, dtype=int)
+    block[: len(a), : len(a)], block[len(a) :, len(a) :] = a, b
+    zeros_a, zeros_b = (0,) * len(a), (0,) * len(b)
+    expected = {r + zeros_b for r in closure_from_cartan(a)} | {zeros_a + r for r in closure_from_cartan(b)}
+    assert closure_from_cartan(block) == expected
+
+
 def _permuted(roots, perm):
     return {tuple(r[perm[i]] for i in range(len(perm))) for r in roots}
 

@@ -57,8 +57,9 @@ CORPUS_SEED = 20231
 SURFACE_POINTS = 24  # each is yielded assembled and rotated
 CAPS = (None, 2, 5)  # None keeps the default cap
 
-# every subcommand, cspace roots on each family and the audit on D, E, F and G;
-# {name} is the file cli_inputs writes under that name
+# every subcommand, cspace roots on each family, the audit on D, E, F and G and
+# scan-horikawa at the benchmark's size; {name} is the file cli_inputs writes
+# under that name
 CLI_ARGVS = (
     *(["cspace", "roots", "--family", t[0], "--rank", t[1:]] for t in "E8 B5 A7 C6 D6 E6 E7 F4 G2".split()),
     *(["cspace", "classify", "--family", t[0], "--rank", t[1:], "--audit"] for t in "E6 D5 E7 E8 F4 G2".split()),
@@ -75,6 +76,8 @@ CLI_ARGVS = (
     ["geography", "check", "--input", "{records}"],
     ["geography", "blowup", "--c1sq", "9", "--c2", "3", "--k", "2"],
     ["geography", "scan-horikawa", "--pg", "3..40"],
+    ["geography", "scan-horikawa", "--pg", "3..12"],
+    ["geography", "scan-horikawa", "--pg", "3..2000"],
     ["geography", "plotdata"],
     ["geography", "plotdata", "--input", "{records}"],
 )
