@@ -1,14 +1,16 @@
 """Settings the CLI parser reads for every command, and the checked-record
-rule, kept free of numpy and ``dataclasses``.
+rule, kept free of numpy.
 
 ``curvature`` re-exports ``SYMMETRY_TOL``, ``extremize`` ``ExtremizeConfig``
 and ``rootsys`` ``FAMILIES``, which is where they are public, and
 ``geography`` reads ``_C2_BOUND``; they live here so that building the parser
 loads none of those modules, and a command loads only the ones it runs.
-``_checked`` makes a ``NamedTuple`` run its ``_check`` whenever a record is
-built, and ``_is_int`` is the integer rule of those checks; the checked
-records of ``rootsys``, ``cspace``, ``geography`` and ``surface`` take them
-from here, and ``_wire``, the numpy-free reader of tensor JSON, reads its
+Every record of the package is a ``NamedTuple``, and no module imports
+``dataclasses``.  ``_checked`` makes a ``NamedTuple`` run its ``_check``
+whenever a record is built, and ``_is_int`` is the integer rule of those
+checks; the checked records of ``rootsys``, ``cspace``, ``geography`` and
+``surface`` take them from here, ``curvature``'s ``Direction`` takes
+``_checked``, and ``_wire``, the numpy-free reader of tensor JSON, reads its
 integers with ``_is_int``.
 """
 

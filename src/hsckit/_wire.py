@@ -104,10 +104,10 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
 
 
-def _violation_payloads(violations: list) -> list[dict]:
-    """JSON-ready (relation, indices, magnitude) triples.  A magnitude beyond
-    the float range has no JSON form and raises ValueError naming its
-    relation and orbit."""
+def _violation_payloads(violations: list | tuple) -> list[dict]:
+    """JSON-ready (relation, indices, magnitude) triples, such as
+    ``curvature.SymmetryViolation``s.  A magnitude beyond the float range
+    has no JSON form and raises ValueError naming its relation and orbit."""
     for relation, indices, magnitude in violations:
         if magnitude == float("inf"):
             raise ValueError(f"{relation} violation at orbit {indices} exceeds the float range")

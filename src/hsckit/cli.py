@@ -361,7 +361,7 @@ def _flattened(value, prefix: str = "") -> list[list]:
 def _tsv_field(text: str) -> str:
     """text as one TSV field; a tab or line break would shift the columns or
     rows, so it raises ValueError naming the field."""
-    if any(c in text for c in "\t\n\r"):
+    if "\t" in text or "\n" in text or "\r" in text:
         raise ValueError(f"TSV field {text!r} holds a tab or line break; use --format json")
     return text
 

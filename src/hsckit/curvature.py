@@ -26,12 +26,12 @@ the HSC formula along a direction.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
-from ._config import SYMMETRY_TOL
+from ._config import SYMMETRY_TOL, _checked
 from ._wire import _HERMITIAN, _LINEAR, _check_tolerance, _orbit_values, _violation_payloads
 from .errors import DimensionMismatch, NotUnitary
 from .surface import EinsteinFramePoint
@@ -157,21 +157,33 @@ def _unit(v) -> np.ndarray:
     return scaled / np.linalg.norm(scaled)
 
 
-@dataclass(frozen=True, eq=False)
-class Direction:
-    """A nonzero finite complex direction, normalized to unit length on
-    creation by the rule of ``_unit``."""
+@_checked
+class Direction(NamedTuple):
+    """A nonzero finite complex direction, normalized to unit length and made
+    read-only on creation by the rule of ``_unit``.  It compares and hashes
+    as a tuple, so ``==`` between two Directions raises numpy's ambiguity
+    error; compare their vectors.  A copy or an unpickled Direction keeps
+    its vector's bits: ``_unit`` of a unit vector may move its last bit."""
 
     vector: np.ndarray
 
-    def __post_init__(self):
+    def _check(self):
         v = _unit(self.vector)
         v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
+        return (v,)
+
+    def __reduce__(self):
+        return _unpickled_direction, (self.vector,)
 
     @property
     def n(self) -> int:
         return self.vector.shape[0]
+
+
+def _unpickled_direction(v: np.ndarray) -> Direction:
+    """The Direction along the stored unit vector v, frozen again but not renormalized."""
+    v.setflags(write=False)
+    return tuple.__new__(Direction, (v,))
 
 
 def _as_vector(v, n: int) -> np.ndarray:
@@ -182,8 +194,7 @@ def _as_vector(v, n: int) -> np.ndarray:
     return _unit(v)
 
 
-@dataclass(frozen=True)
-class SymmetryViolation:
+class SymmetryViolation(NamedTuple):
     """The worst breach of one Kähler relation on one orbit, named by its smallest index."""
 
     relation: str
@@ -191,8 +202,7 @@ class SymmetryViolation:
     magnitude: float
 
 
-@dataclass(frozen=True, eq=False)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Result of ``validate``: the tolerance used and every violated orbit."""
 
     ok: bool
@@ -202,8 +212,7 @@ class ValidationReport:
     def to_payload(self) -> dict:
         """The JSON-ready report.  A magnitude beyond the float range has no
         JSON form and raises ValueError naming its relation and orbit."""
-        violations = _violation_payloads([astuple(v) for v in self.violations])
-        return {"ok": self.ok, "tolerance": self.tolerance, "violations": violations}
+        return {"ok": self.ok, "tolerance": self.tolerance, "violations": _violation_payloads(self.violations)}
 
 
 def validate(

@@ -69,7 +69,7 @@ anisotropy, which the frame's residual reports.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -114,15 +114,15 @@ _DEGREES = np.array([4.0, 3.0, 2.0])
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-@dataclass(frozen=True, eq=False)
-class ExtremizeResult:
+class ExtremizeResult(NamedTuple):
     """HSC extremes, their directions, ascent steps, convergence and oracle values.
 
     ``iterations_used`` sums the steps of every ascent, and ``steps`` is the
     most steps one ascent took, the length of the lockstep loop.  Per side,
     ``*_starts_at_best`` counts the starts whose ascent ties the best value
     within ``_VALUE_TOLERANCE``, and ``*_capped`` the starts still running
-    after ``_MAX_ITERS`` steps.
+    after ``_MAX_ITERS`` steps.  It compares and hashes as a tuple, so its
+    directions make ``==`` between two results raise numpy's ambiguity error.
     """
 
     min_value: float
@@ -146,14 +146,13 @@ class ExtremizeResult:
 
     def to_payload(self) -> dict:
         """Every field, each direction as [re, im] pairs, and n."""
-        payload = asdict(self)
+        payload = self._asdict()
         for side in ("argmin", "argmax"):
             payload[side] = [[z.real, z.imag] for z in getattr(self, side).vector]
         return {"n": self.argmin.n, **payload}
 
 
-@dataclass(frozen=True, eq=False)
-class SampleResult:
+class SampleResult(NamedTuple):
     """Smallest, largest and mean HSC over ``samples`` sphere points."""
 
     min_value: float
@@ -584,9 +583,10 @@ def extremize_hsc(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DistinguishedFrame:
-    """Unitary frame change, recovered frame data, and vanishing residual."""
+class DistinguishedFrame(NamedTuple):
+    """Unitary frame change, recovered frame data, and vanishing residual.  It
+    compares and hashes as a tuple, so its unitary makes ``==`` between two
+    frames raise numpy's ambiguity error."""
 
     unitary: np.ndarray
     point: EinsteinFramePoint

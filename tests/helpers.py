@@ -165,13 +165,42 @@ def product_tensor(t1: KahlerCurvatureTensor, t2: KahlerCurvatureTensor) -> Kahl
     return KahlerCurvatureTensor(R)
 
 
+def _matrix_model_tensor(B: np.ndarray) -> KahlerCurvatureTensor:
+    """Curvature of a Hermitian symmetric space in a matrix model, for B a
+    stack of Frobenius-orthonormal matrices: R = einsum("iab,jcb,kcd,lad", B,
+    conj(B), B, conj(B)), so HSC(v) = tr((X X^H)^2) / |X|^4 at X = sum v_i B_i."""
+    return KahlerCurvatureTensor(np.einsum("iab,jcb,kcd,lad->ijkl", B, B.conj(), B, B.conj()))
+
+
 def grassmannian_tensor(p: int, q: int) -> KahlerCurvatureTensor:
     """Curvature of the Grassmannian of p-planes in C^(p+q) in the p x q
-    matrix model: over the unit matrices B, R = einsum("iab,jcb,kcd,lad", B,
-    conj(B), B, conj(B)), so HSC(X) = tr((X X^H)^2) / |X|^4.  Its range is
-    [1/min(p, q), 1] (Wolf's polysphere theorem)."""
-    B = np.eye(p * q).reshape(p * q, p, q)
-    return KahlerCurvatureTensor(np.einsum("iab,jcb,kcd,lad->ijkl", B, B.conj(), B, B.conj()))
+    matrix model over the unit matrices.  Its range is [1/min(p, q), 1]
+    (Wolf's polysphere theorem)."""
+    return _matrix_model_tensor(np.eye(p * q).reshape(p * q, p, q))
+
+
+def _pair_basis(p: int, sign: int) -> np.ndarray:
+    """The Frobenius-orthonormal basis E_aa, then (E_ab + E_ba) / sqrt 2 for
+    a < b, of the symmetric p x p matrices (sign 1), or the (E_ab - E_ba) /
+    sqrt 2 of the antisymmetric ones (sign -1)."""
+    E = np.eye(p * p).reshape(p, p, p, p)  # E[a, b] is the unit matrix E_ab
+    B = np.array([E[a, b] + sign * E[b, a] for a in range(p) for b in range(a + (sign < 0), p)])
+    return B / np.linalg.norm(B, axis=(1, 2))[:, None, None]
+
+
+def lagrangian_grassmannian_tensor(p: int) -> KahlerCurvatureTensor:
+    """Curvature of the Lagrangian Grassmannian LG(p) = Sp(p)/U(p), n = p (p +
+    1) / 2, in the model of symmetric p x p matrices.  X X^H has rank up to
+    p, so the range is [1/p, 1]."""
+    return _matrix_model_tensor(_pair_basis(p, 1))
+
+
+def orthogonal_grassmannian_tensor(p: int) -> KahlerCurvatureTensor:
+    """Curvature of the orthogonal Grassmannian OG(p) = SO(2p)/U(p), n = p (p
+    - 1) / 2, in the model of antisymmetric p x p matrices.  The singular
+    values of X come in equal pairs, at most floor(p / 2) of them, so the
+    range is [1 / (2 floor(p / 2)), 1/2]."""
+    return _matrix_model_tensor(_pair_basis(p, -1))
 
 
 def quadric_tensor(n: int) -> KahlerCurvatureTensor:

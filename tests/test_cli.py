@@ -674,8 +674,9 @@ COMMAND_MODULES = [
 )
 def test_each_command_loads_only_the_modules_it_runs(capsys, tensor_file, argv, code, needed):
     argv = [str(tensor_file) if part == "{tensor}" else part for part in argv]
-    # a None entry in sys.modules makes every later import of that module raise ImportError
-    blocked = [f"hsckit.{m}" for m in hsckit._MODULES if m not in needed | {"errors"}]
+    # a None entry in sys.modules makes every later import of that module raise ImportError;
+    # no command loads dataclasses
+    blocked = [f"hsckit.{m}" for m in hsckit._MODULES if m not in needed | {"errors"}] + ["dataclasses"]
     script = f"import sys; sys.modules.update(dict.fromkeys({blocked})); from hsckit.cli import main; main()"
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, env=_child_env(), timeout=60

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 import time
 
@@ -199,6 +201,23 @@ def test_direction_normalizes_and_rejects_zero():
     for bad in ([np.inf, 0.0], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="finite"):
             Direction(bad)
+
+
+def test_direction_replace_renormalizes_and_copies_keep_bits():
+    d = Direction([3.0, 4.0])
+    with pytest.raises(AttributeError):
+        d.vector = np.array([1.0, 0.0])
+    with pytest.raises(ValueError):
+        d.vector[0] = 1.0  # read-only
+    assert np.array_equal(d._replace(vector=[0.0, 2.0]).vector, [0.0, 1.0])
+    with pytest.raises(ValueError, match="nonzero"):
+        d._replace(vector=[0.0, 0.0])
+    # a copy keeps the bits: renormalizing a unit vector may move its last bit
+    d = Direction(np.random.default_rng(0).standard_normal(12).view(complex))
+    assert not np.array_equal(Direction(d.vector).vector, d.vector)
+    for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert type(twin) is Direction and not twin.vector.flags.writeable
+        assert np.array_equal(twin.vector, d.vector)
 
 
 # --- contractions -------------------------------------------------------------

@@ -65,6 +65,8 @@ from helpers import (
     best_of_starts_serial,
     grassmannian_tensor,
     hsc_bruteforce,
+    lagrangian_grassmannian_tensor,
+    orthogonal_grassmannian_tensor,
     product_tensor,
     quadric_tensor,
     quartic_values_einsum,
@@ -194,6 +196,9 @@ KNOWN_RANGES = [
     (quadric_tensor(5), 0.5, 1.0),
     # HSC of a product is c1 c2 / (c1 + c2) at best: 1/3 for c1 = 1, c2 = 1/2
     (product_tensor(constant_hsc_tensor(2, 1.0), quadric_tensor(3)), 1.0 / 3.0, 1.0),
+    (lagrangian_grassmannian_tensor(2), 0.5, 1.0),
+    (lagrangian_grassmannian_tensor(3), 1.0 / 3.0, 1.0),
+    (orthogonal_grassmannian_tensor(4), 0.25, 0.5),
 ]
 
 
@@ -201,6 +206,20 @@ KNOWN_RANGES = [
 def test_newton_ascent_reaches_known_ranges(tensor, low, high):
     # their optima are not isolated, so the Hessian is singular there
     assert 3 <= tensor.n <= _NEWTON_MAX_N
+    res = extremize_hsc(tensor)
+    assert res.min_value == pytest.approx(low, abs=1e-12)
+    assert res.max_value == pytest.approx(high, abs=1e-12)
+    assert res.min_capped == res.max_capped == 0
+    assert res.converged
+
+
+@pytest.mark.parametrize(
+    "tensor, low, high",
+    [(orthogonal_grassmannian_tensor(5), 0.25, 0.5), (orthogonal_grassmannian_tensor(6), 1.0 / 6.0, 0.5)],
+)
+def test_conjugate_gradient_ascent_reaches_known_ranges(tensor, low, high):
+    # n = 10 and 15: past the Newton cutoff, so every step is a conjugate-gradient one
+    assert tensor.n > _NEWTON_MAX_N
     res = extremize_hsc(tensor)
     assert res.min_value == pytest.approx(low, abs=1e-12)
     assert res.max_value == pytest.approx(high, abs=1e-12)

@@ -1,15 +1,19 @@
 """Symbolic proofs (sympy) of the surface closed forms, the Bloch form and
-the distinguished frame's readouts from it.
+the distinguished frame's readouts from it, and of the ascent's formulas:
+its gradient and Hessian at n = 2 and 3, its circle fit and the tan and cot
+quartics of its line search.
 
 These sit next to the numeric checks in test_curvature and test_extremize
 and do not replace them.  Library functions whose arithmetic is plain
 Python (``chern_weil``, ``max_hsc_surface``) are run on sympy symbols
-directly; ``assemble_einstein_surface`` is real-linear in (H, A, Re B,
-Im B), so its exact coefficient arrays are read off numerically.
+directly; ``assemble_einstein_surface`` and ``_quartic_matrix`` are
+real-linear in their inputs, so their exact coefficient arrays are read off
+numerically.  Each proof of a formula also refutes a mutated coefficient.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
 
@@ -24,8 +28,9 @@ from hsckit import (
     hsc_surface_closed_form,
     max_hsc_surface,
 )
-from hsckit.curvature import _HERMITIAN, _LINEAR
-from hsckit.extremize import _PAULI, _bloch_form
+from hsckit import extremize
+from hsckit.curvature import _HERMITIAN, _LINEAR, _quartic_matrix
+from hsckit.extremize import _PAULI, _bloch_form, _circle_coefficients, _companions
 from hsckit.geography import _C2_BOUND
 from helpers import random_kahler_tensor
 
@@ -62,10 +67,10 @@ def _symbolic_surface() -> dict:
     return {idx: sum(s * _exact(c[idx]) for s, c in coeffs.items()) for idx in INDICES}
 
 
-def _quartic(R: dict):
+def _quartic(R: dict, v=V):
     """sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l) for the symbolic v."""
-    conj = [sp.conjugate(z) for z in V]
-    return sum(R[i, j, k, l] * V[i] * conj[j] * V[k] * conj[l] for i, j, k, l in INDICES)
+    conj = [sp.conjugate(z) for z in v]
+    return sum(z * v[i] * conj[j] * v[k] * conj[l] for (i, j, k, l), z in R.items())
 
 
 def _bloch_matrix(R: dict) -> sp.Matrix:
@@ -98,12 +103,12 @@ def test_quartic_is_the_bloch_form_for_every_tensor():
     assert (s_sigma**2 - sum(si**2 for si in s) * sp.eye(2)).applyfunc(sp.expand) == sp.zeros(2, 2)
 
 
-def _generic_kahler() -> dict:
-    """A generic n = 2 Kähler tensor: each orbit of the symmetry group takes
+def _generic_kahler(n: int = 2) -> dict:
+    """A generic Kähler tensor on C^n: each orbit of the symmetry group takes
     x + i y, with y dropped on the orbits conjugation maps to themselves; the
     linear images of an index take the value and the others its conjugate."""
     R = {}
-    for idx in INDICES:
+    for idx in product(range(n), repeat=4):
         if idx in R:
             continue
         linear = {tuple(idx[a] for a in p) for p in _LINEAR}
@@ -294,3 +299,135 @@ def test_ball_quotient_fixes_the_chern_normalization():
     gamma1, gamma2 = chern_weil(SimpleNamespace(H=c, A=c / 2, B=0))
     assert _is_zero(sp.nsimplify(gamma1**2 - 3 * gamma2, rational=True))
     assert _C2_BOUND == 3
+
+
+# --- the ascent's derivatives and its line search ---------------------------
+
+
+@lru_cache(maxsize=2)  # n = 2 and 3, each built once for both of its tests
+def _ascent_terms(n: int) -> dict:
+    """For a generic Kähler tensor R on C^n (``_generic_kahler``), symbolic
+    v = x + i y and xi = a + i b: the quartic f, its gradient grad f_x + i
+    grad f_y and Hessian-vector product H xi in real coordinates, as complex
+    vectors, beside the terms the code forms from ``_quartic_matrix(R)``: Y
+    conj(v) and Y conj(xi) for Y = x_s Kc, and P xi for P = conj((v (x)
+    conj(v)) Rt).  ``_quartic_matrix`` is real-linear in R, so its matrices
+    are read off numerically, one real symbol of R at a time, exactly."""
+    R = _generic_kahler(n)
+    x, y, a, b = (sp.symbols(f"{name}1:{n + 1}", real=True) for name in "xyab")
+    v = [xj + sp.I * yj for xj, yj in zip(x, y)]
+    xi = [aj + sp.I * bj for aj, bj in zip(a, b)]
+    symbols = sorted(set().union(*(sp.sympify(z).free_symbols for z in R.values())), key=str)
+    folds = []
+    for c in symbols:
+        coefficient = np.array([complex(sp.diff(R[idx], c)) for idx in product(range(n), repeat=4)])
+        folds.append(_quartic_matrix(coefficient.reshape((n,) * 4)))
+    I, J = folds[0][:2]
+    exact = np.vectorize(_exact, otypes=[object])
+    Kc, Rt = (sum(c * exact(fold[part]) for c, fold in zip(symbols, folds)) for part in (2, 4))
+    conj_v, conj_xi = np.array([sp.conjugate(z) for z in v]), np.array([sp.conjugate(z) for z in xi])
+    Y = (np.array([v[i] * v[j] for i, j in zip(I, J)]) @ Kc).reshape(n, n)
+    P = np.vectorize(sp.conjugate, otypes=[object])((np.outer(v, conj_v).reshape(n * n) @ Rt).reshape(n, n))
+    f = sp.expand(_quartic(R, v))
+    grad = [sp.diff(f, xj) + sp.I * sp.diff(f, yj) for xj, yj in zip(x, y)]
+    hess_xi = [sum(sp.diff(g, xk) * ak + sp.diff(g, yk) * bk for xk, yk, ak, bk in zip(x, y, a, b)) for g in grad]
+    return dict(
+        f=f, conj_v=conj_v, grad=grad, hess_xi=hess_xi, Y_v=Y @ conj_v, Y_xi=Y @ conj_xi, P_xi=P @ np.array(xi)
+    )
+
+
+def _all_zero(exprs) -> bool:
+    return all(_is_zero(e) for e in exprs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gradient_is_four_y_conj_v(n):
+    # curvature._value_and_gradient: f = Re conj(v).Y conj(v), here exactly
+    # real, and the gradient in real coordinates is 4 Y conj(v)
+    t = _ascent_terms(n)
+    assert not t["f"].has(sp.I)
+    assert _is_zero(t["conj_v"] @ t["Y_v"] - t["f"])
+    assert _all_zero(g - 4 * yv for g, yv in zip(t["grad"], t["Y_v"]))
+    assert not _all_zero(g - 3 * yv for g, yv in zip(t["grad"], t["Y_v"]))  # mutation: 4 -> 3 is refuted
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_euclidean_hessian_is_eight_p_plus_four_y_conj(n):
+    # extremize._newton_matrix: H xi = 8 P xi + 4 Y conj(xi)
+    t = _ascent_terms(n)
+    assert _all_zero(h - 8 * p - 4 * q for h, p, q in zip(t["hess_xi"], t["P_xi"], t["Y_xi"]))
+    assert not _all_zero(h - 7 * p - 4 * q for h, p, q in zip(t["hess_xi"], t["P_xi"], t["Y_xi"]))  # 8 -> 7
+
+
+G = sp.symbols("g0:5", real=True)
+
+
+def _binary_quartic(a, b, g=G):
+    return sum(gk * a ** (4 - k) * b**k for k, gk in enumerate(g))
+
+
+def test_circle_coefficients_recover_any_binary_quartic(monkeypatch):
+    # _circle_coefficients: g_0 = q(1, 0), the slope g_1 = dq(1, b)/db at 0 and
+    # g_4 = q(0, 1) are read directly, and the even and odd parts of q(1, +-1) give g_2 and g_3
+    b = sp.Symbol("b", real=True)
+    f, fu, fp, fm = (_binary_quartic(*ab) for ab in ((1, 0), (0, 1), (1, 1), (1, -1)))
+    slope = sp.diff(_binary_quartic(1, b), b).subs(b, 0)
+    assert (f, slope, fu) == G[:2] + G[4:]
+    assert _is_zero(fp / 2 + fm / 2 - f - fu - G[2])
+    assert _is_zero(fp / 2 - fm / 2 - slope - G[3])
+    # the code runs these formulas: with v = e_1 and u = e_2 the kernel's rows u and v +- u
+    # are the points (0, 1) and (1, +-1), and small integers make every float exact
+    g = np.random.default_rng(7).integers(-9, 10, size=(16, 5)).astype(float)
+    V, U = np.eye(2, dtype=complex)[[0, 1]][:, None, :].repeat(len(g), axis=1)
+    rows = np.tile(g, (3, 1))
+    monkeypatch.setattr(extremize, "_values_batch", lambda K, W: _binary_quartic(*W.real.T, g=rows.T))
+    for s in (1.0, -1.0):
+        fitted = _circle_coefficients(None, V, U, s * g[:, 0], s * g[:, 1], np.full(len(g), s))
+        assert np.array_equal(fitted, s * g)
+
+
+T, U_COT, THETA = sp.symbols("t u theta", real=True)
+
+
+def _stationary_quartics(g=G):
+    """dq/dtheta at (cos theta, sin theta) over cos^4 theta, in t = tan theta, and
+    over sin^4 theta, in u = cot theta, for q = ``_binary_quartic`` of g; along
+    the circle d/dtheta is -s d/dc + c d/ds."""
+    c, s = sp.symbols("c s", real=True)
+    q = _binary_quartic(c, s, g)
+    dq = -s * sp.diff(q, c) + c * sp.diff(q, s)
+    trig = _binary_quartic(sp.cos(THETA), sp.sin(THETA), g)
+    assert _is_zero(sp.diff(trig, THETA) - dq.subs({c: sp.cos(THETA), s: sp.sin(THETA)}))
+    tan, cot = dq.subs({c: 1, s: T}), dq.subs({c: U_COT, s: 1})
+    return sp.Poly(tan, T).all_coeffs(), sp.Poly(cot, U_COT).all_coeffs()
+
+
+TAN_QUARTIC = [-G[3], 4 * G[4] - 2 * G[2], 3 * G[3] - 3 * G[1], 2 * G[2] - 4 * G[0], G[1]]
+
+
+def test_stationary_angles_are_roots_of_the_tan_and_cot_quartics():
+    # _companions: the tan quartic, highest power first, and its reverse in cot theta
+    tan, cot = _stationary_quartics()
+    assert _all_zero(x - y for x, y in zip(tan, TAN_QUARTIC))
+    assert _all_zero(x - y for x, y in zip(cot, TAN_QUARTIC[::-1]))
+    # and that reverse is minus the tan quartic of g reversed, which a cot row reads
+    reversed_tan, _ = _stationary_quartics(G[::-1])
+    assert _all_zero(x + y for x, y in zip(reversed_tan, TAN_QUARTIC[::-1]))
+
+
+def _companions_match_the_quartics(g: np.ndarray) -> bool:
+    """Whether the characteristic polynomial of each of ``_companions``' matrices on the
+    rows g is the monic tan quartic of its row, or the cot quartic on a cot row."""
+    companion, cot = _companions(g)
+    assert cot.any() and not cot.all()
+    quartic = sp.lambdify(G, TAN_QUARTIC)
+    expected = [quartic(*row)[:: -1 if flag else 1] for row, flag in zip(g, cot)]
+    expected = [np.array(q) / q[0] for q in expected]
+    return all(np.allclose(np.poly(m), q, rtol=1e-9, atol=1e-12) for m, q in zip(companion, expected))
+
+
+def test_companion_matrices_carry_the_stationary_quartics(monkeypatch):
+    g = np.random.default_rng(11).standard_normal((32, 5))
+    assert _companions_match_the_quartics(g)
+    monkeypatch.setattr(extremize, "_DEGREES", np.array([4.0, 3.0, 3.0]))  # mutation: refuted
+    assert not _companions_match_the_quartics(g)

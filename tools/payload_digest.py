@@ -1,5 +1,5 @@
-"""SHA-256 digests of the CLI's output, of distinguished frames, of every ascended row and of
-``ExtremizeResult.to_payload()``.
+"""SHA-256 digests of sampled extremes, of the CLI's output, of distinguished frames, of every
+ascended row and of ``ExtremizeResult.to_payload()``.
 
 Usage (from the root of a checkout):
 
@@ -32,11 +32,17 @@ Before those two lines come a count of frames and their digest:
 point and residual written as hex floats, so a change to any bit of a
 frame shows there and nowhere else.
 
-The first two lines count CLI runs and give their digest.  Each argv of
+The two lines before those count CLI runs and give their digest.  Each argv of
 ``CLI_ARGVS`` runs in process through ``hsckit.cli.dispatch`` in both
 formats, and each of ``CLI_ERRORS`` once; its exit code, stdout and stderr
 are hashed.  The tensor and surface files they read are written to a
 temporary directory, whose path appears in no output.
+
+The first two lines count sampled tensors and give their digest:
+``sample_hsc`` draws 65,536 rows, as the benchmark's tensor-oracle workload
+does, from each of the first three corpus tensors at n = 3, 4 and 6, the
+sizes that workload samples, seeded by the tensor's count; the min, max and
+mean are written as hex floats.
 """
 
 import contextlib
@@ -56,6 +62,8 @@ STARTS = (8, 16)
 CORPUS_SEED = 20231
 SURFACE_POINTS = 24  # each is yielded assembled and rotated
 CAPS = (None, 2, 5)  # None keeps the default cap
+SAMPLED = {3: 3, 4: 3, 6: 3}  # corpus tensors sampled at each n
+SAMPLES = 65_536
 
 # every subcommand, cspace roots on each family, the audit on D, E, F and G and
 # scan-horikawa at the benchmark's size; {name} is the file cli_inputs writes
@@ -221,7 +229,26 @@ def frame_digest() -> tuple[int, str]:
     return count, total.hexdigest()
 
 
+def sample_digest() -> tuple[int, str]:
+    """``sample_hsc`` of the first SAMPLED corpus tensors at each n, and the SHA-256 of their
+    extremes and means as hex floats."""
+    wanted, total, count = dict(SAMPLED), hashlib.sha256(), 0
+    for tensor in corpus():
+        if wanted.get(tensor.n):
+            wanted[tensor.n] -= 1
+            sampled = hsckit.sample_hsc(tensor, SAMPLES, seed=count)
+            numbers = (sampled.min_value, sampled.max_value, sampled.mean)
+            total.update(" ".join(x.hex() for x in numbers).encode() + b"\n")
+            count += 1
+            if not any(wanted.values()):
+                break
+    return count, total.hexdigest()
+
+
 def main() -> None:
+    samples, digest = sample_digest()
+    print(f"{samples} sampled tensors")
+    print(digest)
     runs, digest = cli_digest()
     print(f"{runs} cli runs")
     print(digest)
