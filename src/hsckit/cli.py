@@ -19,6 +19,7 @@ Output is deterministic: identical flags and seed give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -182,14 +183,14 @@ def _run_surface_analyze(args) -> tuple[dict, list[str]]:
     return payload, warnings
 
 
-def _parse_file(path: Path, parse, error: type[Exception]):
-    """parse(text of path).  A file that is not UTF-8 (UnicodeDecodeError) or
-    not JSON (json.JSONDecodeError), or JSON nested too deeply to decode
-    (RecursionError), raises error with the path first; any other error of
-    parse passes unchanged."""
+def _parse_file(path: Path, error: type[Exception]):
+    """The JSON value in path.  A file that is not UTF-8 or not JSON, or holds
+    an integer too long to convert (all ``ValueError``s of the decoder), or
+    JSON nested too deeply to decode (RecursionError), raises error with the
+    path first."""
     try:
-        return parse(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise error(f"{path}: not UTF-8 JSON: {exc}") from None
     except RecursionError:
         raise error(f"{path}: JSON nested too deeply to decode") from None
@@ -204,7 +205,7 @@ def _asymmetry_warnings(asymmetry: float, tolerance: float) -> list[str]:
 def _run_tensor_validate(args) -> tuple[dict, list[str]]:
     from ._wire import _orbit_values, _validation_payload
 
-    n, orbits = _orbit_values(_parse_file(args.input, json.loads, TensorFormatError))
+    n, orbits = _orbit_values(_parse_file(args.input, TensorFormatError))
     payload = _validation_payload(n, orbits, args.tolerance)
     return payload, _asymmetry_warnings(payload["asymmetry"], args.tolerance)
 
@@ -213,7 +214,7 @@ def _run_tensor_extremize(args) -> tuple[dict, list[str]]:
     from .curvature import tensor_from_dict
     from .extremize import extremize_hsc
 
-    tensor = tensor_from_dict(_parse_file(args.input, json.loads, TensorFormatError))
+    tensor = tensor_from_dict(_parse_file(args.input, TensorFormatError))
     warnings = _asymmetry_warnings(tensor.asymmetry, SYMMETRY_TOL)
     cfg = ExtremizeConfig(*(getattr(args, name) for name in ExtremizeConfig._fields))
     result = extremize_hsc(tensor, cfg)
@@ -232,11 +233,11 @@ def _geography_verdict_payloads(verdicts: list[GeographyVerdict]) -> tuple[list[
 
 def _surface_records(args) -> list[SurfaceRecord]:
     """Records from ``--input``, or the builtin catalog when it is absent."""
-    from .geography import builtin_surface_table, records_from_json
+    from .geography import _records, builtin_surface_table
 
     if args.input is None:
         return list(builtin_surface_table())
-    return _parse_file(args.input, records_from_json, ValueError)
+    return _records(_parse_file(args.input, ValueError))
 
 
 def _run_geography_check(args) -> tuple[dict, list[str]]:
@@ -472,7 +473,14 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     """Console entry point: run ``dispatch`` on the process arguments and exit with its code."""
-    sys.exit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    # the process ends here, and CPython's finalization would run one full
+    # collection over every tracked object (3-7 ms of a fresh process, 14 ms
+    # with numpy loaded) that finds nothing to free: the command has closed
+    # every file it opened, and refcounting still tears the modules down.
+    # Frozen objects skip that pass.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -276,7 +276,11 @@ def plot_columns(records: list[SurfaceRecord] | tuple[SurfaceRecord, ...]) -> li
 
 def records_from_json(text: str) -> list[SurfaceRecord]:
     """Surface records from a JSON array of ``SurfaceRecord`` payloads."""
-    data = json.loads(text)
+    return _records(json.loads(text))
+
+
+def _records(data) -> list[SurfaceRecord]:
+    """Surface records from a decoded JSON array of ``SurfaceRecord`` payloads."""
     if not isinstance(data, list):
         raise ValueError("surface JSON must be an array of records")
     return [SurfaceRecord.from_payload(item) for item in data]

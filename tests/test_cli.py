@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -686,6 +687,76 @@ def test_each_command_loads_only_the_modules_it_runs(capsys, tensor_file, argv, 
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, expected.out, expected.err)
 
 
+# main() freezes the collector's objects once dispatch returns, so that the
+# process skips the final collection; dispatch itself leaves the collector alone
+
+BLOWUP = ["geography", "blowup", "--c1sq", "9", "--c2", "3", "--k", "2"]
+USAGE_ERROR = ["cspace", "roots", "--family", "X", "--rank", "3"]
+DOMAIN_ERROR = ["cspace", "roots", "--family", "E", "--rank", "5"]
+
+
+def test_dispatch_leaves_the_collector_unchanged(capsys, tensor_file):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert dispatch(BLOWUP) == 0
+    assert dispatch(["tensor", "extremize", "--input", str(tensor_file), "--starts", "4"]) == 0
+    assert dispatch(DOMAIN_ERROR) == 1
+    assert dispatch(USAGE_ERROR) == 2
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(BLOWUP, 0), (DOMAIN_ERROR, 1), (USAGE_ERROR, 2)], ids=["success", "domain-error", "usage-error"]
+)
+def test_main_freezes_the_collector_before_it_exits(argv, code):
+    script = (
+        "import gc, sys\nfrom hsckit.cli import main\nbefore = gc.get_freeze_count()\n"
+        "try:\n    main()\nexcept SystemExit as exc:\n"
+        "    print(exc.code, before, gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[-1] == f"{code} 0 True True"
+
+
+# every subcommand of COMMAND_MODULES, then --version and a usage error
+PROCESS_CASES = [(argv, code) for argv, code, _ in COMMAND_MODULES] + [(["--version"], 0), (USAGE_ERROR, 2)]
+
+
+@pytest.mark.parametrize(
+    "argv, code", PROCESS_CASES, ids=[f"{'-'.join(argv[:2])}-exit{code}" for argv, code in PROCESS_CASES]
+)
+def test_python_m_prints_what_dispatch_prints(capsys, monkeypatch, tensor_file, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal's width
+    argv = [str(tensor_file) if part == "{tensor}" else part for part in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsckit.cli", *argv], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert dispatch(argv) == code
+    expected = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geography", "scan-horikawa", "--pg", "3..2000"],
+        ["tensor", "extremize", "--input", "{tensor}", "--starts", "4"],
+        ["cspace", "classify", "--family", "E", "--rank", "6", "--audit", "--format", "tsv"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_python_m_output_file_holds_the_stdout_bytes(tmp_path, tensor_file, argv):
+    argv = [sys.executable, "-m", "hsckit.cli", *(str(tensor_file) if part == "{tensor}" else part for part in argv)]
+    out = tmp_path / "out.txt"
+    to_file = subprocess.run([*argv, "--output", str(out)], capture_output=True, env=_child_env(), timeout=60)
+    to_stdout = subprocess.run(argv, capture_output=True, env=_child_env(), timeout=60)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", to_stdout.stderr)
+    assert to_stdout.returncode == 0
+    assert out.read_bytes() == to_stdout.stdout
+
+
 def test_importing_the_cli_loads_only_its_own_modules():
     # -S skips site, whose .pth files may import importlib.resources first
     watched = ('hsckit.', 'numpy', 'importlib.resources', 'dataclasses', 'inspect')
@@ -938,7 +1009,17 @@ def test_deeply_nested_json_exits_1_naming_the_file(capsys, tmp_path, argv, erro
         (["geography", "plotdata", "--input", "{bad}"], "ValueError"),
     ],
 )
-@pytest.mark.parametrize("content", [b"\xff\xfe", b"nope"], ids=["not-utf8", "not-json"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe",
+        b"nope",
+        # valid JSON, but an integer of more than sys.get_int_max_str_digits() digits
+        b'{"n": 2, "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "re": ' + b"7" * 5000 + b"}]}",
+        b'[{"name": "a", "c1sq": ' + b"7" * 5000 + b', "c2": 3}]',
+    ],
+    ids=["not-utf8", "not-json", "long-re", "long-c1sq"],
+)
 def test_undecodable_file_exits_1_naming_the_file(capsys, tmp_path, argv, error, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)

@@ -1,7 +1,8 @@
 """Symbolic proofs (sympy) of the surface closed forms, the Bloch form and
 the distinguished frame's readouts from it, and of the ascent's formulas:
 its gradient and Hessian at n = 2 and 3, its circle fit and the tan and cot
-quartics of its line search.
+quartics of its line search; then the weights of the Sym^2 fold and
+Berger's average of the HSC over the sphere.
 
 These sit next to the numeric checks in test_curvature and test_extremize
 and do not replace them.  Library functions whose arithmetic is plain
@@ -23,13 +24,16 @@ import sympy as sp
 
 from hsckit import (
     EinsteinFramePoint,
+    KahlerCurvatureTensor,
     assemble_einstein_surface,
     chern_weil,
+    constant_hsc_tensor,
     hsc_surface_closed_form,
     max_hsc_surface,
+    scalar,
 )
 from hsckit import extremize
-from hsckit.curvature import _HERMITIAN, _LINEAR, _quartic_matrix
+from hsckit.curvature import _HERMITIAN, _LINEAR, _fold_indices, _quartic_matrix
 from hsckit.extremize import _PAULI, _bloch_form, _circle_coefficients, _companions
 from hsckit.geography import _C2_BOUND
 from helpers import random_kahler_tensor
@@ -431,3 +435,69 @@ def test_companion_matrices_carry_the_stationary_quartics(monkeypatch):
     assert _companions_match_the_quartics(g)
     monkeypatch.setattr(extremize, "_DEGREES", np.array([4.0, 3.0, 3.0]))  # mutation: refuted
     assert not _companions_match_the_quartics(g)
+
+
+# --- the Sym^2 fold's weights and Berger's average ---------------------------
+
+
+def _complex_vector(n: int) -> tuple:
+    """Real symbols x, y and v = x + i y on C^n."""
+    x, y = (sp.symbols(f"{name}1:{n + 1}", real=True) for name in "xy")
+    return x, y, [xj + sp.I * yj for xj, yj in zip(x, y)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fold_weights_give_the_squared_norm(n):
+    # |v|^4 = sum_s w_s |x_s|^2 over the pairs s = (i, k), i <= k, of
+    # curvature._fold_indices, with x_s = v_i v_k and w_s = 1 on i = k, 2 on i < k
+    I, J, _, _, off = _fold_indices(n)
+    _, _, v = _complex_vector(n)
+    squared = [sp.expand(v[i] * v[k] * sp.conjugate(v[i] * v[k])) for i, k in zip(I, J)]
+    norm4 = sp.expand(sum(z * sp.conjugate(z) for z in v) ** 2)
+    assert _is_zero(sum((1 + int(w)) * q for w, q in zip(off, squared)) - norm4)
+    assert not _is_zero(sum(squared) - norm4)  # mutation: dropped off-diagonal weights are refuted
+    # the fold of constant HSC 1, whose quartic is |v|^4, is diag(w) exactly
+    assert np.array_equal(_quartic_matrix(constant_hsc_tensor(n, 1.0).array)[3], np.diag(1.0 + off))
+
+
+@lru_cache(maxsize=None)
+def _gaussian_moment(a: int):
+    """E t^a for t ~ N(0, 1/2), exactly."""
+    t = sp.Symbol("t", real=True)
+    return sp.integrate(t**a * sp.exp(-(t**2)), (t, -sp.oo, sp.oo)) / sp.sqrt(sp.pi)
+
+
+def _sphere_mean(f, x, y):
+    """The mean of the quartic form f(x + i y) over the unit sphere of C^n.  With
+    x and y independent N(0, 1/2), |v| and v/|v| are independent and f(v) =
+    |v|^4 f(v/|v|), so the sphere mean is E f / E |v|^4, each a sum of
+    monomial moments."""
+
+    def gaussian_mean(g):
+        terms = sp.Poly(sp.expand(g), *x, *y).terms()
+        return sp.expand(sum(c * sp.prod([_gaussian_moment(a) for a in powers]) for powers, c in terms))
+
+    return sp.expand(gaussian_mean(f) / gaussian_mean(sum(xj**2 + yj**2 for xj, yj in zip(x, y)) ** 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_berger_average_is_two_scal_over_n_n_plus_one(n):
+    # on the unit sphere E |v_i|^2 |v_j|^2 = (1 + d_ij) / (n (n + 1)), so the mean
+    # of HSC = sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l) is (sum R[i,i,k,k] +
+    # sum R[i,k,k,i]) / (n (n + 1)) = 2 Scal / (n (n + 1))
+    x, y, v = _complex_vector(n)
+    for i, j in product(range(n), repeat=2):
+        moment = _sphere_mean(v[i] * sp.conjugate(v[i]) * v[j] * sp.conjugate(v[j]), x, y)
+        assert moment == sp.Rational(1 + (i == j), n * (n + 1))
+    R = _generic_kahler(n)
+    # Scal as curvature.scalar contracts it: scalar is real-linear in R, so it is
+    # read off one real symbol of R at a time, exactly
+    symbols = sorted(set().union(*(sp.sympify(z).free_symbols for z in R.values())), key=str)
+    scal = 0
+    for c in symbols:
+        coefficient = np.array([complex(sp.diff(R[idx], c)) for idx in product(range(n), repeat=4)])
+        scal += c * sp.Rational(scalar(KahlerCurvatureTensor(coefficient.reshape((n,) * 4))))
+    assert _is_zero(scal - sum(R[i, i, k, k] for i, k in product(range(n), repeat=2)))
+    mean = _sphere_mean(_quartic(R, v), x, y)
+    assert _is_zero(mean - 2 * scal / (n * (n + 1)))
+    assert not _is_zero(mean - scal / (n * (n + 1)))  # mutation: 2 -> 1 is refuted

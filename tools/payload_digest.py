@@ -32,6 +32,13 @@ Before those two lines come a count of frames and their digest:
 point and residual written as hex floats, so a change to any bit of a
 frame shows there and nowhere else.
 
+The two lines before those count process runs and give their digest.  Each
+argv of ``PROCESS_ARGVS`` runs once as a fresh ``python -m hsckit.cli``
+process of the checkout that this tool imports, so the runs pass through
+``main()`` and the process's exit, which the in-process runs below never
+reach; its exit code, stdout, stderr and the bytes of its ``--output`` file
+(null without one) are hashed.
+
 The two lines before those count CLI runs and give their digest.  Each argv of
 ``CLI_ARGVS`` runs in process through ``hsckit.cli.dispatch`` in both
 formats, and each of ``CLI_ERRORS`` once; its exit code, stdout and stderr
@@ -49,6 +56,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -97,6 +107,16 @@ CLI_ERRORS = (
     ["geography", "check", "--input", "{float_c1sq}"],
     ["geography", "check", "--input", "{string_flags}"],
     ["tensor", "validate", "--input", "{huge_violation}"],
+)
+
+# fresh processes: a command that loads numpy, the largest output (1.09 MB), a TSV
+# table, a domain error, and a run that writes its envelope to {output}
+PROCESS_ARGVS = (
+    ["tensor", "extremize", "--input", "{surface}", "--starts", "8", "--seed", "3", "--oracle-samples", "4096"],
+    ["geography", "scan-horikawa", "--pg", "3..2000"],
+    ["cspace", "classify", "--family", "E", "--rank", "6", "--audit", "--format", "tsv"],
+    ["cspace", "roots", "--family", "E", "--rank", "5"],
+    ["surface", "analyze", "--H", "-1", "--A", "0.25", "--output", "{output}"],
 )
 
 
@@ -216,6 +236,26 @@ def cli_digest() -> tuple[int, str]:
     return len(runs), total.hexdigest()
 
 
+def process_digest() -> tuple[int, str]:
+    """Fresh ``python -m hsckit.cli`` runs of PROCESS_ARGVS, and the SHA-256 of their exit codes,
+    output and ``--output`` files."""
+    src = str(Path(hsckit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = cli_inputs(Path(tmp))
+        output = Path(tmp) / "output.json"
+        for argv in PROCESS_ARGVS:
+            command = [sys.executable, "-m", "hsckit.cli", *(part.format(output=output, **paths) for part in argv)]
+            proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+            written = output.read_text() if output.exists() else None
+            output.unlink(missing_ok=True)
+            if tmp in proc.stdout + proc.stderr + (written or ""):
+                raise SystemExit(f"output of {argv} names the temporary directory")
+            total.update(json.dumps([argv, proc.returncode, proc.stdout, proc.stderr, written]).encode() + b"\n")
+    return len(PROCESS_ARGVS), total.hexdigest()
+
+
 def frame_digest() -> tuple[int, str]:
     """Frames of the surface tensors of the corpus, and the SHA-256 of their unitaries, points and
     residuals as hex floats."""
@@ -251,6 +291,9 @@ def main() -> None:
     print(digest)
     runs, digest = cli_digest()
     print(f"{runs} cli runs")
+    print(digest)
+    runs, digest = process_digest()
+    print(f"{runs} process runs")
     print(digest)
     frames, digest = frame_digest()
     print(f"{frames} frames")
